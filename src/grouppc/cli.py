@@ -32,7 +32,13 @@ from .errors import (
     DomainError,
     NumericError,
 )
-from .inference import GridConfig, HyperPriors, log_marginal_likelihood, solve_psi
+from .inference import (
+    GridConfig,
+    HyperPriors,
+    evidence_category,
+    log_marginal_likelihood,
+    solve_psi,
+)
 from .pcprior import DistanceFunction, PCPrior, density_grid, icc_to_param
 from .simulate import SimConfig, simulate_dataset
 
@@ -110,12 +116,12 @@ def _read_cli_dataset(path, args, group_col=None, pos_col=None, exclude=(),
 
 
 def _fit_one(dataset, model, args, lam=None):
-    distance = DistanceFunction(model, dataset.design)
     if lam is None:
         u, a = _quantile_statement(args, model)
         prior = PCPrior.from_quantile(model, dataset.design, u, a)
     else:
-        prior = PCPrior(lam=lam, distance=distance)
+        prior = PCPrior(lam=lam,
+                        distance=DistanceFunction(model, dataset.design))
     hyper = HyperPriors(corr_prior=prior,
                         psi=solve_psi(args.sigma_u, args.sigma_alpha))
     return log_marginal_likelihood(dataset, model, hyper, grid=args.grid)
@@ -142,7 +148,8 @@ def _format_table(rows):
             "%.3f" % fit.rho["q975"],
             "%.3f" % fit.log_mlik,
             "" if fit.log_mlik == best else "%.2f" % log_bf,
-            "" if fit.log_mlik == best else _category(log_bf),
+            "" if fit.log_mlik == best
+            else evidence_category(log_bf).replace(" ", "-"),
         ])
     widths = [max(len(row[k]) for row in cells) for k in range(len(header))]
     lines = []
@@ -150,11 +157,6 @@ def _format_table(rows):
         line = "  ".join(c.ljust(w) for c, w in zip(row, widths))
         lines.append(line.rstrip())
     return "\n".join(lines)
-
-
-def _category(log_bf):
-    from .inference import evidence_category
-    return evidence_category(log_bf).replace(" ", "-")
 
 
 # ----------------------------------------------------------------------

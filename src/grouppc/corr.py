@@ -189,9 +189,57 @@ def precision_matrix(model: GroupModel, design: GroupedDesign,
 # ----------------------------------------------------------------------
 # log-determinants and derivatives (closed forms, vectorized in param)
 # ----------------------------------------------------------------------
+# Each family has one closed form for log |R| and one for its derivative,
+# shared by the parameter scale and the internal scale (logit rho, log
+# phi).  The rho families take log(1 - rho) next to rho: log1p(-rho) on
+# the parameter scale, -softplus(t) on the logit scale, where it stays
+# exact after rho has rounded to 1.  The derivative in a coordinate c
+# takes j = (d rho / d c) / (1 - rho), which is 1 / (1 - rho) for c = rho
+# and rho for c = logit rho, so (1 - rho) cancels before it can round to
+# 0.  OU takes phi and j = (d phi / d c) / phi: 1 / phi, or 1 for log phi.
 
 def _size_counts(design: GroupedDesign):
     return np.unique(np.asarray(design.group_sizes), return_counts=True)
+
+
+def _x_over_expm1(x):
+    """x / (exp(x) - 1) for x >= 0, with its limits 1 at 0 and 0 at inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = x * np.exp(-x) / -np.expm1(-x)
+    out[x < 1e-12] = 1.0
+    out[x == np.inf] = 0.0
+    return out
+
+
+def _log_det(model: GroupModel, design: GroupedDesign, p, log1m_rho):
+    """Sum over groups of log |R_j| at rho (given log(1 - rho)) or phi."""
+    if model.family is Family.EXCHANGEABLE:
+        out = np.zeros(np.shape(p))
+        for m, c in zip(*_size_counts(design)):
+            if m > 1:
+                out = out + c * (np.log1p((m - 1) * p) + (m - 1) * log1m_rho)
+        return out
+    if model.family is Family.AR1:
+        k = design.total_size - design.n_groups
+        if k == 0:
+            return np.zeros(np.shape(p))
+        return k * (log1m_rho + np.log1p(p))
+    x = 2.0 * design.all_spacings().reshape(-1, *([1] * np.ndim(p))) * p
+    return _log1mexp(x).sum(axis=0)
+
+
+def _dlogdet(model: GroupModel, design: GroupedDesign, p, j):
+    """Derivative of `_log_det` in a coordinate c, given j as above."""
+    if model.family is Family.EXCHANGEABLE:
+        out = np.zeros(np.shape(p))
+        for m, c in zip(*_size_counts(design)):
+            out = out - c * m * (m - 1) * p * j / (1.0 + (m - 1) * p)
+        return out
+    if model.family is Family.AR1:
+        k = design.total_size - design.n_groups
+        return -2.0 * k * p * j / (1.0 + p)
+    x = 2.0 * design.all_spacings().reshape(-1, *([1] * np.ndim(p))) * p
+    return j * _x_over_expm1(x).sum(axis=0)
 
 
 def log_det(model: GroupModel, design: GroupedDesign, param):
@@ -203,27 +251,9 @@ def log_det(model: GroupModel, design: GroupedDesign, param):
     """
     model.check_design(design)
     p = _check_param(model, param, allow_degenerate=True)
-    if model.family is Family.EXCHANGEABLE:
-        out = np.zeros(np.shape(p))
-        with np.errstate(divide="ignore"):
-            for m, c in zip(*_size_counts(design)):
-                if m == 1:
-                    continue
-                out = out + c * (np.log1p((m - 1) * p)
-                                 + (m - 1) * np.log1p(-p))
-        return _scalar_like(param, out)
-    if model.family is Family.AR1:
-        k = design.total_size - design.n_groups
-        if k == 0:
-            return _scalar_like(param, np.zeros(np.shape(p)))
-        with np.errstate(divide="ignore"):
-            out = k * (np.log1p(-p) + np.log1p(p))
-        return _scalar_like(param, out)
-    gaps = design.all_spacings()
-    if gaps.size == 0:
-        return _scalar_like(param, np.zeros(np.shape(p)))
-    x = 2.0 * gaps.reshape(-1, *([1] * np.ndim(p))) * p
-    return _scalar_like(param, _log1mexp(x).sum(axis=0))
+    with np.errstate(divide="ignore"):
+        log1m = None if model.family is Family.OU else np.log1p(-p)
+        return _scalar_like(param, _log_det(model, design, p, log1m))
 
 
 def dlogdet_dparam(model: GroupModel, design: GroupedDesign, param):
@@ -235,26 +265,8 @@ def dlogdet_dparam(model: GroupModel, design: GroupedDesign, param):
     """
     model.check_design(design)
     p = _check_param(model, param, allow_degenerate=False)
-    if model.family is Family.EXCHANGEABLE:
-        out = np.zeros(np.shape(p))
-        for m, c in zip(*_size_counts(design)):
-            if m == 1:
-                continue
-            out = out + c * (m - 1) * (1.0 / (1.0 + (m - 1) * p)
-                                       - 1.0 / (1.0 - p))
-        return _scalar_like(param, out)
-    if model.family is Family.AR1:
-        k = design.total_size - design.n_groups
-        out = k * (-2.0 * p) / ((1.0 - p) * (1.0 + p))
-        return _scalar_like(param, out)
-    gaps = design.all_spacings()
-    if gaps.size == 0:
-        return _scalar_like(param, np.zeros(np.shape(p)))
-    g = gaps.reshape(-1, *([1] * np.ndim(p)))
-    # d/dphi log(1 - exp(-2 g phi)) = 2 g / (exp(2 g phi) - 1)
-    with np.errstate(over="ignore", divide="ignore"):
-        out = (2.0 * g / np.expm1(2.0 * g * p)).sum(axis=0)
-    return _scalar_like(param, out)
+    j = np.reciprocal(p if model.family is Family.OU else 1.0 - p)
+    return _scalar_like(param, _dlogdet(model, design, p, j))
 
 
 # ----------------------------------------------------------------------
@@ -287,9 +299,9 @@ def dlogdet_finite_difference(model: GroupModel, design: GroupedDesign,
 # internal (unbounded) parameter scale
 # ----------------------------------------------------------------------
 # rho lives on (0, 1) and is handled on the logit scale; phi lives on
-# (0, inf) and is handled on the log scale.  Evaluating log-determinants
-# directly from the internal coordinate sidesteps the loss of precision
-# when rho is within a few ulp of 1, which matters for prior tails.
+# (0, inf) and is handled on the log scale.  The closed forms above take
+# the internal coordinate through `_internal`, which keeps log(1 - rho)
+# exact when rho is within a few ulp of 1, as prior tails need.
 
 def param_to_internal(model: GroupModel, param):
     p = np.asarray(param, dtype=float)
@@ -308,52 +320,24 @@ def internal_to_param(model: GroupModel, t):
     return _scalar_like(t, out)
 
 
+def _internal(model: GroupModel, t):
+    """(param, log(1 - rho), j) at internal coordinates ``t``."""
+    x = np.asarray(t, dtype=float)
+    if model.family is Family.OU:
+        return np.exp(x), None, 1.0
+    rho = expit(x)
+    return rho, -_softplus(x), rho
+
+
 def log_det_from_internal(model: GroupModel, design: GroupedDesign, t):
     """`log_det` evaluated from the internal coordinate, stable in the tails."""
     model.check_design(design)
-    x = np.asarray(t, dtype=float)
-    if model.family is Family.EXCHANGEABLE:
-        rho = expit(x)
-        out = np.zeros(np.shape(x))
-        for m, c in zip(*_size_counts(design)):
-            if m == 1:
-                continue
-            # log(1 - rho) = -softplus(t) avoids saturation at rho ~ 1
-            out = out + c * (np.log1p((m - 1) * rho) - (m - 1) * _softplus(x))
-        return _scalar_like(t, out)
-    if model.family is Family.AR1:
-        k = design.total_size - design.n_groups
-        out = k * (np.log1p(expit(x)) - _softplus(x))
-        return _scalar_like(t, out)
-    return log_det(model, design, np.exp(x))
+    p, log1m, _ = _internal(model, t)
+    return _scalar_like(t, _log_det(model, design, p, log1m))
 
 
 def dlogdet_dinternal(model: GroupModel, design: GroupedDesign, t):
     """Derivative of `log_det` in the internal coordinate (chain rule applied)."""
     model.check_design(design)
-    x = np.asarray(t, dtype=float)
-    if model.family is Family.EXCHANGEABLE:
-        rho = expit(x)
-        drho = expit(x) * expit(-x)
-        out = np.zeros(np.shape(x))
-        for m, c in zip(*_size_counts(design)):
-            if m == 1:
-                continue
-            out = out + c * (m - 1) * (drho / (1.0 + (m - 1) * rho) - rho)
-        return _scalar_like(t, out)
-    if model.family is Family.AR1:
-        k = design.total_size - design.n_groups
-        rho = expit(x)
-        out = k * (-2.0 * rho * rho) / (1.0 + rho)
-        return _scalar_like(t, out)
-    gaps = design.all_spacings()
-    if gaps.size == 0:
-        return _scalar_like(t, np.zeros(np.shape(x)))
-    phi = np.exp(x)
-    g2 = 2.0 * gaps.reshape(-1, *([1] * np.ndim(x)))
-    arg = g2 * phi
-    # x / (exp(x) - 1) = x exp(-x) / (1 - exp(-x)): limit 1 at 0, decays at inf
-    big = arg >= 1e-12
-    safe = np.where(big, arg, 1.0)
-    term = np.where(big, safe * np.exp(-safe) / (-np.expm1(-safe)), 1.0)
-    return _scalar_like(t, term.sum(axis=0))
+    p, _, j = _internal(model, t)
+    return _scalar_like(t, _dlogdet(model, design, p, j))

@@ -57,10 +57,17 @@ class GroupedDesign:
         Per-group observation coordinates, strictly increasing within each
         group.  Required by the OU family unless unit spacing is declared
         on the model.
+
+    Built once, read-only: ``offsets``, each group's first row in the
+    stacked observations followed by the total size, and ``gaps``, every
+    group's consecutive position gaps concatenated (unit gaps without
+    positions).
     """
 
     group_sizes: tuple[int, ...]
     positions: tuple[tuple[float, ...], ...] | None = None
+    offsets: NDArray = field(init=False, repr=False, compare=False)
+    gaps: NDArray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.group_sizes) == 0:
@@ -69,7 +76,10 @@ class GroupedDesign:
         if any(m < 1 for m in sizes):
             raise ConfigurationError("group sizes must be positive")
         object.__setattr__(self, "group_sizes", sizes)
-        if self.positions is not None:
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        if self.positions is None:
+            gaps = np.ones(offsets[-1] - len(sizes))
+        else:
             pos = tuple(tuple(float(x) for x in p) for p in self.positions)
             if len(pos) != len(sizes):
                 raise ConfigurationError(
@@ -80,11 +90,21 @@ class GroupedDesign:
                     raise ConfigurationError(
                         f"group {j} has {m} observations but {len(p)} positions"
                     )
-                if any(b <= a for a, b in zip(p, p[1:])):
-                    raise ConfigurationError(
-                        f"positions in group {j} must be strictly increasing"
-                    )
             object.__setattr__(self, "positions", pos)
+            # drop the differences that straddle two groups
+            flat = np.fromiter((x for p in pos for x in p), float, offsets[-1])
+            gaps = np.delete(np.diff(flat), offsets[1:-1] - 1)
+            bad = np.flatnonzero(gaps <= 0)
+            if bad.size:
+                gap_ends = offsets[1:] - np.arange(1, len(sizes) + 1)
+                j = np.searchsorted(gap_ends, bad[0], side="right")
+                raise ConfigurationError(
+                    f"positions in group {j} must be strictly increasing"
+                )
+        offsets.flags.writeable = False
+        gaps.flags.writeable = False
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "gaps", gaps)
 
     @property
     def n_groups(self) -> int:
@@ -94,30 +114,20 @@ class GroupedDesign:
     def total_size(self) -> int:
         return sum(self.group_sizes)
 
-    def balanced(self) -> bool:
-        """True when every group has the same size."""
-        return len(set(self.group_sizes)) == 1
-
     def spacings(self, group_index: int) -> NDArray:
         """Consecutive position gaps within one group (unit gaps if no positions)."""
-        m = self.group_sizes[group_index]
-        if self.positions is None:
-            return np.ones(max(m - 1, 0))
-        return np.diff(np.asarray(self.positions[group_index], dtype=float))
+        j = range(self.n_groups)[group_index]
+        start = self.offsets[j] - j
+        return self.gaps[start:start + self.group_sizes[j] - 1]
 
     def all_spacings(self) -> NDArray:
         """Consecutive gaps of every group concatenated (length total_size - n_groups)."""
-        if self.n_groups == 0:
-            return np.empty(0)
-        return np.concatenate(
-            [self.spacings(j) for j in range(self.n_groups)]
-            or [np.empty(0)]
-        )
+        return self.gaps
 
     def group_slices(self) -> list[slice]:
         """Row slices of each group in a stacked observation vector."""
-        offsets = np.concatenate([[0], np.cumsum(self.group_sizes)])
-        return [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
+        bounds = self.offsets.tolist()
+        return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def balanced_design(n_groups: int, group_size: int,

@@ -26,8 +26,7 @@ given grid.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -104,19 +103,14 @@ class HyperPriors:
         if self.beta_prec < 0:
             raise DomainError("beta_prec cannot be negative")
 
-    @classmethod
-    def default_sigma(cls, corr_prior: PCPrior, sd_scale: float = 1.0,
-                      alpha_sigma: float = 0.01,
-                      beta_prec: float = 1e-6) -> "HyperPriors":
-        """Scale the precision prior as P(sigma > sd_scale / 0.31) = alpha."""
-        return cls(corr_prior=corr_prior,
-                   psi=solve_psi(sd_scale / 0.31, alpha_sigma),
-                   beta_prec=beta_prec)
-
     def fingerprint(self) -> str:
-        """Hash of the prior components shared across comparable fits."""
+        """Hash of the priors that comparable fits must share.
+
+        Covers psi and beta_prec, which shift the evidence of every family
+        alike; the correlation prior's rate may differ between families.
+        """
         h = hashlib.sha256()
-        h.update(repr((self.corr_prior.lam, self.psi, self.beta_prec)).encode())
+        h.update(repr((float(self.psi), float(self.beta_prec))).encode())
         return h.hexdigest()
 
 
@@ -166,28 +160,41 @@ class GridConfig:
 # Gaussian log likelihood, block-wise and dense
 # ----------------------------------------------------------------------
 
-def _group_blocks(dataset: Dataset):
-    slices = dataset.design.group_slices()
-    return [(dataset.y[s], dataset.X[s]) for s in slices]
+def _woodbury(dataset: Dataset, model: GroupModel, param: float,
+              log_tau: NDArray, beta_prec: float):
+    """Block-wise likelihood at one correlation value and every log tau.
 
-def _block_stats(dataset: Dataset, model: GroupModel, param: float):
-    """Per-group quadratic forms against the unit-tau block precisions.
-
-    Returns (a_yy, A_xy, A_xx, logdetC) where for Q_j the block precision
-    at tau = 1: a_yy = sum_j y_j' Q_j y_j, and so on.
+    Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') and the mean and
+    variance of beta given y, one row per tau.  Only per-group quadratic
+    forms against the analytic block precisions Q_j (at tau = 1) enter:
+    with the capacitance B = beta_prec I + tau X' C^-1 X = L L', the
+    determinant lemma and the Woodbury identity need only L^-1.
     """
-    a_yy = 0.0
-    p = dataset.n_coef
-    A_xy = np.zeros(p)
-    A_xx = np.zeros((p, p))
-    for j, (y_j, X_j) in enumerate(_group_blocks(dataset)):
+    M, p = dataset.n_obs, dataset.n_coef
+    a_yy, A_xy, A_xx = 0.0, np.zeros(p), np.zeros((p, p))
+    for j, s in enumerate(dataset.design.group_slices()):
+        y_j, X_j = dataset.y[s], dataset.X[s]
         Q = corr.precision_matrix(model, dataset.design, j, param, tau=1.0)
         Qy = Q @ y_j
         a_yy += y_j @ Qy
         A_xy += X_j.T @ Qy
         A_xx += X_j.T @ (Q @ X_j)
     logdetC = corr.log_det(model, dataset.design, param)
-    return a_yy, A_xy, A_xx, logdetC
+    tau = np.exp(log_tau)
+    try:
+        L = np.linalg.cholesky(beta_prec * np.eye(p)
+                               + tau[:, None, None] * A_xx)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"capacitance factorization failed: {exc}") from exc
+    Linv = np.linalg.inv(L)
+    z = np.einsum("tij,tj->ti", Linv, tau[:, None] * A_xy)
+    logdet = (-M * log_tau + logdetC - p * np.log(beta_prec)
+              + 2.0 * np.log(np.einsum("tii->ti", L)).sum(axis=1))
+    loglik = -0.5 * (M * _LOG_2PI + logdet + tau * a_yy
+                     - np.einsum("ti,ti->t", z, z))
+    mean = np.einsum("tji,tj->ti", Linv, z)
+    var = np.einsum("tji,tji->ti", Linv, Linv)
+    return loglik, mean, var
 
 
 def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
@@ -204,9 +211,8 @@ def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
     if beta_prec <= 0:
         raise DomainError("the evidence needs a proper fixed-effects prior "
                           "(beta_prec > 0)")
-    M = dataset.n_obs
-    p = dataset.n_coef
     if method == "dense":
+        M = dataset.n_obs
         blocks = [corr.corr_matrix(model, dataset.design, j, param)
                   for j in range(dataset.design.n_groups)]
         Sigma = np.zeros((M, M))
@@ -222,17 +228,8 @@ def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
         return float(-0.5 * (M * _LOG_2PI + logdet + quad))
     if method != "blockwise":
         raise ValueError(f"unknown method {method!r}")
-    a_yy, A_xy, A_xx, logdetC = _block_stats(dataset, model, param)
-    B = beta_prec * np.eye(p) + tau * A_xx
-    try:
-        fB = cho_factor(B)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"capacitance factorization failed: {exc}") from exc
-    logdetB = 2.0 * np.log(np.diag(fB[0])).sum()
-    rhs = tau * A_xy
-    quad = tau * a_yy - rhs @ cho_solve(fB, rhs)
-    logdet = -M * np.log(tau) + logdetC - p * np.log(beta_prec) + logdetB
-    return float(-0.5 * (M * _LOG_2PI + logdet + quad))
+    loglik, _, _ = _woodbury(dataset, model, param, np.log([tau]), beta_prec)
+    return float(loglik[0])
 
 
 # ----------------------------------------------------------------------
@@ -296,10 +293,6 @@ class FitResult:
     diagnostics: dict
     dataset_fingerprint: str
     prior_fingerprint: str
-    #: grid nodes (log tau, internal correlation) and normalized cell masses
-    log_tau_nodes: NDArray = field(repr=False, default=None)
-    corr_nodes: NDArray = field(repr=False, default=None)
-    cell_mass: NDArray = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
         """The documented serialization: exactly these five keys."""
@@ -310,9 +303,6 @@ class FitResult:
             "beta": self.beta,
             "diagnostics": self.diagnostics,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
@@ -338,7 +328,7 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     if hyper.beta_prec <= 0:
         raise DomainError("the evidence needs a proper fixed-effects prior "
                           "(beta_prec > 0)")
-    M, p = dataset.n_obs, dataset.n_coef
+    p = dataset.n_coef
     XtX = dataset.X.T @ dataset.X
     if np.linalg.matrix_rank(XtX) < p:
         raise DataError("the covariate matrix is rank deficient")
@@ -347,7 +337,6 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     s_nodes = grid.axis("corr")         # internal correlation coordinate
     logw_t = np.log(grid.weights("tau"))
     logw_s = np.log(grid.weights("corr"))
-    tau = np.exp(t_nodes)
 
     # log prior factors on the internal scales (Jacobians included)
     log_prior_t = (np.log(hyper.psi / 2.0) - 0.5 * t_nodes
@@ -358,27 +347,14 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     loglik = np.empty((n_t, n_s))
     beta_mean = np.empty((n_t, n_s, p))
     beta_var = np.empty((n_t, n_s, p))
-    eye_p = np.eye(p)
     for k, s in enumerate(s_nodes):
         param = corr.internal_to_param(model, s)
         if model.family is not Family.OU and param >= 1.0:
             # the logistic map saturated in double precision; clamp just
             # inside the boundary (quadrature only, never user-facing)
             param = 1.0 - 1e-12
-        a_yy, A_xy, A_xx, logdetC = _block_stats(dataset, model, param)
-        B = hyper.beta_prec * eye_p + tau[:, None, None] * A_xx
-        sign, logdetB = np.linalg.slogdet(B)
-        if np.any(sign <= 0):
-            raise NumericError("capacitance matrix lost positive definiteness")
-        rhs = tau[:, None] * A_xy
-        Binv = np.linalg.inv(B)
-        mu = np.einsum("tij,tj->ti", Binv, rhs)
-        quad = tau * a_yy - np.einsum("ti,ti->t", rhs, mu)
-        logdet = (-M * t_nodes + logdetC
-                  - p * np.log(hyper.beta_prec) + logdetB)
-        loglik[:, k] = -0.5 * (M * _LOG_2PI + logdet + quad)
-        beta_mean[:, k, :] = mu
-        beta_var[:, k, :] = np.einsum("tii->ti", Binv)
+        loglik[:, k], beta_mean[:, k, :], beta_var[:, k, :] = _woodbury(
+            dataset, model, param, t_nodes, hyper.beta_prec)
 
     log_joint = loglik + log_prior_t[:, None] + log_prior_s[None, :]
     log_cells = log_joint + logw_t[:, None] + logw_s[None, :]
@@ -436,9 +412,6 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
         diagnostics=diagnostics,
         dataset_fingerprint=dataset.fingerprint(),
         prior_fingerprint=hyper.fingerprint(),
-        log_tau_nodes=t_nodes,
-        corr_nodes=s_nodes,
-        cell_mass=mass,
     )
 
 
@@ -469,11 +442,14 @@ class BayesFactor:
 def bayes_factor(fit_a: FitResult, fit_b: FitResult) -> BayesFactor:
     """Log Bayes factor log BF(A over B) = log_mlik(A) - log_mlik(B).
 
-    Both fits must carry the same dataset fingerprint; comparing fits of
-    different data is refused.
+    Both fits must carry the same dataset fingerprint and the same shared
+    priors (psi and beta_prec); other comparisons are refused.
     """
     if fit_a.dataset_fingerprint != fit_b.dataset_fingerprint:
         raise DataError("fits are not on the same dataset "
                         "(fingerprints differ)")
+    if fit_a.prior_fingerprint != fit_b.prior_fingerprint:
+        raise DataError("fits do not share the precision and fixed-effect "
+                        "priors (psi, beta_prec)")
     log_bf = fit_a.log_mlik - fit_b.log_mlik
     return BayesFactor(log_bf=log_bf, category=evidence_category(log_bf))

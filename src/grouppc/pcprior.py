@@ -32,7 +32,7 @@ from scipy import integrate
 from scipy.linalg import cho_factor, cho_solve
 
 from . import corr
-from .design import Family, GroupModel, GroupedDesign
+from .design import Family, GroupModel, GroupedDesign, parse_family
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -115,41 +115,53 @@ class DistanceFunction:
         else:
             self._internal_lo, self._internal_hi = corr.PHI_INTERNAL_MIN, 700.0
 
+    # Both scales share d = sqrt(-log|R|) and its slope -(log|R|)' / (2 d);
+    # only the closed forms they call (corr's parameter-scale or internal
+    # entry points) differ.
+
+    @staticmethod
+    def _from_log_det(log_det, like):
+        out = np.sqrt(-np.asarray(log_det))
+        return float(out) if np.ndim(like) == 0 else out
+
+    @staticmethod
+    def _slope(d, dlogdet, base):
+        """d d / d c from d and d log|R| / d c, with ``base`` where d = 0."""
+        d, g = np.asarray(d), np.asarray(dlogdet)
+        at_base = d == 0.0
+        if not np.any(at_base):
+            return -g / (2.0 * d)
+        if base is None:
+            raise DomainError("the OU distance has no finite base-point slope")
+        return np.where(at_base, base, -g / np.where(at_base, 1.0, 2.0 * d))
+
     # -- parameter scale -------------------------------------------------
 
     def __call__(self, param):
-        ld = corr.log_det(self.model, self.design, param)
-        return np.sqrt(-np.asarray(ld)) if np.ndim(param) else float(np.sqrt(-ld))
+        return self._from_log_det(
+            corr.log_det(self.model, self.design, param), param)
 
     def derivative(self, param):
         """d d / d param.  At the rho = 0 base the analytic limit is returned."""
         p = np.asarray(param, dtype=float)
-        d = np.sqrt(-np.asarray(corr.log_det(self.model, self.design, p)))
-        grad = np.asarray(corr.dlogdet_dparam(self.model, self.design, p))
-        at_base = d == 0.0
-        if np.any(at_base):
-            if self._base_slope is None:
-                raise DomainError("the OU distance has no finite base-point slope")
-            out = np.where(at_base, self._base_slope,
-                           -grad / np.where(at_base, 1.0, 2.0 * d))
-        else:
-            out = -grad / (2.0 * d)
+        out = self._slope(self(p),
+                          corr.dlogdet_dparam(self.model, self.design, p),
+                          self._base_slope)
         return float(out) if np.ndim(param) == 0 else out
 
     # -- internal scale --------------------------------------------------
 
     def value_internal(self, t):
-        ld = corr.log_det_from_internal(self.model, self.design, t)
-        out = np.sqrt(-np.asarray(ld))
-        return float(out) if np.ndim(t) == 0 else out
+        return self._from_log_det(
+            corr.log_det_from_internal(self.model, self.design, t), t)
 
     def log_abs_derivative_internal(self, t):
         """log |d d / d t|, returning -inf at the base where d' vanishes."""
-        d = np.asarray(self.value_internal(t))
-        g = np.asarray(corr.dlogdet_dinternal(self.model, self.design, t))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.log(np.abs(g)) - np.log(2.0) - np.log(d)
-        out = np.where(d == 0.0, -np.inf, out)
+        slope = self._slope(self.value_internal(t),
+                            corr.dlogdet_dinternal(self.model, self.design, t),
+                            0.0)
+        with np.errstate(divide="ignore"):
+            out = np.log(np.abs(slope))
         return float(out) if np.ndim(t) == 0 else out
 
     def invert_internal(self, target):
@@ -233,6 +245,11 @@ class PCPrior:
     def design(self) -> GroupedDesign:
         return self.distance.design
 
+    def _log_density(self, d, log_abs_slope, like):
+        """log(lambda exp(-lambda d) |slope|), the one form both scales use."""
+        out = np.log(self.lam) - self.lam * np.asarray(d) + log_abs_slope
+        return float(out) if np.ndim(like) == 0 else out
+
     # -- parameter scale -------------------------------------------------
 
     def density(self, param):
@@ -242,21 +259,16 @@ class PCPrior:
         The density is unbounded near the degenerate boundary, which is
         integrable; boundary values themselves raise.
         """
-        d = np.asarray(self.distance(param))
-        if np.any(~np.isfinite(d)):
-            raise DomainError("density requested at the degenerate boundary")
-        slope = np.asarray(self.distance.derivative(param))
-        out = self.lam * np.exp(-self.lam * d) * np.abs(slope)
+        out = np.exp(self.log_density(param))
         return float(out) if np.ndim(param) == 0 else out
 
     def log_density(self, param):
         d = np.asarray(self.distance(param))
         if np.any(~np.isfinite(d)):
             raise DomainError("density requested at the degenerate boundary")
-        slope = np.asarray(self.distance.derivative(param))
         with np.errstate(divide="ignore"):
-            out = np.log(self.lam) - self.lam * d + np.log(np.abs(slope))
-        return float(out) if np.ndim(param) == 0 else out
+            log_slope = np.log(np.abs(self.distance.derivative(param)))
+        return self._log_density(d, log_slope, param)
 
     def cdf(self, param):
         """Distance-scale CDF, 1 - exp(-lambda d(param)).
@@ -290,10 +302,9 @@ class PCPrior:
 
     def log_density_internal(self, t):
         """Log density of the prior pushed to the internal coordinate."""
-        d = np.asarray(self.distance.value_internal(t))
-        out = (np.log(self.lam) - self.lam * d
-               + np.asarray(self.distance.log_abs_derivative_internal(t)))
-        return float(out) if np.ndim(t) == 0 else out
+        return self._log_density(
+            self.distance.value_internal(t),
+            self.distance.log_abs_derivative_internal(t), t)
 
 
 # ----------------------------------------------------------------------
@@ -314,8 +325,6 @@ def balanced_density(family: Family | str, n_groups: int, group_size: int,
     each multiplied by lam' exp(-lam' s) / s at s = sqrt(-log|R|).
     Kept separate from `PCPrior.density` so the two can cross-check.
     """
-    from .design import parse_family
-
     fam = parse_family(family)
     m = int(group_size)
     if m < 2:

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from grouppc import (
+    ConfigurationError,
     DomainError,
     Family,
     GroupModel,
     GroupedDesign,
+    PCPrior,
     balanced_design,
     corr_matrix,
     dlogdet_dparam,
@@ -37,6 +39,42 @@ def random_design(rng, with_positions=False):
         positions = tuple(
             tuple(np.cumsum(rng.uniform(0.3, 1.8, m)).tolist()) for m in sizes)
     return GroupedDesign(group_sizes=sizes, positions=positions)
+
+
+# ----------------------------------------------------------------------
+# flat design arrays
+# ----------------------------------------------------------------------
+
+def test_design_gaps_and_offsets_match_positions():
+    rng = np.random.default_rng(6)
+    designs = [random_design(rng, with_positions=pos)
+               for pos in (True, False) for _ in range(15)]
+    designs.append(GroupedDesign(group_sizes=(1, 4, 1, 1, 3), positions=(
+        (2.0,), (0.0, 0.5, 1.75, 4.0), (-1.0,), (3.0,), (1.0, 1.25, 9.0))))
+    assert any(1 in d.group_sizes for d in designs)
+    for d in designs:
+        bounds = np.cumsum((0,) + d.group_sizes)
+        assert d.group_slices() == [slice(int(a), int(b))
+                                    for a, b in zip(bounds[:-1], bounds[1:])]
+        want = [np.diff(d.positions[j]) if d.positions is not None
+                else np.ones(m - 1) for j, m in enumerate(d.group_sizes)]
+        for j, gaps in enumerate(want):
+            assert_array_equal(d.spacings(j), gaps)
+        assert_array_equal(d.all_spacings(), np.concatenate(want))
+        for cached in (d.offsets, d.gaps, d.spacings(0), d.all_spacings()):
+            with pytest.raises(ValueError):
+                cached[...] = 0.0
+        # the cached arrays are derived, not part of the design's identity
+        twin = GroupedDesign(group_sizes=d.group_sizes, positions=d.positions)
+        assert twin == d and hash(twin) == hash(d)
+        assert "gaps" not in repr(d) and "offsets" not in repr(d)
+
+
+def test_design_names_group_with_unordered_positions():
+    with pytest.raises(ConfigurationError,
+                       match="positions in group 2 must be strictly"):
+        GroupedDesign(group_sizes=(2, 1, 3),
+                      positions=((0.0, 1.0), (5.0,), (0.0, 2.0, 2.0)))
 
 
 # ----------------------------------------------------------------------
@@ -311,6 +349,25 @@ def test_log_det_from_internal_survives_saturation():
     assert np.isfinite(val)
     # asymptote: log(m) - (m-1) * t per group
     assert_allclose(val, 6 * (np.log(50) - 49 * 200.0), rtol=1e-10)
+    # the derivative reaches its limit -sum(m - 1) = -13 where 1 - rho has
+    # rounded to 0, and the prior density on the internal scale stays finite
+    ragged = GroupedDesign(group_sizes=(5, 1, 9, 2))
+    for model in (EXCH, AR1):
+        prior = PCPrior.from_quantile(model, ragged, 0.5, 0.5)
+        for t in (40.0, 200.0):
+            slope = dlogdet_dinternal(model, ragged, t)
+            assert np.isfinite(slope)
+            assert_allclose(slope, -13.0, rtol=1e-14)
+            assert np.isfinite(prior.log_density_internal(t))
+    # OU at phi = exp(-700): every gap term sits at its limit 1
+    ou = GroupModel(Family.OU)
+    ragged_ou = GroupedDesign(group_sizes=(5, 1, 9, 2), positions=tuple(
+        tuple(np.cumsum(np.full(m, 0.5)).tolist()) for m in (5, 1, 9, 2)))
+    prior = PCPrior.from_quantile(ou, ragged_ou, np.log(2.0), 0.5)
+    slope = dlogdet_dinternal(ou, ragged_ou, -700.0)
+    assert np.isfinite(slope)
+    assert_allclose(slope, 13.0, rtol=1e-14)
+    assert np.isfinite(prior.log_density_internal(-700.0))
 
 
 def test_dlogdet_dinternal_matches_chain_rule_and_differences():

@@ -317,12 +317,12 @@ def test_bayes_factor_requires_same_data():
                                        beta=(0.0,), sigma2=1.0, seed=6))
     psi = solve_psi(1 / 0.31, 0.01)
 
-    def fit(ds, model):
+    def fit(ds, model, psi=psi, beta_prec=1e-6):
         prior = PCPrior.from_quantile(
             model, design, 0.5, 0.5)
         grid = GridConfig(n_tau=101, n_corr=101)
-        return log_marginal_likelihood(
-            ds, model, HyperPriors(corr_prior=prior, psi=psi), grid=grid)
+        hyper = HyperPriors(corr_prior=prior, psi=psi, beta_prec=beta_prec)
+        return log_marginal_likelihood(ds, model, hyper, grid=grid)
 
     fit_a, fit_b = fit(sim, EXCH), fit(sim, AR1)
     bf = bayes_factor(fit_a, fit_b)
@@ -330,6 +330,11 @@ def test_bayes_factor_requires_same_data():
     assert bf.category == evidence_category(bf.log_bf)
     with pytest.raises(DataError):
         bayes_factor(fit_a, fit(other, EXCH))
+    # the precision and fixed-effect priors must be shared as well
+    with pytest.raises(DataError, match="psi"):
+        bayes_factor(fit_a, fit(sim, AR1, psi=2.0 * psi))
+    with pytest.raises(DataError, match="beta_prec"):
+        bayes_factor(fit_a, fit(sim, AR1, beta_prec=1e-4))
 
 
 def test_fingerprint_invariant_to_regrouping():
