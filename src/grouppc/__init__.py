@@ -28,7 +28,6 @@ from .corr import (
     internal_to_param,
     log_det,
     param_to_internal,
-    precision_matrix,
 )
 from .pcprior import (
     DistanceFunction,
@@ -94,7 +93,6 @@ __all__ = [
     "param_to_internal",
     "parse_family",
     "posterior_summaries",
-    "precision_matrix",
     "simulate_dataset",
     "solve_lambda",
     "solve_psi",

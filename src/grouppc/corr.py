@@ -1,9 +1,9 @@
 """Within-group correlation matrices and their log-determinants.
 
 Everything here works group-wise: the full residual correlation matrix is
-block diagonal with one block per group, so log-determinants, derivatives
-and precisions are sums (or direct sums) over groups.  Each family has a
-closed form per block:
+block diagonal with one block per group, so log-determinants and their
+derivatives are sums over groups.  Each family has a closed form per
+block:
 
 * exchangeable: ``|R| = (1 + (m-1) rho) (1 - rho)^(m-1)``
 * AR1 (unit spacing): ``|R| = (1 - rho^2)^(m-1)``
@@ -32,7 +32,6 @@ from .errors import DomainError
 
 __all__ = [
     "corr_matrix",
-    "precision_matrix",
     "log_det",
     "dlogdet_dparam",
     "log_det_dense",
@@ -138,52 +137,6 @@ def _corr_block(model: GroupModel, design: GroupedDesign,
     else:
         pos = np.arange(m, dtype=float)
     return np.exp(-np.abs(pos[:, None] - pos[None, :]) * p)
-
-
-def _markov_precision(r: NDArray, tau: float) -> NDArray:
-    """Precision of a unit-variance Markov chain with gap correlations ``r``.
-
-    Writing x_i = r_i x_{i-1} + sqrt(1 - r_i^2) eps_i gives Q = B' D^-1 B
-    with B unit lower bidiagonal and D the innovation variances, which is
-    tridiagonal.
-    """
-    m = r.size + 1
-    Q = np.zeros((m, m))
-    Q[0, 0] = 1.0
-    if m > 1:
-        d = 1.0 - r * r
-        i = np.arange(m - 1)
-        Q[i + 1, i + 1] += 1.0 / d
-        Q[i, i] += r * r / d
-        Q[i, i + 1] = -r / d
-        Q[i + 1, i] = -r / d
-    return tau * Q
-
-
-def precision_matrix(model: GroupModel, design: GroupedDesign,
-                     group_index: int, param: float,
-                     tau: float = 1.0) -> NDArray:
-    """Precision of one group's residual block, ``tau * R^-1``.
-
-    The product with ``corr_matrix(...) / tau`` is the identity.  All three
-    families have analytic inverses: exchangeable via the rank-one update
-    formula, AR1 and OU via the tridiagonal Markov factorization.
-    """
-    model.check_design(design)
-    p = float(_check_param(model, param, allow_degenerate=False))
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    m = design.group_sizes[group_index]
-    if model.family is Family.EXCHANGEABLE:
-        denom = (p - 1.0) * ((m - 1.0) * p + 1.0)
-        Q = np.full((m, m), p)
-        np.fill_diagonal(Q, -((m - 2.0) * p + 1.0))
-        return (tau / denom) * Q
-    if model.family is Family.AR1:
-        r = np.full(m - 1, p)
-    else:
-        r = np.exp(-design.spacings(group_index) * p)
-    return _markov_precision(r, tau)
 
 
 # ----------------------------------------------------------------------

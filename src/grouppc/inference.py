@@ -10,10 +10,11 @@ Conditional on (tau, param) the marginal covariance of y is
 
     Sigma = tau^-1 C + beta_prec^-1 X X',
 
-whose likelihood is evaluated block-wise through the Woodbury identity:
-only per-group quadratic forms against the analytic block precisions and
-a p x p capacitance matrix are ever formed.  A dense evaluation of the
-same quantity is kept alongside for verification.
+whose likelihood is evaluated through the Woodbury identity from the
+q x q sufficient statistics Z'C^-1 Z of Z = [y, X], built from group
+sums and consecutive-pair products for every correlation node at once.
+A dense evaluation of the same quantity is kept alongside for
+verification.
 
 The evidence integrates the conditional likelihood against a penalized
 complexity prior on the correlation parameter and a Gumbel type-2 prior
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp, ndtr
+from scipy.special import expit, logsumexp, ndtr
 
 from . import corr
 from .design import Dataset, Family, GroupModel
@@ -160,40 +161,79 @@ class GridConfig:
 # Gaussian log likelihood, block-wise and dense
 # ----------------------------------------------------------------------
 
-def _woodbury(dataset: Dataset, model: GroupModel, param: float,
+def _sufficient_stats(dataset: Dataset, model: GroupModel, s: NDArray):
+    """Z'QZ at unit precision, Z = [y, X], one q x q block per internal node.
+
+    Q = C^-1 is never formed.  The exchangeable block precision is
+    (1 - rho)^-1 [I - c_j 11'] with c_j = rho / (1 + (m_j - 1) rho); split
+    into group means and deviations from them, Z_j'Q_j Z_j is
+    (1 + e^s) D_j'D_j + S_j S_j' / (m_j (1 + (m_j - 1) rho)), where S_j
+    sums group j and 1 + e^s = 1 / (1 - rho) exactly.  AR1 and OU are
+    Markov chains: u'Qv sums u_0 v_0 over first rows and
+    (u_b - r u_a)(v_b - r v_a) / (1 - r^2) over consecutive pairs (a, b)
+    with gap correlation r.  Writing u_b - r u_a as
+    (u_b - u_a) + (1 - r) u_a gives pair weights 1 / (1 - r^2),
+    1 / (1 + r) and (1 - r) / (1 + r), with 1 - r from expit(-s) (AR1)
+    or -expm1(-phi gap) (OU), so neither form cancels as r -> 1.
+    """
+    Z = np.column_stack([dataset.y, dataset.X])
+    q = Z.shape[1]
+    design = dataset.design
+    starts = design.offsets[:-1]
+    outer = lambda u, v: np.einsum("ga,gb->gab", u, v).reshape(len(u), q * q)
+    if model.family is Family.EXCHANGEABLE:
+        sizes = np.diff(design.offsets)
+        means = np.add.reduceat(Z, starts, axis=0) / sizes[:, None]
+        D = Z - np.repeat(means, sizes, axis=0)
+        rho = expit(s)[:, None]
+        between = (sizes / (1.0 + (sizes - 1) * rho)) @ outer(means, means)
+        return ((1.0 + np.exp(s))[:, None, None] * (D.T @ D)
+                + between.reshape(-1, q, q))
+    first = Z[starts]
+    b = np.delete(np.arange(design.total_size), starts)
+    D, A = Z[b] - Z[b - 1], Z[b - 1]
+    pairs = [outer(D, D), outer(D, A) + outer(A, D), outer(A, A)]
+    if model.family is Family.AR1:
+        # one gap correlation for every pair: sum the products first
+        r, one_m_r = expit(s)[:, None], expit(-s)[:, None]
+        pairs = [P.sum(axis=0, keepdims=True) for P in pairs]
+    else:
+        log_r = -np.exp(s)[:, None] * design.gaps
+        one_m_r, r = -np.expm1(log_r), np.exp(log_r, out=log_r)
+    # w = 1 / (1 + r) in place: the OU weights are n_corr x n_gaps
+    w = np.reciprocal(np.add(r, 1.0, out=r), out=r)
+    W = ((w / one_m_r) @ pairs[0] + w @ pairs[1]
+         + (w * one_m_r) @ pairs[2])
+    return first.T @ first + W.reshape(-1, q, q)
+
+
+def _woodbury(dataset: Dataset, model: GroupModel, s: NDArray,
               log_tau: NDArray, beta_prec: float):
-    """Block-wise likelihood at one correlation value and every log tau.
+    """Likelihood on the (log tau, internal correlation) tensor grid.
 
     Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') and the mean and
-    variance of beta given y, one row per tau.  Only per-group quadratic
-    forms against the analytic block precisions Q_j (at tau = 1) enter:
-    with the capacitance B = beta_prec I + tau X' C^-1 X = L L', the
-    determinant lemma and the Woodbury identity need only L^-1.
+    variance of beta given y, indexed [log tau, s].  With the statistics
+    W = Z'QZ of `_sufficient_stats` and the capacitance
+    B = beta_prec I + tau X'QX = L L', the determinant lemma and the
+    Woodbury identity need only L^-1, factored for every cell at once.
     """
     M, p = dataset.n_obs, dataset.n_coef
-    a_yy, A_xy, A_xx = 0.0, np.zeros(p), np.zeros((p, p))
-    for j, s in enumerate(dataset.design.group_slices()):
-        y_j, X_j = dataset.y[s], dataset.X[s]
-        Q = corr.precision_matrix(model, dataset.design, j, param, tau=1.0)
-        Qy = Q @ y_j
-        a_yy += y_j @ Qy
-        A_xy += X_j.T @ Qy
-        A_xx += X_j.T @ (Q @ X_j)
-    logdetC = corr.log_det(model, dataset.design, param)
-    tau = np.exp(log_tau)
+    W = _sufficient_stats(dataset, model, s)
+    logdetC = corr.log_det_from_internal(model, dataset.design, s)
+    tau = np.exp(log_tau)[:, None]
     try:
         L = np.linalg.cholesky(beta_prec * np.eye(p)
-                               + tau[:, None, None] * A_xx)
+                               + tau[..., None, None] * W[:, 1:, 1:])
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"capacitance factorization failed: {exc}") from exc
     Linv = np.linalg.inv(L)
-    z = np.einsum("tij,tj->ti", Linv, tau[:, None] * A_xy)
-    logdet = (-M * log_tau + logdetC - p * np.log(beta_prec)
-              + 2.0 * np.log(np.einsum("tii->ti", L)).sum(axis=1))
-    loglik = -0.5 * (M * _LOG_2PI + logdet + tau * a_yy
-                     - np.einsum("ti,ti->t", z, z))
-    mean = np.einsum("tji,tj->ti", Linv, z)
-    var = np.einsum("tji,tji->ti", Linv, Linv)
+    z = np.einsum("tkij,tkj->tki", Linv, tau[..., None] * W[:, 1:, 0])
+    logdet = (-M * log_tau[:, None] + logdetC - p * np.log(beta_prec)
+              + 2.0 * np.log(np.einsum("tkii->tki", L)).sum(axis=-1))
+    loglik = -0.5 * (M * _LOG_2PI + logdet + tau * W[:, 0, 0]
+                     - np.einsum("tki,tki->tk", z, z))
+    mean = np.einsum("tkji,tkj->tki", Linv, z)
+    var = np.einsum("tkji,tkji->tki", Linv, Linv)
     return loglik, mean, var
 
 
@@ -202,9 +242,10 @@ def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
                     method: str = "blockwise") -> float:
     """log N(y; 0, tau^-1 C(param) + beta_prec^-1 X X').
 
-    ``method="blockwise"`` uses the Woodbury identity with analytic block
-    precisions; ``method="dense"`` builds the full covariance and
-    factorizes it.  Both must agree to high accuracy.
+    ``method="blockwise"`` is the one-node case of the evidence grid's
+    likelihood (Woodbury identity on sufficient statistics);
+    ``method="dense"`` builds the full covariance and factorizes it.  Both
+    must agree to high accuracy.
     """
     if tau <= 0:
         raise DomainError("tau must be positive")
@@ -228,8 +269,11 @@ def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
         return float(-0.5 * (M * _LOG_2PI + logdet + quad))
     if method != "blockwise":
         raise ValueError(f"unknown method {method!r}")
-    loglik, _, _ = _woodbury(dataset, model, param, np.log([tau]), beta_prec)
-    return float(loglik[0])
+    model.check_design(dataset.design)
+    p = corr._check_param(model, param, allow_degenerate=False)
+    s = np.atleast_1d(corr.param_to_internal(model, p))
+    loglik, _, _ = _woodbury(dataset, model, s, np.log([tau]), beta_prec)
+    return float(loglik[0, 0])
 
 
 # ----------------------------------------------------------------------
@@ -307,8 +351,7 @@ class FitResult:
 
 def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
                             hyper: HyperPriors,
-                            grid: GridConfig = GridConfig(),
-                            ou_reference_gap: float = 1.0) -> FitResult:
+                            grid: GridConfig = GridConfig()) -> FitResult:
     """Evidence of one group model by tensor-grid integration.
 
     Integrates the block-wise Gaussian likelihood against the priors over
@@ -318,9 +361,9 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     marginals by interpolating the weighted CDF, the fixed effects from
     the analytic conditional Gaussians mixed over cells.
 
-    For OU fits the correlation summary reports exp(-phi * gap) at the
-    reference gap ``ou_reference_gap`` so results stay comparable with
-    the rho-parameterized families.
+    For OU fits the correlation summary reports exp(-phi), the correlation
+    at gap 1, so results stay comparable with the rho-parameterized
+    families.
     """
     model.check_design(dataset.design)
     if hyper.corr_prior.model.family is not model.family:
@@ -344,17 +387,8 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     log_prior_s = hyper.corr_prior.log_density_internal(s_nodes)
 
     n_t, n_s = t_nodes.size, s_nodes.size
-    loglik = np.empty((n_t, n_s))
-    beta_mean = np.empty((n_t, n_s, p))
-    beta_var = np.empty((n_t, n_s, p))
-    for k, s in enumerate(s_nodes):
-        param = corr.internal_to_param(model, s)
-        if model.family is not Family.OU and param >= 1.0:
-            # the logistic map saturated in double precision; clamp just
-            # inside the boundary (quadrature only, never user-facing)
-            param = 1.0 - 1e-12
-        loglik[:, k], beta_mean[:, k, :], beta_var[:, k, :] = _woodbury(
-            dataset, model, param, t_nodes, hyper.beta_prec)
+    loglik, beta_mean, beta_var = _woodbury(dataset, model, s_nodes, t_nodes,
+                                            hyper.beta_prec)
 
     log_joint = loglik + log_prior_t[:, None] + log_prior_s[None, :]
     log_cells = log_joint + logw_t[:, None] + logw_s[None, :]
@@ -377,7 +411,7 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     # correlation summary on the reporting scale
     mass_s = mass.sum(axis=0)
     if model.family is Family.OU:
-        report = np.exp(-np.exp(s_nodes) * ou_reference_gap)
+        report = np.exp(-np.exp(s_nodes))
     else:
         report = corr.internal_to_param(model, s_nodes)
     rho_mean, rho_lo, rho_hi = posterior_summaries(report, mass_s)

@@ -144,10 +144,13 @@ class DistanceFunction:
     def derivative(self, param):
         """d d / d param.  At the rho = 0 base the analytic limit is returned."""
         p = np.asarray(param, dtype=float)
-        out = self._slope(self(p),
-                          corr.dlogdet_dparam(self.model, self.design, p),
-                          self._base_slope)
+        out = self._slope_at(p, self(p))
         return float(out) if np.ndim(param) == 0 else out
+
+    def _slope_at(self, param, d):
+        """`derivative` given the distance ``d`` already evaluated there."""
+        return self._slope(d, corr.dlogdet_dparam(self.model, self.design,
+                                                  param), self._base_slope)
 
     # -- internal scale --------------------------------------------------
 
@@ -263,11 +266,14 @@ class PCPrior:
         return float(out) if np.ndim(param) == 0 else out
 
     def log_density(self, param):
-        d = np.asarray(self.distance(param))
+        return self._log_density_at(param, np.asarray(self.distance(param)))
+
+    def _log_density_at(self, param, d):
+        """`log_density` given the distance ``d`` already evaluated there."""
         if np.any(~np.isfinite(d)):
             raise DomainError("density requested at the degenerate boundary")
         with np.errstate(divide="ignore"):
-            log_slope = np.log(np.abs(self.distance.derivative(param)))
+            log_slope = np.log(np.abs(self.distance._slope_at(param, d)))
         return self._log_density(d, log_slope, param)
 
     def cdf(self, param):
@@ -400,7 +406,7 @@ def density_grid(prior: PCPrior, grid_size: int,
     t = np.linspace(t_lo, t_hi, int(grid_size))
     param = corr.internal_to_param(prior.model, t)
     dist = np.asarray(prior.distance(param))
-    density = prior.density(param)
+    density = np.exp(prior._log_density_at(param, dist))
     cdf = -np.expm1(-lam * dist)
     return PriorGrid(param=param, distance=dist, density=density, cdf=cdf)
 

@@ -234,6 +234,21 @@ def test_fit_ou_needs_positions_or_unit_spacing(tmp_path, capsys):
     assert code == 0
 
 
+def test_fit_all_singleton_groups_is_degenerate_scaling(tmp_path, capsys):
+    # one row per group: every family sits at its base model, so the
+    # prior's anchor has distance 0 and the scaling is refused
+    data = simulate_csv(tmp_path, n=8, m=1, rho=0.3)
+    for family in (["exchangeable"], ["ar1"], ["ou", "--unit-spacing"]):
+        capsys.readouterr()
+        code = main(["fit", "--family", *family, "--data", data,
+                     "--out", str(tmp_path / "fit.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "degenerate scaling" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_unknown_family_is_usage_error(tmp_path, capsys):
     code, _ = run(capsys, ["prior", "--family", "weird", "--n", "4",
                            "--m", "5", "--out", str(tmp_path / "pg.csv")])

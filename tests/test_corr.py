@@ -17,7 +17,6 @@ from grouppc import (
     internal_to_param,
     log_det,
     param_to_internal,
-    precision_matrix,
 )
 from grouppc.corr import (
     dlogdet_dinternal,
@@ -272,47 +271,6 @@ def test_dlogdet_boundary_is_domain_error():
         dlogdet_dparam(EXCH, d, 1.0)
     with pytest.raises(DomainError):
         dlogdet_dparam(OU_UNIT, d, 0.0)
-
-
-# ----------------------------------------------------------------------
-# precision_matrix
-# ----------------------------------------------------------------------
-
-def test_precision_identity_at_base():
-    assert_allclose(precision_matrix(EXCH, balanced_design(1, 2), 0, 0.0),
-                    np.eye(2))
-
-
-def test_precision_ar1_tridiagonal_by_hand():
-    got = precision_matrix(AR1, balanced_design(1, 3), 0, 0.5)
-    expected = (1 / 0.75) * np.array(
-        [[1.0, -0.5, 0.0], [-0.5, 1.25, -0.5], [0.0, -0.5, 1.0]])
-    assert_allclose(got, expected, rtol=1e-14)
-
-
-def test_precision_times_correlation_is_tau_identity():
-    rng = np.random.default_rng(3)
-    d = balanced_design(1, 3)
-    P = precision_matrix(EXCH, d, 0, 0.3, tau=2.0)
-    assert_allclose(P @ (corr_matrix(EXCH, d, 0, 0.3) / 2.0), np.eye(3),
-                    atol=1e-12)
-    for _ in range(15):
-        dd = random_design(rng, with_positions=True)
-        j = int(rng.integers(dd.n_groups))
-        tau = float(np.exp(rng.uniform(-2, 2)))
-        for model, param in [(EXCH, 0.55), (AR1, 0.9),
-                             (GroupModel(Family.OU), 0.6)]:
-            P = precision_matrix(model, dd, j, param, tau=tau)
-            R = corr_matrix(model, dd, j, param)
-            assert_allclose(P @ R, tau * np.eye(len(R)), atol=1e-10)
-
-
-def test_precision_markov_families_are_tridiagonal():
-    d = GroupedDesign(group_sizes=(6,), positions=((0.0, 0.7, 1.1, 2.9, 3.0, 4.4),))
-    for model, param in [(AR1, 0.8), (GroupModel(Family.OU), 0.9)]:
-        P = precision_matrix(model, d, 0, param)
-        mask = np.abs(np.subtract.outer(range(6), range(6))) > 1
-        assert np.all(P[mask] == 0.0)
 
 
 # ----------------------------------------------------------------------

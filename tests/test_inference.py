@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, linalg, stats
 
 from grouppc import (
+    ConfigurationError,
     DataError,
     Dataset,
     DistanceFunction,
@@ -25,11 +28,12 @@ from grouppc import (
     gumbel2_log_density,
     internal_to_param,
     log_marginal_likelihood,
+    param_to_internal,
     posterior_summaries,
     simulate_dataset,
     solve_psi,
 )
-from grouppc.inference import _mixture_gaussian_quantile
+from grouppc.inference import _mixture_gaussian_quantile, _woodbury
 
 EXCH = GroupModel(Family.EXCHANGEABLE)
 AR1 = GroupModel(Family.AR1)
@@ -97,28 +101,66 @@ def test_loglik_matches_high_precision_references():
         assert_allclose(got, ref, rtol=2e-12)
 
 
-def test_loglik_blockwise_equals_dense():
+@st.composite
+def ragged_datasets(draw):
+    """Small datasets over all-singleton, m = 2 or ragged designs.
+
+    Positions have irregular gaps; X holds the intercept and up to three
+    covariates.  The values come from a drawn seed.
+    """
+    n = draw(st.integers(1, 5))
+    sizes = draw(st.one_of(st.just([1] * n), st.just([2] * n),
+                           st.lists(st.integers(1, 12), min_size=n,
+                                    max_size=n)))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pos = tuple(tuple(np.cumsum(rng.uniform(0.2, 2.5, m)).tolist())
+                for m in sizes)
+    d = GroupedDesign(group_sizes=tuple(sizes), positions=pos)
+    y = rng.standard_normal(d.total_size) * 2.1
+    X = np.column_stack([np.ones(d.total_size),
+                         rng.standard_normal((d.total_size, p - 1))])
+    names = ("intercept",) + tuple(f"x{k}" for k in range(1, p))
+    return Dataset(y=y, X=X, design=d, column_names=names)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(ds=ragged_datasets(), model=st.sampled_from([EXCH, AR1, OU]),
+       u=st.floats(0.0, 0.9), s_other=st.floats(-8.0, 8.0),
+       log_tau=st.floats(-2.0, 3.0))
+def test_loglik_blockwise_equals_dense(ds, model, u, s_other, log_tau):
     # the two routes share nothing past the correlation closed forms;
     # compare where the dense route is well conditioned
-    rng = np.random.default_rng(12)
-    for _ in range(12):
-        n = int(rng.integers(1, 5))
-        sizes = tuple(int(v) for v in rng.integers(1, 13, n))
-        pos = tuple(tuple(np.cumsum(rng.uniform(0.4, 1.6, m)).tolist())
-                    for m in sizes)
-        d = GroupedDesign(group_sizes=sizes, positions=pos)
-        y = rng.standard_normal(d.total_size) * 2.1
-        X = np.column_stack([np.ones(d.total_size),
-                             rng.standard_normal(d.total_size)])
-        ds = Dataset(y=y, X=X, design=d, column_names=("intercept", "x1"))
-        for model in (EXCH, AR1, OU):
-            param = 1.1 if model.family is Family.OU else 0.45
-            tau = float(np.exp(rng.uniform(-2, 3)))
-            a = gaussian_loglik(ds, model, param, tau, beta_prec=1e-3,
-                                method="blockwise")
-            b = gaussian_loglik(ds, model, param, tau, beta_prec=1e-3,
-                                method="dense")
-            assert_allclose(a, b, rtol=1e-8)
+    param = 0.2 + 4.0 * u if model.family is Family.OU else u
+    tau = float(np.exp(log_tau))
+    a = gaussian_loglik(ds, model, param, tau, beta_prec=1e-3,
+                        method="blockwise")
+    b = gaussian_loglik(ds, model, param, tau, beta_prec=1e-3,
+                        method="dense")
+    assert_allclose(a, b, rtol=1e-8)
+    # every column of the grid evaluation is the one-node evaluation
+    s = np.array([s_other, param_to_internal(model, param), -s_other])
+    log_taus = np.array([log_tau, 0.0])
+    grid, _, _ = _woodbury(ds, model, s, log_taus, 1e-3)
+    for k, s_k in enumerate(s):
+        for i, t_i in enumerate(log_taus):
+            one = gaussian_loglik(ds, model, internal_to_param(model, s_k),
+                                  float(np.exp(t_i)), beta_prec=1e-3)
+            assert_allclose(grid[i, k], one, rtol=1e-11)
+
+
+@pytest.mark.parametrize("method", ["blockwise", "dense"])
+def test_loglik_rejects_bad_parameters(method):
+    ds = reference_dataset()
+    for model, param in [(EXCH, 1.0), (EXCH, -0.1), (AR1, 1.0),
+                         (AR1, -0.1), (EXCH, np.nan), (AR1, np.nan),
+                         (OU, 0.0), (OU, -1.0), (OU, np.nan)]:
+        with pytest.raises(DomainError):
+            gaussian_loglik(ds, model, param, 2.0, method=method)
+    unplaced = Dataset(y=ds.y, X=ds.X, column_names=ds.column_names,
+                       design=GroupedDesign(group_sizes=ds.design.group_sizes))
+    with pytest.raises(ConfigurationError):
+        gaussian_loglik(unplaced, OU, 0.5, 2.0, method=method)
 
 
 def test_loglik_matches_scipy_multivariate_normal():
