@@ -13,8 +13,10 @@ Conditional on (tau, param) the marginal covariance of y is
 whose likelihood is evaluated through the Woodbury identity from the
 q x q sufficient statistics Z'C^-1 Z of Z = [y, X], built from group
 sums and consecutive-pair products for every correlation node at once.
-A dense evaluation of the same quantity is kept alongside for
-verification.
+The p x p capacitance is Cholesky-factored at every grid cell; the
+conditional moments of beta, which need its inverse, are formed only at
+the cells that carry posterior mass.  A dense evaluation of the same
+likelihood is kept alongside for verification.
 
 The evidence integrates the conditional likelihood against a penalized
 complexity prior on the correlation parameter and a Gumbel type-2 prior
@@ -211,11 +213,14 @@ def _woodbury(dataset: Dataset, model: GroupModel, s: NDArray,
               log_tau: NDArray, beta_prec: float):
     """Likelihood on the (log tau, internal correlation) tensor grid.
 
-    Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') and the mean and
-    variance of beta given y, indexed [log tau, s].  With the statistics
-    W = Z'QZ of `_sufficient_stats` and the capacitance
-    B = beta_prec I + tau X'QX = L L', the determinant lemma and the
-    Woodbury identity need only L^-1, factored for every cell at once.
+    Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X'), the Cholesky
+    factor L and the whitened vector z = L^-1 b, all indexed [log tau, s].
+    With the statistics W = Z'QZ of `_sufficient_stats`, the capacitance
+    B = beta_prec I + tau X'QX = L L' and b = tau X'Qy, the determinant
+    lemma and the Woodbury identity need only log|L| and z'z.  B is
+    factored at every cell and z comes from a forward substitution over
+    the p coefficients; no inverse is formed (`_beta_moments` does that
+    on the cells that carry posterior mass).
     """
     M, p = dataset.n_obs, dataset.n_coef
     W = _sufficient_stats(dataset, model, s)
@@ -226,15 +231,26 @@ def _woodbury(dataset: Dataset, model: GroupModel, s: NDArray,
                                + tau[..., None, None] * W[:, 1:, 1:])
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"capacitance factorization failed: {exc}") from exc
-    Linv = np.linalg.inv(L)
-    z = np.einsum("tkij,tkj->tki", Linv, tau[..., None] * W[:, 1:, 0])
+    z = tau[..., None] * W[:, 1:, 0]
+    for i in range(p):
+        z[..., i] -= np.einsum("tkj,tkj->tk", L[..., i, :i], z[..., :i])
+        z[..., i] /= L[..., i, i]
     logdet = (-M * log_tau[:, None] + logdetC - p * np.log(beta_prec)
               + 2.0 * np.log(np.einsum("tkii->tki", L)).sum(axis=-1))
     loglik = -0.5 * (M * _LOG_2PI + logdet + tau * W[:, 0, 0]
                      - np.einsum("tki,tki->tk", z, z))
-    mean = np.einsum("tkji,tkj->tki", Linv, z)
-    var = np.einsum("tkji,tkji->tki", Linv, Linv)
-    return loglik, mean, var
+    return loglik, L, z
+
+
+def _beta_moments(L: NDArray, z: NDArray):
+    """Mean L^-T z and variance diag(B^-1) of beta given y, per cell.
+
+    ``L`` and ``z`` are `_woodbury`'s factor and whitened vector at the
+    selected cells, stacked along the first axis.
+    """
+    Linv = np.linalg.inv(L)
+    return (np.einsum("nji,nj->ni", Linv, z),
+            np.einsum("nji,nji->ni", Linv, Linv))
 
 
 def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
@@ -308,11 +324,17 @@ def posterior_summaries(values, weights,
 
 def _mixture_gaussian_quantile(mu: NDArray, sd: NDArray, w: NDArray,
                                prob: float, iters: int = 90) -> float:
-    """Quantile of a Gaussian mixture by bisection on its CDF."""
+    """Quantile of a Gaussian mixture by bisection on its CDF.
+
+    Stops early once the midpoint rounds to an end of the bracket: every
+    later step would leave the returned midpoint unchanged.
+    """
     lo = float(np.min(mu - 8.0 * sd))
     hi = float(np.max(mu + 8.0 * sd))
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         F = float(w @ ndtr((mid - mu) / sd))
         if F < prob:
             lo = mid
@@ -387,8 +409,8 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     log_prior_s = hyper.corr_prior.log_density_internal(s_nodes)
 
     n_t, n_s = t_nodes.size, s_nodes.size
-    loglik, beta_mean, beta_var = _woodbury(dataset, model, s_nodes, t_nodes,
-                                            hyper.beta_prec)
+    loglik, L, z = _woodbury(dataset, model, s_nodes, t_nodes,
+                             hyper.beta_prec)
 
     log_joint = loglik + log_prior_t[:, None] + log_prior_s[None, :]
     log_cells = log_joint + logw_t[:, None] + logw_s[None, :]
@@ -423,12 +445,14 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
 
     flat_w = mass.ravel()
     active = flat_w > 1e-15
+    beta_mean, beta_var = _beta_moments(L.reshape(-1, p, p)[active],
+                                        z.reshape(-1, p)[active])
+    w = flat_w[active]
+    w = w / w.sum()
     beta_summary = []
     for i, name in enumerate(dataset.column_names):
-        mu = beta_mean[:, :, i].ravel()[active]
-        sd = np.sqrt(beta_var[:, :, i].ravel()[active])
-        w = flat_w[active]
-        w = w / w.sum()
+        mu = beta_mean[:, i]
+        sd = np.sqrt(beta_var[:, i])
         mean = float(w @ mu)
         beta_summary.append({
             "name": name,

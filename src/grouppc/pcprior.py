@@ -160,12 +160,15 @@ class DistanceFunction:
 
     def log_abs_derivative_internal(self, t):
         """log |d d / d t|, returning -inf at the base where d' vanishes."""
-        slope = self._slope(self.value_internal(t),
-                            corr.dlogdet_dinternal(self.model, self.design, t),
-                            0.0)
-        with np.errstate(divide="ignore"):
-            out = np.log(np.abs(slope))
+        out = self._log_abs_slope_internal_at(t, self.value_internal(t))
         return float(out) if np.ndim(t) == 0 else out
+
+    def _log_abs_slope_internal_at(self, t, d):
+        """`log_abs_derivative_internal` given the distance ``d`` at ``t``."""
+        slope = self._slope(d, corr.dlogdet_dinternal(self.model, self.design,
+                                                      t), 0.0)
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(slope))
 
     def invert_internal(self, target):
         """Internal coordinates where the distance equals ``target``.
@@ -308,9 +311,9 @@ class PCPrior:
 
     def log_density_internal(self, t):
         """Log density of the prior pushed to the internal coordinate."""
+        d = self.distance.value_internal(t)
         return self._log_density(
-            self.distance.value_internal(t),
-            self.distance.log_abs_derivative_internal(t), t)
+            d, self.distance._log_abs_slope_internal_at(t, d), t)
 
 
 # ----------------------------------------------------------------------

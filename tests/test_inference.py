@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, linalg, stats
+from scipy.special import ndtr
 
 from grouppc import (
     ConfigurationError,
@@ -33,7 +34,13 @@ from grouppc import (
     simulate_dataset,
     solve_psi,
 )
-from grouppc.inference import _mixture_gaussian_quantile, _woodbury
+from grouppc import inference
+from grouppc.inference import (
+    _beta_moments,
+    _mixture_gaussian_quantile,
+    _sufficient_stats,
+    _woodbury,
+)
 
 EXCH = GroupModel(Family.EXCHANGEABLE)
 AR1 = GroupModel(Family.AR1)
@@ -147,6 +154,44 @@ def test_loglik_blockwise_equals_dense(ds, model, u, s_other, log_tau):
             one = gaussian_loglik(ds, model, internal_to_param(model, s_k),
                                   float(np.exp(t_i)), beta_prec=1e-3)
             assert_allclose(grid[i, k], one, rtol=1e-11)
+
+
+@pytest.mark.parametrize("model", [EXCH, AR1, OU],
+                         ids=lambda m: m.family.value)
+def test_beta_moments_match_full_grid_inverse(model):
+    # oracle: L^-1 on every cell, mean L^-T L^-1 b, variance diag(B^-1)
+    ds = reference_dataset()
+    p = ds.n_coef
+    s = np.linspace(-12.0, 12.0, 41)
+    log_tau = np.linspace(-12.0, 12.0, 31)
+    _, L, z = _woodbury(ds, model, s, log_tau, 1e-6)
+    b = np.exp(log_tau)[:, None, None] * _sufficient_stats(ds, model, s)[:, 1:, 0]
+    Linv = np.linalg.inv(L)
+    want_z = np.einsum("tkij,tkj->tki", Linv, b)
+    want_mean = np.einsum("tkji,tkj->tki", Linv, want_z).reshape(-1, p)
+    want_var = np.einsum("tkji,tkji->tki", Linv, Linv).reshape(-1, p)
+    assert_allclose(z, want_z, rtol=1e-12)
+    cells = np.random.default_rng(8).choice(len(want_mean), 60, replace=False)
+    mean, var = _beta_moments(L.reshape(-1, p, p)[cells],
+                              z.reshape(-1, p)[cells])
+    assert_allclose(mean, want_mean[cells], rtol=1e-12)
+    assert_allclose(var, want_var[cells], rtol=1e-12)
+
+
+def test_fit_inverts_only_cells_with_mass(monkeypatch):
+    ds = reference_dataset()
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: inverted.append(np.shape(a)) or inv(a))
+    prior = PCPrior.from_quantile(AR1, ds.design, 0.5, 0.5)
+    hyper = HyperPriors(corr_prior=prior, psi=solve_psi(1 / 0.31, 0.01))
+    log_marginal_likelihood(ds, AR1, hyper)
+    # one batch of p x p factors, far fewer than the 201 x 201 grid cells
+    assert len(inverted) == 1
+    n_cells, rows, cols = inverted[0]
+    assert (rows, cols) == (ds.n_coef, ds.n_coef)
+    assert 0 < n_cells < 201 * 201 // 4
 
 
 @pytest.mark.parametrize("method", ["blockwise", "dense"])
@@ -336,6 +381,38 @@ def test_mixture_quantile_two_components():
                     atol=1e-9)
     lo = _mixture_gaussian_quantile(mu, sd, w, 0.025)
     assert_allclose(stats.norm(-3, 0.5).cdf(lo) * 0.5, 0.025, atol=1e-9)
+
+
+def _fixed_bisection(mu, sd, w, prob, iters=90):
+    lo = float(np.min(mu - 8.0 * sd))
+    hi = float(np.max(mu + 8.0 * sd))
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if float(w @ ndtr((mid - mu) / sd)) < prob:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("mu, sd, w", [
+    ([1.5], [2.0], [1.0]),
+    ([-3.0, 3.0], [0.5, 0.5], [0.5, 0.5]),
+    ([0.2, 1.1], [0.3, 1.7], [0.8, 0.2]),
+])
+def test_mixture_quantile_stops_at_the_bisection_fixed_point(mu, sd, w,
+                                                             monkeypatch):
+    mu, sd, w = np.array(mu), np.array(sd), np.array(w)
+    for prob in (0.025, 0.5, 0.975):
+        want = _fixed_bisection(mu, sd, w, prob)
+        evals = []
+        monkeypatch.setattr(inference, "ndtr",
+                            lambda x: evals.append(1) or ndtr(x))
+        assert _mixture_gaussian_quantile(mu, sd, w, prob) == want
+        monkeypatch.undo()
+        # doubles crowd near 0, where 90 halvings end before the fixed point
+        if abs(want) > 1e-3:
+            assert len(evals) < 70
 
 
 # ----------------------------------------------------------------------

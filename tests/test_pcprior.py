@@ -21,6 +21,7 @@ from grouppc import (
     normalization_mass,
     solve_lambda,
 )
+from grouppc import corr
 
 EXCH = GroupModel(Family.EXCHANGEABLE)
 AR1 = GroupModel(Family.AR1)
@@ -211,6 +212,26 @@ def test_normalization_across_designs_and_scalings():
         prior = PCPrior.from_quantile(
             model, design, icc_to_param(model, 0.3), 0.5)
         assert_allclose(normalization_mass(prior), 1.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("model", [EXCH, AR1, OU],
+                         ids=lambda m: m.family.value)
+def test_log_density_internal_evaluates_distance_once(model, monkeypatch):
+    # bit for bit the form built from the two public internal-scale pieces,
+    # with one closed-form log|R| pass instead of two
+    prior = PCPrior.from_quantile(model, unbalanced_design(),
+                                  icc_to_param(model, 0.5), 0.5)
+    dist = prior.distance
+    t = np.linspace(-12.0, 12.0, 201)
+    want = prior._log_density(dist.value_internal(t),
+                              dist.log_abs_derivative_internal(t), t)
+    calls = []
+    log_det = corr.log_det_from_internal
+    monkeypatch.setattr(corr, "log_det_from_internal",
+                        lambda *a: calls.append(a) or log_det(*a))
+    got = prior.log_density_internal(t)
+    assert np.array_equal(got, want)
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------
