@@ -205,7 +205,6 @@ def cmd_compare(args):
     for _, _, group_col, pos_col in args.model:
         claimed |= {group_col, pos_col}
     claimed.discard(None)
-    os.makedirs(args.out_dir, exist_ok=True)
     fits = []
     shared_lam = None
     for k, (text, family, group_col, pos_col) in enumerate(args.model, 1):
@@ -227,12 +226,18 @@ def cmd_compare(args):
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"model {text!r}: {exc}") from exc
         path = f"{args.out_dir}/fit_{k}_{family.value}_{used_group}.json"
-        io.write_fit(fit, path)
         fits.append((used_group, fit, path))
 
-    prints = {fit.dataset_fingerprint for _, fit, _ in fits}
-    if len(prints) != 1:
-        raise DataError("fits do not share a dataset fingerprint")
+    # the table ranks evidences, which compare only on the same data under
+    # the same shared priors (as `bayes_factor` requires); a refused
+    # comparison writes no file
+    for kind in ("dataset", "prior"):
+        prints = {getattr(fit, f"{kind}_fingerprint") for _, fit, _ in fits}
+        if len(prints) != 1:
+            raise DataError(f"fits do not share a {kind} fingerprint")
+    os.makedirs(args.out_dir, exist_ok=True)
+    for _, fit, path in fits:
+        io.write_fit(fit, path)
     print(_format_table([(g, fit) for g, fit, _ in fits]))
     print("wrote", " ".join(path for _, _, path in fits))
     return 0

@@ -23,6 +23,8 @@ broadcast over the parameter.  All functions are pure.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.typing import NDArray
 from scipy.special import expit
@@ -64,6 +66,33 @@ def _log1mexp(x):
 def _softplus(t):
     """log(1 + exp(t)), overflow safe."""
     return np.logaddexp(0.0, t)
+
+
+def _log1pmx(x, log1p_x=None):
+    """log(1 + x) - x for x > -1, without cancellation near 0.
+
+    Within 0.1 of 0 it takes `_log1pmx_near`.  Elsewhere it takes
+    ``log1p_x`` when the caller holds log(1 + x) more exactly than
+    ``np.log1p(x)`` can (log(1 - rho) = -softplus(t) as rho rounds to 1).
+    """
+    out = (np.log1p(x) if log1p_x is None else log1p_x) - x
+    near = np.abs(x) < 0.1
+    if near.ndim == 0:   # a scalar: plain branching is far cheaper
+        return _log1pmx_near(x) if near else out
+    return np.where(near, _log1pmx_near(x), out) if near.any() else out
+
+
+def _log1pmx_near(x):
+    """-x^2 / (2 + x) + 2 (s^3/3 + s^5/5 + ...), s = x / (2 + x), to s^15.
+
+    This is the atanh series of log1p(x) less x; for |x| < 0.1, |s| < 0.053
+    and the terms left out are below 1e-19 relative.
+    """
+    s = x / (2.0 + x)
+    s2 = s * s
+    series = s2 * (1 / 3 + s2 * (1 / 5 + s2 * (1 / 7 + s2 * (
+        1 / 9 + s2 * (1 / 11 + s2 * (1 / 13 + s2 / 15))))))
+    return 2.0 * s * series - x * x / (2.0 + x)
 
 
 _SCALAR_TYPES = (float, int, np.floating, np.integer)
@@ -151,8 +180,11 @@ def _corr_block(model: GroupModel, design: GroupedDesign,
 # and rho for c = logit rho, so (1 - rho) cancels before it can round to
 # 0.  OU takes phi and j = (d phi / d c) / phi: 1 / phi, or 1 for log phi.
 
-def _size_counts(design: GroupedDesign):
-    return np.unique(np.asarray(design.group_sizes), return_counts=True)
+@functools.lru_cache(maxsize=64)
+def _size_counts(group_sizes: tuple) -> tuple:
+    """(size, number of groups) pairs, as ints, for each distinct size."""
+    sizes, counts = np.unique(np.asarray(group_sizes), return_counts=True)
+    return tuple(zip(sizes.tolist(), counts.tolist()))
 
 
 def _x_over_expm1(x):
@@ -164,35 +196,65 @@ def _x_over_expm1(x):
     return out
 
 
+#: parameter nodes per OU block of gaps x nodes (bounds its memory)
+_OU_CHUNK = 512
+
+
+def _ou_gap_sum(design: GroupedDesign, phi, term):
+    """Sum over gaps of ``term(2 gap phi)``, a column of nodes at a time.
+
+    Each chunk keeps whole columns, so every node's sum runs in the same
+    order as over one gaps x nodes block.  A lone last column is merged
+    into the chunk before it: NumPy sums a one-column block pairwise.
+    """
+    gaps = design.all_spacings()
+    if np.ndim(phi) == 0:
+        return term(2.0 * gaps * phi).sum(axis=0)
+    flat = np.ravel(phi)
+    edges = list(range(0, flat.size, _OU_CHUNK)) + [flat.size]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    out = np.empty(flat.shape)
+    for a, b in zip(edges[:-1], edges[1:]):
+        out[a:b] = term(2.0 * gaps[:, None] * flat[a:b]).sum(axis=0)
+    return out.reshape(np.shape(phi))
+
+
 def _log_det(model: GroupModel, design: GroupedDesign, p, log1m_rho):
-    """Sum over groups of log |R_j| at rho (given log(1 - rho)) or phi."""
-    if model.family is Family.EXCHANGEABLE:
-        out = np.zeros(np.shape(p))
-        for m, c in zip(*_size_counts(design)):
-            if m > 1:
-                out = out + c * (np.log1p((m - 1) * p) + (m - 1) * log1m_rho)
-        return out
+    """Sum over groups of log |R_j| at rho (given log(1 - rho)) or phi.
+
+    The rho families are written as sums of log1p(x) - x terms, all <= 0:
+    with a = m - 1 and l = log(1 - rho) + rho, an exchangeable block is
+    (log1p(a rho) - a rho) + a l and an AR1 pair (log1p(rho) - rho) + l.
+    The O(rho) parts cancel in the algebra, so nothing cancels in floating
+    point as rho -> 0, where log|R| is O(rho^2).
+    """
+    if model.family is Family.OU:
+        return _ou_gap_sum(design, p, _log1mexp)
+    log1m_plus = _log1pmx(-p, log1m_rho)
     if model.family is Family.AR1:
         k = design.total_size - design.n_groups
         if k == 0:
             return np.zeros(np.shape(p))
-        return k * (log1m_rho + np.log1p(p))
-    x = 2.0 * design.all_spacings().reshape(-1, *([1] * np.ndim(p))) * p
-    return _log1mexp(x).sum(axis=0)
+        return k * (_log1pmx(p) + log1m_plus)
+    out = np.zeros(np.shape(p))
+    for m, c in _size_counts(design.group_sizes):
+        if m > 1:
+            out = out + c * (_log1pmx((m - 1) * p) + (m - 1) * log1m_plus)
+    return out
 
 
 def _dlogdet(model: GroupModel, design: GroupedDesign, p, j):
     """Derivative of `_log_det` in a coordinate c, given j as above."""
     if model.family is Family.EXCHANGEABLE:
         out = np.zeros(np.shape(p))
-        for m, c in zip(*_size_counts(design)):
+        for m, c in _size_counts(design.group_sizes):
             out = out - c * m * (m - 1) * p * j / (1.0 + (m - 1) * p)
         return out
     if model.family is Family.AR1:
         k = design.total_size - design.n_groups
         return -2.0 * k * p * j / (1.0 + p)
-    x = 2.0 * design.all_spacings().reshape(-1, *([1] * np.ndim(p))) * p
-    return j * _x_over_expm1(x).sum(axis=0)
+    return j * _ou_gap_sum(design, p, _x_over_expm1)
 
 
 def log_det(model: GroupModel, design: GroupedDesign, param):

@@ -49,6 +49,8 @@ __all__ = [
 
 #: tolerance on the distance residual when inverting d
 _INVERT_TOL = 1e-12
+#: nodes of the table that starts every inversion
+_TABLE_NODES = 161
 
 
 def kld_gaussian(C: NDArray, C0: NDArray) -> float:
@@ -94,7 +96,9 @@ class DistanceFunction:
     Callable on the parameter scale; also evaluable and invertible on the
     internal unbounded scale, which is what every routine that walks into
     the tails uses.  The distance is strictly increasing in rho for the
-    exchangeable/AR1 families and strictly decreasing in phi for OU.
+    exchangeable/AR1 families and strictly decreasing in phi for OU, up to
+    where log|R| underflows (logit rho below about -372, or phi e^-2 gaps
+    beyond the smallest double): d is 0 there.
     """
 
     def __init__(self, model: GroupModel, design: GroupedDesign):
@@ -114,6 +118,7 @@ class DistanceFunction:
             self._internal_lo, self._internal_hi = -745.0, corr.RHO_INTERNAL_MAX
         else:
             self._internal_lo, self._internal_hi = corr.PHI_INTERNAL_MIN, 700.0
+        self._table = None   # built by the first inversion
 
     # Both scales share d = sqrt(-log|R|) and its slope -(log|R|)' / (2 d);
     # only the closed forms they call (corr's parameter-scale or internal
@@ -121,7 +126,8 @@ class DistanceFunction:
 
     @staticmethod
     def _from_log_det(log_det, like):
-        out = np.sqrt(-np.asarray(log_det))
+        # log|R| may round to +0.0 at the base; d is 0 there, never -0.0
+        out = np.sqrt(np.maximum(-np.asarray(log_det), 0.0))
         return float(out) if np.ndim(like) == 0 else out
 
     @staticmethod
@@ -170,32 +176,86 @@ class DistanceFunction:
         with np.errstate(divide="ignore"):
             return np.log(np.abs(slope))
 
+    def _inversion_table(self):
+        """(log d, t) at fixed nodes over the whole bracket, by rising log d.
+
+        The nodes are uniform in asinh t, so they are densest around t = 0
+        and still reach both ends of the bracket in `_TABLE_NODES` points.
+        Where d underflows to 0 the table holds log d = -inf.
+        """
+        if self._table is None:
+            lo, hi = self._internal_lo, self._internal_hi
+            t = np.sinh(np.linspace(np.arcsinh(lo), np.arcsinh(hi),
+                                    _TABLE_NODES))
+            t[0], t[-1] = lo, hi
+            with np.errstate(divide="ignore"):
+                log_d = np.log(self.value_internal(t))
+            self._table = (log_d, t) if self.increasing else (log_d[::-1],
+                                                              t[::-1])
+        return self._table
+
     def invert_internal(self, target):
         """Internal coordinates where the distance equals ``target``.
 
-        Vectorized bisection; monotonicity of d makes the bracket trivial.
-        Iterates until the distance residual drops below 1e-12 (or the
-        bracket reaches floating-point resolution).  Targets beyond what
-        the parameter can resolve in double precision clamp to the
-        representable extreme.
+        Each target starts from linear interpolation of t in log d between
+        the two table nodes around it, which also bracket its root.  Newton
+        steps on log d(t) - log target, with slope
+        d log d / dt = -(log|R|)' / (2 d^2), run inside that bracket; a
+        step that would leave it, that would not halve the step before
+        last, or that has no finite slope (d = 0) bisects instead, as in
+        the safeguarded Newton "rtsafe" of Numerical Recipes (section 9.4).
+        Only targets not yet converged are evaluated.  A target is done
+        when its distance residual is at most 1e-12 (relative below a
+        target of 1, so tiny targets are not done at their start), when no
+        double lies inside its bracket, or when its step no longer moves
+        it; one last Newton step, when it stays in the bracket, refines a
+        target that met the residual.  Targets beyond what the parameter
+        can resolve in double precision clamp to the representable
+        extreme.
         """
         tgt = np.atleast_1d(np.asarray(target, dtype=float))
         if np.any(tgt <= 0) or np.any(~np.isfinite(tgt)):
             raise DomainError("target distance must be positive and finite")
+        log_d, nodes = self._inversion_table()
+        # log_d[k - 1] < log target <= log_d[k]; k at an end means clamp
+        k = np.searchsorted(log_d, np.log(tgt))
+        out = nodes[np.minimum(k, nodes.size - 1)]
+        todo = np.flatnonzero((k > 0) & (k < nodes.size))
+        x, k = tgt[todo], k[todo]
+        log_x, tol = np.log(x), _INVERT_TOL * np.minimum(1.0, x)
+        t_a, t_b = nodes[k - 1], nodes[k]
+        with np.errstate(invalid="ignore"):
+            w = (log_x - log_d[k - 1]) / (log_d[k] - log_d[k - 1])
+        t = np.where(np.isfinite(w), t_a + w * (t_b - t_a), 0.5 * (t_a + t_b))
+        lo, hi = np.minimum(t_a, t_b), np.maximum(t_a, t_b)
+        step = step_old = hi - lo
         sign = 1.0 if self.increasing else -1.0
-        lo = np.full(tgt.shape, self._internal_lo)
-        hi = np.full(tgt.shape, self._internal_hi)
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f_mid = sign * (self.value_internal(mid) - tgt)
-            below = f_mid < 0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.max(np.abs(f_mid)) <= _INVERT_TOL:
+            if todo.size == 0:
                 break
-            if np.max(hi - lo) < 1e-14 * np.maximum(1.0, np.abs(mid)).max():
-                break
-        out = 0.5 * (lo + hi)
+            d = self.value_internal(t)
+            g = corr.dlogdet_dinternal(self.model, self.design, t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f = np.log(d) - log_x
+                newton = f / (-g / (2.0 * d * d))
+            right = sign * f < 0          # the root lies above t
+            lo = np.where(right, t, lo)
+            hi = np.where(right, hi, t)
+            t_newton = t - newton
+            inside = (t_newton >= lo) & (t_newton <= hi)
+            use = inside & (np.abs(newton) <= 0.5 * step_old)
+            step_old = step
+            step = np.where(use, np.abs(newton), 0.5 * (hi - lo))
+            t_next = np.where(use, t_newton, 0.5 * (lo + hi))
+            met = np.abs(d - x) <= tol
+            done = met | (np.nextafter(lo, hi) >= hi) | (t_next == t)
+            final = np.where(met, np.where(inside, t_newton, t), t_next)
+            out[todo[done]] = final[done]
+            keep = ~done
+            todo, x, log_x, tol = todo[keep], x[keep], log_x[keep], tol[keep]
+            t, lo, hi = t_next[keep], lo[keep], hi[keep]
+            step, step_old = step[keep], step_old[keep]
+        out[todo] = t
         return float(out[0]) if np.ndim(target) == 0 else out
 
     def invert(self, target):

@@ -6,6 +6,7 @@ determinism, and that the CLI plumbs flags into the same numbers the
 library produces directly.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from grouppc import (
     log_marginal_likelihood,
     solve_psi,
 )
+from grouppc import cli
 from grouppc.cli import main
 
 # scaling for exchangeable, n=6, m=50, median ICC 0.5 (frozen)
@@ -343,6 +345,33 @@ def test_compare_failure_names_the_model(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "'ou'" in err
+
+
+def test_compare_refuses_fits_under_different_priors(tmp_path, capsys,
+                                                    monkeypatch):
+    # the second fit sees a different sigma_u, so its psi and hence its
+    # prior fingerprint differ from the first fit's
+    data = simulate_csv(tmp_path, rho=0.6, seed=3)
+    fit_one = cli._fit_one
+    calls = []
+
+    def drifting(dataset, model, args, lam=None):
+        calls.append(model)
+        if len(calls) > 1:
+            args = argparse.Namespace(**{**vars(args),
+                                         "sigma_u": 2.0 * args.sigma_u})
+        return fit_one(dataset, model, args, lam=lam)
+
+    monkeypatch.setattr(cli, "_fit_one", drifting)
+    capsys.readouterr()
+    code = main(["compare", "--data", data, "--model", "exchangeable",
+                 "--model", "ar1", "--out-dir", str(tmp_path / "cmp")])
+    out, err = capsys.readouterr()
+    assert len(calls) == 2
+    assert code == 3
+    assert "log_bf" not in out
+    assert "prior fingerprint" in err
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_compare_needs_a_model(tmp_path, capsys):

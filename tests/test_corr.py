@@ -337,3 +337,28 @@ def test_dlogdet_dinternal_matches_chain_rule_and_differences():
             fd = (log_det_from_internal(model, d, t + h)
                   - log_det_from_internal(model, d, t - h)) / (2 * h)
             assert_allclose(dlogdet_dinternal(model, d, t), fd, rtol=2e-6)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 7])
+def test_ou_closed_forms_are_chunk_invariant(chunk, monkeypatch):
+    # the OU sums over gaps run a block of nodes at a time; every node's
+    # sum keeps its order, bit for bit, whatever the block (chunk * k + 1
+    # nodes would leave a lone column, which NumPy sums in another order)
+    rng = np.random.default_rng(11)
+    sizes = tuple(int(v) for v in rng.integers(1, 13, 30))
+    design = GroupedDesign(group_sizes=sizes, positions=tuple(
+        tuple(np.cumsum(rng.uniform(0.3, 1.8, m)).tolist()) for m in sizes))
+    ou = GroupModel(Family.OU)
+    for n in (1, chunk, chunk + 1, 3 * chunk + 1, 40):
+        t = rng.uniform(-4.0, 4.0, n)
+        whole = (log_det_from_internal(ou, design, t),
+                 dlogdet_dinternal(ou, design, t),
+                 log_det(ou, design, np.exp(t).reshape(1, n)))
+        monkeypatch.setattr("grouppc.corr._OU_CHUNK", chunk)
+        parts = (log_det_from_internal(ou, design, t),
+                 dlogdet_dinternal(ou, design, t),
+                 log_det(ou, design, np.exp(t).reshape(1, n)))
+        monkeypatch.undo()
+        for a, b in zip(whole, parts):
+            assert a.shape == b.shape
+            assert_array_equal(a, b)

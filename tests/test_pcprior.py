@@ -1,7 +1,11 @@
 """Distance functions, scaling rule, and PC prior distributions."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import linalg, stats
 
@@ -123,6 +127,89 @@ def test_distance_monotone_and_divergent():
     ou = DistanceFunction(OU_UNIT, balanced_design(6, 50))
     assert not ou.increasing
     assert ou(0.0) == np.inf
+
+
+@pytest.mark.parametrize("model", [EXCH, AR1], ids=lambda m: m.family.value)
+def test_distance_finite_and_nondecreasing_down_to_bracket_end(model):
+    # the whole bracket that invert_internal searches; the textbook forms
+    # of log|R| cancel at O(rho) and were NaN below t ~ -38
+    t = np.linspace(-745.0, corr.RHO_INTERNAL_MAX, 20001)
+    for design in (balanced_design(6, 50), unbalanced_design()):
+        dist = DistanceFunction(model, design)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = dist.value_internal(t)
+        assert np.all(np.isfinite(d))
+        assert not np.any(np.signbit(d))
+        assert np.all(np.diff(d) >= 0)
+        # deep in the tail, log|R| to double precision from its series:
+        # -(a (a + 1) / 2) rho^2 + ((a^3 - a) / 3) rho^3 per exchangeable
+        # block (a = m - 1), -rho^2 per AR1 pair
+        tail = np.linspace(-40.0, -25.0, 31)
+        rho = 1.0 / (1.0 + np.exp(-tail))
+        a = np.array(design.group_sizes, dtype=float)[:, None] - 1.0
+        if model.family is Family.EXCHANGEABLE:
+            want = (-a * (a + 1) / 2 * rho ** 2
+                    + (a ** 3 - a) / 3 * rho ** 3).sum(axis=0)
+        else:
+            want = -a.sum() * rho ** 2
+        assert_allclose(corr.log_det_from_internal(model, design, tail), want,
+                        rtol=1e-14)
+        assert_allclose(corr.log_det(model, design, rho), want, rtol=1e-14)
+
+
+@st.composite
+def ragged_designs(draw):
+    """Up to 6 groups of 1-12 rows, at least one with a pair, irregular gaps."""
+    n = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)
+                 .filter(lambda s: max(s) > 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pos = tuple(tuple(np.cumsum(rng.uniform(0.2, 2.5, m)).tolist())
+                for m in sizes)
+    return GroupedDesign(group_sizes=tuple(sizes), positions=pos)
+
+
+def bisect_internal(dist, target, steps=200):
+    """Oracle: a fixed number of halvings of the whole bracket per target."""
+    sign = 1.0 if dist.increasing else -1.0
+    lo = np.full(target.shape, dist._internal_lo)
+    hi = np.full(target.shape, dist._internal_hi)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = sign * (dist.value_internal(mid) - target) < 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(design=ragged_designs(), model=st.sampled_from([EXCH, AR1, OU]),
+       quarter_decades=st.lists(st.one_of(st.integers(-24, 10),
+                                          st.integers(-1200, -25)),
+                                min_size=1, max_size=12, unique=True))
+# both targets lie below the smallest positive distance (rho^2 underflows),
+# so both belong at the same floating-point step of d
+@example(design=GroupedDesign(group_sizes=(2,), positions=((0.0, 1.0),)),
+         model=EXCH, quarter_decades=[-652, -648])
+def test_invert_internal_is_monotone_inverse(design, model, quarter_decades):
+    # targets from 1e-300 to 300 times d(t = 0), a quarter decade apart or
+    # more.  The largest pass the distance at the far end of the bracket
+    # and clamp to that end; the smallest reach where d underflows, which
+    # is steep for OU (log d ~ -gap e^t)
+    dist = DistanceFunction(model, design)
+    target = dist.value_internal(0.0) * 10.0 ** (np.sort(quarter_decades) / 4)
+    t = dist.invert_internal(target)
+    sign = 1.0 if dist.increasing else -1.0
+    assert np.all(sign * np.diff(t) >= 0)
+    far = dist._internal_hi if dist.increasing else dist._internal_lo
+    clamped = target > dist.value_internal(far)
+    assert np.all(t[clamped] == far)
+    x = target[~clamped]
+    assert np.all(np.abs(dist.value_internal(t[~clamped]) - x)
+                  <= 1e-12 * np.maximum(1.0, x))
+    want = bisect_internal(dist, target)
+    assert np.all(np.abs(t - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 # ----------------------------------------------------------------------
