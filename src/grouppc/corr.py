@@ -14,6 +14,9 @@ telescopes the joint density into consecutive-pair factors, so only the
 gap correlations ``exp(-delta_i phi)`` enter.  AR1 is the unit-spacing
 special case under ``rho = exp(-phi)``.
 
+One private kernel returns log |R| and its derivative from one pass over
+the nodes; the public functions on both parameter scales project it.
+
 A dense Cholesky fallback (`log_det_dense`, `dlogdet_finite_difference`)
 backs the same quantities for verification.
 
@@ -48,24 +51,6 @@ __all__ = [
 RHO_INTERNAL_MAX = 36.7
 # Smallest log(phi) with phi strictly above 0.0 (normal range, with margin).
 PHI_INTERNAL_MIN = -700.0
-
-
-def _log1mexp(x):
-    """log(1 - exp(-x)) for x >= 0, accurate at both ends."""
-    x = np.asarray(x, dtype=float)
-    small = x < np.log(2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            small,
-            np.log(-np.expm1(-np.where(small, x, 1.0))),
-            np.log1p(-np.exp(-np.where(small, 1.0, x))),
-        )
-    return out
-
-
-def _softplus(t):
-    """log(1 + exp(t)), overflow safe."""
-    return np.logaddexp(0.0, t)
 
 
 def _log1pmx(x, log1p_x=None):
@@ -171,14 +156,14 @@ def _corr_block(model: GroupModel, design: GroupedDesign,
 # ----------------------------------------------------------------------
 # log-determinants and derivatives (closed forms, vectorized in param)
 # ----------------------------------------------------------------------
-# Each family has one closed form for log |R| and one for its derivative,
-# shared by the parameter scale and the internal scale (logit rho, log
-# phi).  The rho families take log(1 - rho) next to rho: log1p(-rho) on
-# the parameter scale, -softplus(t) on the logit scale, where it stays
-# exact after rho has rounded to 1.  The derivative in a coordinate c
-# takes j = (d rho / d c) / (1 - rho), which is 1 / (1 - rho) for c = rho
-# and rho for c = logit rho, so (1 - rho) cancels before it can round to
-# 0.  OU takes phi and j = (d phi / d c) / phi: 1 / phi, or 1 for log phi.
+# One kernel, `_log_det_slope`, gives log |R| and its derivative on the
+# parameter scale and the internal scale (logit rho, log phi) alike.  The
+# rho families take log(1 - rho) next to rho: log1p(-rho), or -softplus(t)
+# on the logit scale, where it stays exact after rho has rounded to 1.
+# The derivative in a coordinate c takes j = (d rho / d c) / (1 - rho):
+# 1 / (1 - rho) for c = rho and rho for c = logit rho, so (1 - rho)
+# cancels before it can round to 0.  OU takes phi and
+# j = (d phi / d c) / phi: 1 / phi, or 1 for log phi.
 
 @functools.lru_cache(maxsize=64)
 def _size_counts(group_sizes: tuple) -> tuple:
@@ -187,21 +172,32 @@ def _size_counts(group_sizes: tuple) -> tuple:
     return tuple(zip(sizes.tolist(), counts.tolist()))
 
 
-def _x_over_expm1(x):
-    """x / (exp(x) - 1) for x >= 0, with its limits 1 at 0 and 0 at inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = x * np.exp(-x) / -np.expm1(-x)
-    out[x < 1e-12] = 1.0
-    out[x == np.inf] = 0.0
-    return out
-
-
 #: parameter nodes per OU block of gaps x nodes (bounds its memory)
 _OU_CHUNK = 512
 
 
-def _ou_gap_sum(design: GroupedDesign, phi, term):
-    """Sum over gaps of ``term(2 gap phi)``, a column of nodes at a time.
+def _ou_terms(x):
+    """Sums along axis 0 of log(1 - e^-x) and x / (e^x - 1), for x >= 0.
+
+    Both share e^-x and 1 - e^-x = -expm1(-x): the log is log(1 - e^-x)
+    below x = log 2 and log1p(-e^-x) above, accurate at both ends; the
+    ratio has its limits 1 at 0 and 0 at inf.  Overwrites ``x``.
+    """
+    small, tiny, far = x < np.log(2.0), x < 1e-12, x == np.inf
+    neg = np.negative(x)
+    e = np.exp(neg)
+    one_m_e = np.negative(np.expm1(neg, out=neg), out=neg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(np.multiply(x, e, out=x), one_m_e, out=x)
+        log_term = np.log1p(np.negative(e, out=e), out=e)
+        np.copyto(log_term, np.log(one_m_e, out=one_m_e), where=small)
+    ratio[tiny] = 1.0
+    ratio[far] = 0.0
+    return log_term.sum(axis=0), ratio.sum(axis=0)
+
+
+def _ou_gap_sums(design: GroupedDesign, phi):
+    """`_ou_terms` over gaps at x = 2 gap phi, a column of nodes at a time.
 
     Each chunk keeps whole columns, so every node's sum runs in the same
     order as over one gaps x nodes block.  A lone last column is merged
@@ -209,52 +205,57 @@ def _ou_gap_sum(design: GroupedDesign, phi, term):
     """
     gaps = design.all_spacings()
     if np.ndim(phi) == 0:
-        return term(2.0 * gaps * phi).sum(axis=0)
+        return _ou_terms(2.0 * gaps * phi)
     flat = np.ravel(phi)
     edges = list(range(0, flat.size, _OU_CHUNK)) + [flat.size]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
-    out = np.empty(flat.shape)
+    log_det, ratio = np.empty(flat.shape), np.empty(flat.shape)
     for a, b in zip(edges[:-1], edges[1:]):
-        out[a:b] = term(2.0 * gaps[:, None] * flat[a:b]).sum(axis=0)
-    return out.reshape(np.shape(phi))
+        log_det[a:b], ratio[a:b] = _ou_terms(2.0 * gaps[:, None] * flat[a:b])
+    return log_det.reshape(np.shape(phi)), ratio.reshape(np.shape(phi))
 
 
-def _log_det(model: GroupModel, design: GroupedDesign, p, log1m_rho):
-    """Sum over groups of log |R_j| at rho (given log(1 - rho)) or phi.
+def _log_det_slope(model: GroupModel, design: GroupedDesign, p, log1m_rho, j):
+    """(log |R|, d log |R| / d c) over groups at rho or phi, from one pass.
 
-    The rho families are written as sums of log1p(x) - x terms, all <= 0:
+    The rho families write log |R| as sums of log1p(x) - x terms, all <= 0:
     with a = m - 1 and l = log(1 - rho) + rho, an exchangeable block is
     (log1p(a rho) - a rho) + a l and an AR1 pair (log1p(rho) - rho) + l.
     The O(rho) parts cancel in the algebra, so nothing cancels in floating
-    point as rho -> 0, where log|R| is O(rho^2).
+    point as rho -> 0, where log|R| is O(rho^2).  The derivative is a sum
+    of -m (m - 1) rho j / (1 + (m - 1) rho) per exchangeable block,
+    -2 rho j / (1 + rho) per AR1 pair or j x / (e^x - 1) per OU gap.
     """
     if model.family is Family.OU:
-        return _ou_gap_sum(design, p, _log1mexp)
+        log_det, ratio = _ou_gap_sums(design, p)
+        return log_det, j * ratio
     log1m_plus = _log1pmx(-p, log1m_rho)
     if model.family is Family.AR1:
         k = design.total_size - design.n_groups
+        slope = -2.0 * k * p * j / (1.0 + p)
         if k == 0:
-            return np.zeros(np.shape(p))
-        return k * (_log1pmx(p) + log1m_plus)
-    out = np.zeros(np.shape(p))
+            return np.zeros(np.shape(p)), slope
+        return k * (_log1pmx(p) + log1m_plus), slope
+    log_det = slope = np.zeros(np.shape(p))
     for m, c in _size_counts(design.group_sizes):
         if m > 1:
-            out = out + c * (_log1pmx((m - 1) * p) + (m - 1) * log1m_plus)
-    return out
+            log_det = log_det + c * (_log1pmx((m - 1) * p)
+                                     + (m - 1) * log1m_plus)
+            slope = slope - c * m * (m - 1) * p * j / (1.0 + (m - 1) * p)
+    return log_det, slope
 
 
-def _dlogdet(model: GroupModel, design: GroupedDesign, p, j):
-    """Derivative of `_log_det` in a coordinate c, given j as above."""
-    if model.family is Family.EXCHANGEABLE:
-        out = np.zeros(np.shape(p))
-        for m, c in _size_counts(design.group_sizes):
-            out = out - c * m * (m - 1) * p * j / (1.0 + (m - 1) * p)
-        return out
-    if model.family is Family.AR1:
-        k = design.total_size - design.n_groups
-        return -2.0 * k * p * j / (1.0 + p)
-    return j * _ou_gap_sum(design, p, _x_over_expm1)
+def _param_kernel(model: GroupModel, design: GroupedDesign, param,
+                  allow_degenerate: bool):
+    """`_log_det_slope` at checked values (log|R| = -inf at rho 1, phi 0)."""
+    model.check_design(design)
+    p = _check_param(model, param, allow_degenerate)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if model.family is Family.OU:
+            return _log_det_slope(model, design, p, None, np.reciprocal(p))
+        return _log_det_slope(model, design, p, np.log1p(-p),
+                              np.reciprocal(1.0 - p))
 
 
 def log_det(model: GroupModel, design: GroupedDesign, param):
@@ -264,11 +265,7 @@ def log_det(model: GroupModel, design: GroupedDesign, param):
     phi -> inf).  Degenerate boundary values (rho = 1, phi = 0) are
     accepted and yield ``-inf`` rather than raising.
     """
-    model.check_design(design)
-    p = _check_param(model, param, allow_degenerate=True)
-    with np.errstate(divide="ignore"):
-        log1m = None if model.family is Family.OU else np.log1p(-p)
-        return _scalar_like(param, _log_det(model, design, p, log1m))
+    return _scalar_like(param, _param_kernel(model, design, param, True)[0])
 
 
 def dlogdet_dparam(model: GroupModel, design: GroupedDesign, param):
@@ -278,10 +275,7 @@ def dlogdet_dparam(model: GroupModel, design: GroupedDesign, param):
     (rho = 1, phi = 0) raises a domain error.  The base point rho = 0 is
     allowed and gives exactly 0 for exchangeable/AR1.
     """
-    model.check_design(design)
-    p = _check_param(model, param, allow_degenerate=False)
-    j = np.reciprocal(p if model.family is Family.OU else 1.0 - p)
-    return _scalar_like(param, _dlogdet(model, design, p, j))
+    return _scalar_like(param, _param_kernel(model, design, param, False)[1])
 
 
 # ----------------------------------------------------------------------
@@ -314,8 +308,8 @@ def dlogdet_finite_difference(model: GroupModel, design: GroupedDesign,
 # internal (unbounded) parameter scale
 # ----------------------------------------------------------------------
 # rho lives on (0, 1) and is handled on the logit scale; phi lives on
-# (0, inf) and is handled on the log scale.  The closed forms above take
-# the internal coordinate through `_internal`, which keeps log(1 - rho)
+# (0, inf) and is handled on the log scale.  The kernel above takes the
+# internal coordinate through `_internal_kernel`, which keeps log(1 - rho)
 # exact when rho is within a few ulp of 1, as prior tails need.
 
 def param_to_internal(model: GroupModel, param):
@@ -335,24 +329,21 @@ def internal_to_param(model: GroupModel, t):
     return _scalar_like(t, out)
 
 
-def _internal(model: GroupModel, t):
-    """(param, log(1 - rho), j) at internal coordinates ``t``."""
+def _internal_kernel(model: GroupModel, design: GroupedDesign, t):
+    """`_log_det_slope` at internal coordinates ``t``, stable in the tails."""
+    model.check_design(design)
     x = np.asarray(t, dtype=float)
     if model.family is Family.OU:
-        return np.exp(x), None, 1.0
+        return _log_det_slope(model, design, np.exp(x), None, 1.0)
     rho = expit(x)
-    return rho, -_softplus(x), rho
+    return _log_det_slope(model, design, rho, -np.logaddexp(0.0, x), rho)
 
 
 def log_det_from_internal(model: GroupModel, design: GroupedDesign, t):
     """`log_det` evaluated from the internal coordinate, stable in the tails."""
-    model.check_design(design)
-    p, log1m, _ = _internal(model, t)
-    return _scalar_like(t, _log_det(model, design, p, log1m))
+    return _scalar_like(t, _internal_kernel(model, design, t)[0])
 
 
 def dlogdet_dinternal(model: GroupModel, design: GroupedDesign, t):
     """Derivative of `log_det` in the internal coordinate (chain rule applied)."""
-    model.check_design(design)
-    p, _, j = _internal(model, t)
-    return _scalar_like(t, _dlogdet(model, design, p, j))
+    return _scalar_like(t, _internal_kernel(model, design, t)[1])

@@ -210,21 +210,21 @@ def _sufficient_stats(dataset: Dataset, model: GroupModel, s: NDArray):
 
 
 def _woodbury(dataset: Dataset, model: GroupModel, s: NDArray,
-              log_tau: NDArray, beta_prec: float):
+              log_tau: NDArray, beta_prec: float, logdetC: NDArray):
     """Likelihood on the (log tau, internal correlation) tensor grid.
 
     Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X'), the Cholesky
     factor L and the whitened vector z = L^-1 b, all indexed [log tau, s].
     With the statistics W = Z'QZ of `_sufficient_stats`, the capacitance
     B = beta_prec I + tau X'QX = L L' and b = tau X'Qy, the determinant
-    lemma and the Woodbury identity need only log|L| and z'z.  B is
+    lemma and the Woodbury identity need only log|L|, z'z and log|C| at
+    the nodes ``s`` (``logdetC``, from the caller's closed-form pass).  B is
     factored at every cell and z comes from a forward substitution over
     the p coefficients; no inverse is formed (`_beta_moments` does that
     on the cells that carry posterior mass).
     """
     M, p = dataset.n_obs, dataset.n_coef
     W = _sufficient_stats(dataset, model, s)
-    logdetC = corr.log_det_from_internal(model, dataset.design, s)
     tau = np.exp(log_tau)[:, None]
     try:
         L = np.linalg.cholesky(beta_prec * np.eye(p)
@@ -288,7 +288,9 @@ def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
     model.check_design(dataset.design)
     p = corr._check_param(model, param, allow_degenerate=False)
     s = np.atleast_1d(corr.param_to_internal(model, p))
-    loglik, _, _ = _woodbury(dataset, model, s, np.log([tau]), beta_prec)
+    logdetC = corr.log_det_from_internal(model, dataset.design, s)
+    loglik, _, _ = _woodbury(dataset, model, s, np.log([tau]), beta_prec,
+                             logdetC)
     return float(loglik[0, 0])
 
 
@@ -385,11 +387,16 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
 
     For OU fits the correlation summary reports exp(-phi), the correlation
     at gap 1, so results stay comparable with the rho-parameterized
-    families.
+    families.  The correlation prior must be built for the model's family
+    and the dataset's design: log|C| and the prior share one pass.
     """
     model.check_design(dataset.design)
-    if hyper.corr_prior.model.family is not model.family:
+    prior = hyper.corr_prior
+    if prior.model.family is not model.family:
         raise DomainError("the correlation prior was built for a different family")
+    if prior.design != dataset.design:
+        raise DomainError(
+            "the correlation prior was built for a different design")
     if hyper.beta_prec <= 0:
         raise DomainError("the evidence needs a proper fixed-effects prior "
                           "(beta_prec > 0)")
@@ -403,14 +410,17 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     logw_t = np.log(grid.weights("tau"))
     logw_s = np.log(grid.weights("corr"))
 
-    # log prior factors on the internal scales (Jacobians included)
+    # log prior factors on the internal scales (Jacobians included); one
+    # closed-form pass gives log|C| to the likelihood and d, d' to the prior
     log_prior_t = (np.log(hyper.psi / 2.0) - 0.5 * t_nodes
                    - hyper.psi * np.exp(-0.5 * t_nodes))
-    log_prior_s = hyper.corr_prior.log_density_internal(s_nodes)
+    kernel = corr._internal_kernel(model, dataset.design, s_nodes)
+    log_prior_s = prior._log_density(
+        *prior.distance._from_kernel(kernel, s_nodes), 0.0, s_nodes)
 
     n_t, n_s = t_nodes.size, s_nodes.size
     loglik, L, z = _woodbury(dataset, model, s_nodes, t_nodes,
-                             hyper.beta_prec)
+                             hyper.beta_prec, kernel[0])
 
     log_joint = loglik + log_prior_t[:, None] + log_prior_s[None, :]
     log_cells = log_joint + logw_t[:, None] + logw_s[None, :]

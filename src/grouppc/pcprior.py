@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import integrate
 from scipy.linalg import cho_factor, cho_solve
 
 from . import corr
@@ -51,6 +50,8 @@ __all__ = [
 _INVERT_TOL = 1e-12
 #: nodes of the table that starts every inversion
 _TABLE_NODES = 161
+#: Gauss-Legendre nodes per knot interval in `normalization_mass`
+_GAUSS_NODES = 64
 
 
 def kld_gaussian(C: NDArray, C0: NDArray) -> float:
@@ -120,15 +121,18 @@ class DistanceFunction:
             self._internal_lo, self._internal_hi = corr.PHI_INTERNAL_MIN, 700.0
         self._table = None   # built by the first inversion
 
-    # Both scales share d = sqrt(-log|R|) and its slope -(log|R|)' / (2 d);
-    # only the closed forms they call (corr's parameter-scale or internal
-    # entry points) differ.
+    # One evaluator per scale returns (d, d log|R| / dc) from one kernel
+    # call; the public methods project it.  d' = -(log|R|)' / (2 d).
 
     @staticmethod
-    def _from_log_det(log_det, like):
+    def _from_kernel(kernel, like):
+        """(d, d log|R| / dc) from a kernel's (log|R|, d log|R| / dc)."""
+        log_det, dlogdet = kernel
         # log|R| may round to +0.0 at the base; d is 0 there, never -0.0
-        out = np.sqrt(np.maximum(-np.asarray(log_det), 0.0))
-        return float(out) if np.ndim(like) == 0 else out
+        d = np.sqrt(np.maximum(-np.asarray(log_det), 0.0))
+        if np.ndim(like) == 0:
+            return float(d), float(dlogdet)
+        return d, dlogdet
 
     @staticmethod
     def _slope(d, dlogdet, base):
@@ -136,45 +140,42 @@ class DistanceFunction:
         d, g = np.asarray(d), np.asarray(dlogdet)
         at_base = d == 0.0
         if not np.any(at_base):
-            return -g / (2.0 * d)
-        if base is None:
+            out = -g / (2.0 * d)
+        elif base is None:
             raise DomainError("the OU distance has no finite base-point slope")
-        return np.where(at_base, base, -g / np.where(at_base, 1.0, 2.0 * d))
+        else:
+            out = np.where(at_base, base, -g / np.where(at_base, 1.0, 2.0 * d))
+        return float(out) if np.ndim(out) == 0 else out
 
     # -- parameter scale -------------------------------------------------
 
+    def _param_scale(self, param, allow_degenerate=True):
+        """(d, d log|R| / d param) at ``param``, from one kernel call."""
+        return self._from_kernel(corr._param_kernel(
+            self.model, self.design, param, allow_degenerate), param)
+
     def __call__(self, param):
-        return self._from_log_det(
-            corr.log_det(self.model, self.design, param), param)
+        return self._param_scale(param)[0]
 
     def derivative(self, param):
         """d d / d param.  At the rho = 0 base the analytic limit is returned."""
-        p = np.asarray(param, dtype=float)
-        out = self._slope_at(p, self(p))
-        return float(out) if np.ndim(param) == 0 else out
-
-    def _slope_at(self, param, d):
-        """`derivative` given the distance ``d`` already evaluated there."""
-        return self._slope(d, corr.dlogdet_dparam(self.model, self.design,
-                                                  param), self._base_slope)
+        return self._slope(*self._param_scale(param, False), self._base_slope)
 
     # -- internal scale --------------------------------------------------
 
+    def _internal_scale(self, t):
+        """(d, d log|R| / dt) at ``t``, from one kernel call."""
+        return self._from_kernel(
+            corr._internal_kernel(self.model, self.design, t), t)
+
     def value_internal(self, t):
-        return self._from_log_det(
-            corr.log_det_from_internal(self.model, self.design, t), t)
+        return self._internal_scale(t)[0]
 
     def log_abs_derivative_internal(self, t):
         """log |d d / d t|, returning -inf at the base where d' vanishes."""
-        out = self._log_abs_slope_internal_at(t, self.value_internal(t))
-        return float(out) if np.ndim(t) == 0 else out
-
-    def _log_abs_slope_internal_at(self, t, d):
-        """`log_abs_derivative_internal` given the distance ``d`` at ``t``."""
-        slope = self._slope(d, corr.dlogdet_dinternal(self.model, self.design,
-                                                      t), 0.0)
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(slope))
+            out = np.log(np.abs(self._slope(*self._internal_scale(t), 0.0)))
+        return float(out) if np.ndim(t) == 0 else out
 
     def _inversion_table(self):
         """(log d, t) at fixed nodes over the whole bracket, by rising log d.
@@ -200,7 +201,8 @@ class DistanceFunction:
         Each target starts from linear interpolation of t in log d between
         the two table nodes around it, which also bracket its root.  Newton
         steps on log d(t) - log target, with slope
-        d log d / dt = -(log|R|)' / (2 d^2), run inside that bracket; a
+        d log d / dt = -(log|R|)' / (2 d^2) from the same kernel call as
+        d (one closed-form pass per step), run inside that bracket; a
         step that would leave it, that would not halve the step before
         last, or that has no finite slope (d = 0) bisects instead, as in
         the safeguarded Newton "rtsafe" of Numerical Recipes (section 9.4).
@@ -233,8 +235,7 @@ class DistanceFunction:
         for _ in range(200):
             if todo.size == 0:
                 break
-            d = self.value_internal(t)
-            g = corr.dlogdet_dinternal(self.model, self.design, t)
+            d, g = self._internal_scale(t)
             with np.errstate(divide="ignore", invalid="ignore"):
                 f = np.log(d) - log_x
                 newton = f / (-g / (2.0 * d * d))
@@ -311,9 +312,11 @@ class PCPrior:
     def design(self) -> GroupedDesign:
         return self.distance.design
 
-    def _log_density(self, d, log_abs_slope, like):
-        """log(lambda exp(-lambda d) |slope|), the one form both scales use."""
-        out = np.log(self.lam) - self.lam * np.asarray(d) + log_abs_slope
+    def _log_density(self, d, dlogdet, base, like):
+        """log(lambda exp(-lambda d) |d'|) from a distance evaluator's pair."""
+        with np.errstate(divide="ignore"):
+            log_slope = np.log(np.abs(self.distance._slope(d, dlogdet, base)))
+        out = np.log(self.lam) - self.lam * np.asarray(d) + log_slope
         return float(out) if np.ndim(like) == 0 else out
 
     # -- parameter scale -------------------------------------------------
@@ -329,15 +332,10 @@ class PCPrior:
         return float(out) if np.ndim(param) == 0 else out
 
     def log_density(self, param):
-        return self._log_density_at(param, np.asarray(self.distance(param)))
-
-    def _log_density_at(self, param, d):
-        """`log_density` given the distance ``d`` already evaluated there."""
+        d, dlogdet = self.distance._param_scale(param)
         if np.any(~np.isfinite(d)):
             raise DomainError("density requested at the degenerate boundary")
-        with np.errstate(divide="ignore"):
-            log_slope = np.log(np.abs(self.distance._slope_at(param, d)))
-        return self._log_density(d, log_slope, param)
+        return self._log_density(d, dlogdet, self.distance._base_slope, param)
 
     def cdf(self, param):
         """Distance-scale CDF, 1 - exp(-lambda d(param)).
@@ -371,9 +369,7 @@ class PCPrior:
 
     def log_density_internal(self, t):
         """Log density of the prior pushed to the internal coordinate."""
-        d = self.distance.value_internal(t)
-        return self._log_density(
-            d, self.distance._log_abs_slope_internal_at(t, d), t)
+        return self._log_density(*self.distance._internal_scale(t), 0.0, t)
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +403,7 @@ def balanced_density(family: Family | str, n_groups: int, group_size: int,
         neg_logdet = -(m - 1) * (np.log1p(-p) + np.log1p(p))
         factor = p * (m - 1) / ((1.0 - p) * (1.0 + p))
     else:
-        neg_logdet = -(m - 1) * corr._log1mexp(2.0 * p)
+        neg_logdet = -(m - 1) * corr._ou_terms(2.0 * p[None])[0]
         # exp(-2 phi) / (1 - exp(-2 phi)) = 1 / expm1(2 phi)
         factor = (m - 1) / np.expm1(2.0 * p)
     s = np.sqrt(neg_logdet)
@@ -468,8 +464,9 @@ def density_grid(prior: PCPrior, grid_size: int,
         t_lo = max(t_lo, corr.PHI_INTERNAL_MIN)
     t = np.linspace(t_lo, t_hi, int(grid_size))
     param = corr.internal_to_param(prior.model, t)
-    dist = np.asarray(prior.distance(param))
-    density = np.exp(prior._log_density_at(param, dist))
+    dist, dlogdet = prior.distance._param_scale(param)
+    density = np.exp(prior._log_density(dist, dlogdet,
+                                        prior.distance._base_slope, param))
     cdf = -np.expm1(-lam * dist)
     return PriorGrid(param=param, distance=dist, density=density, cdf=cdf)
 
@@ -477,8 +474,10 @@ def density_grid(prior: PCPrior, grid_size: int,
 def normalization_mass(prior: PCPrior) -> float:
     """Total prior mass, integrating the transformed density.
 
-    The bulk is integrated piecewise on the internal scale with adaptive
-    quadrature; the mass beyond the outermost knots is added analytically
+    The bulk is integrated on the internal scale by a fixed
+    `_GAUSS_NODES`-point Gauss-Legendre rule on each interval between
+    seven distance-quantile knots, with every node in one density
+    evaluation; the mass beyond the outermost knots is added analytically
     from the exponential distance distribution evaluated exactly at those
     knots, which stays correct even where the knots were clamped to the
     floating-point range of the parameter.  A correctly implemented
@@ -486,21 +485,14 @@ def normalization_mass(prior: PCPrior) -> float:
     """
     dist = prior.distance
     lam = prior.lam
-    eps = 1e-9
-    probs = np.array([eps, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0 - eps])
+    probs = np.array([1e-9, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0 - 1e-9])
     knots = np.sort(dist.invert_internal(-np.log1p(-probs) / lam))
-    d_first = dist.value_internal(knots[0])
-    d_last = dist.value_internal(knots[-1])
-    if dist.increasing:
-        head = -np.expm1(-lam * d_first)   # P(T < first knot)
-        tail = np.exp(-lam * d_last)       # P(T > last knot)
-    else:
-        head = np.exp(-lam * d_first)
-        tail = -np.expm1(-lam * d_last)
-    total = head + tail
-    for a, b in zip(knots[:-1], knots[1:]):
-        val, _ = integrate.quad(
-            lambda t: np.exp(prior.log_density_internal(t)), a, b,
-            epsabs=1e-12, epsrel=1e-10, limit=200)
-        total += val
-    return total
+    # the mass outside the knots: below the smaller end-knot distance and
+    # above the larger (which end is which depends on the family)
+    d_lo, d_hi = np.sort(dist.value_internal(knots[[0, -1]]))
+    x, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    half = 0.5 * np.diff(knots)[:, None]
+    nodes = 0.5 * (knots[:-1] + knots[1:])[:, None] + half * x
+    bulk = np.exp(prior.log_density_internal(nodes.ravel()))
+    return float(-np.expm1(-lam * d_lo) + np.exp(-lam * d_hi)
+                 + (half * w).ravel() @ bulk)

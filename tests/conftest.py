@@ -3,9 +3,11 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grouppc
+from grouppc import corr
 
 
 @pytest.fixture
@@ -21,3 +23,21 @@ def cli_env():
     env["PYTHONPATH"] = os.pathsep.join(
         entry for entry in (package_root, env.get("PYTHONPATH")) if entry)
     return env
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Parameter nodes of every closed-form pass (``corr._log_det_slope``).
+
+    Each pass appends a copy of the rho or phi values it evaluated, so a
+    test can count passes and see which node sets they covered.
+    """
+    calls = []
+    kernel = corr._log_det_slope
+
+    def counted(model, design, p, *rest):
+        calls.append(np.array(p, dtype=float))
+        return kernel(model, design, p, *rest)
+
+    monkeypatch.setattr(corr, "_log_det_slope", counted)
+    return calls

@@ -395,3 +395,13 @@ def test_module_entry_point_runs(tmp_path, cli_env):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0] == f"lambda = {LAM_650!r}"
     assert out_csv.exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded(cli_env):
+    # prior normalization uses a fixed Gauss-Legendre rule, so starting
+    # the CLI does not import scipy.integrate and what it pulls in
+    code = "import sys, grouppc.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=cli_env,
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

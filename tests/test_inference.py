@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, linalg, stats
 from scipy.special import ndtr
 
@@ -24,9 +24,11 @@ from grouppc import (
     balanced_design,
     bayes_factor,
     corr_matrix,
+    density_grid,
     evidence_category,
     gaussian_loglik,
     gumbel2_log_density,
+    icc_to_param,
     internal_to_param,
     log_marginal_likelihood,
     param_to_internal,
@@ -35,6 +37,7 @@ from grouppc import (
     solve_psi,
 )
 from grouppc import inference
+from grouppc.corr import log_det_from_internal
 from grouppc.inference import (
     _beta_moments,
     _mixture_gaussian_quantile,
@@ -148,7 +151,8 @@ def test_loglik_blockwise_equals_dense(ds, model, u, s_other, log_tau):
     # every column of the grid evaluation is the one-node evaluation
     s = np.array([s_other, param_to_internal(model, param), -s_other])
     log_taus = np.array([log_tau, 0.0])
-    grid, _, _ = _woodbury(ds, model, s, log_taus, 1e-3)
+    grid, _, _ = _woodbury(ds, model, s, log_taus, 1e-3,
+                           log_det_from_internal(model, ds.design, s))
     for k, s_k in enumerate(s):
         for i, t_i in enumerate(log_taus):
             one = gaussian_loglik(ds, model, internal_to_param(model, s_k),
@@ -164,7 +168,8 @@ def test_beta_moments_match_full_grid_inverse(model):
     p = ds.n_coef
     s = np.linspace(-12.0, 12.0, 41)
     log_tau = np.linspace(-12.0, 12.0, 31)
-    _, L, z = _woodbury(ds, model, s, log_tau, 1e-6)
+    _, L, z = _woodbury(ds, model, s, log_tau, 1e-6,
+                        log_det_from_internal(model, ds.design, s))
     b = np.exp(log_tau)[:, None, None] * _sufficient_stats(ds, model, s)[:, 1:, 0]
     Linv = np.linalg.inv(L)
     want_z = np.einsum("tkij,tkj->tki", Linv, b)
@@ -323,6 +328,86 @@ def test_log_mlik_validations():
                   column_names=("intercept", "ones_again"))
     with pytest.raises(DataError):
         log_marginal_likelihood(bad, EXCH, toy_hyper(bad))
+
+
+def test_log_mlik_refuses_prior_for_another_design():
+    # the fit takes log|R| for the likelihood and the prior from one pass,
+    # which is right only when the prior describes the dataset's design
+    ds = toy_dataset()
+    hyper = toy_hyper(Dataset(y=np.zeros(4), X=np.ones((4, 1)),
+                              design=balanced_design(2, 2)))
+    with pytest.raises(DomainError, match="different design"):
+        log_marginal_likelihood(ds, EXCH, hyper)
+    # an equal design built separately is the same design
+    same = toy_hyper(Dataset(y=ds.y, X=ds.X, design=balanced_design(1, 3)))
+    fit = log_marginal_likelihood(ds, EXCH, same,
+                                  grid=GridConfig(n_tau=21, n_corr=21))
+    assert np.isfinite(fit.log_mlik)
+
+
+@pytest.mark.parametrize("model", [EXCH, AR1, OU],
+                         ids=lambda m: m.family.value)
+def test_one_closed_form_pass_per_node_set(model, kernel_calls):
+    # log|R| and its slope come from one pass per node set: a fit makes
+    # one on its correlation nodes, each Newton pass of the inversion one,
+    # and a density grid one on its parameter column
+    ds = reference_dataset()
+    prior = PCPrior.from_quantile(model, ds.design, icc_to_param(model, 0.5),
+                                  0.5)
+    hyper = HyperPriors(corr_prior=prior, psi=solve_psi(1 / 0.31, 0.01))
+    grid = GridConfig(n_tau=41, n_corr=41)
+    kernel_calls.clear()
+    log_marginal_likelihood(ds, model, hyper, grid=grid)
+    assert len(kernel_calls) == 1
+    assert_array_equal(kernel_calls[0],
+                       internal_to_param(model, grid.axis("corr")))
+
+    prior.distance.invert_internal(1.0)   # builds the starting table
+    kernel_calls.clear()
+    prior.quantile(np.arange(1, 100) / 100.0)
+    assert 1 <= len(kernel_calls) <= 10
+    for a, b in zip(kernel_calls, kernel_calls[1:]):
+        assert not np.array_equal(a, b)
+
+    kernel_calls.clear()
+    table = density_grid(prior, 64)
+    assert sum(np.array_equal(c, table.param) for c in kernel_calls) == 1
+    assert all(c.size <= 2 for c in kernel_calls[:-1])
+
+
+def _regroup(ds, order):
+    """``ds`` with its groups (rows and positions) taken in ``order``."""
+    d = ds.design
+    rows = np.concatenate([np.arange(d.offsets[j], d.offsets[j + 1])
+                           for j in order])
+    design = GroupedDesign(
+        group_sizes=tuple(d.group_sizes[j] for j in order),
+        positions=tuple(d.positions[j] for j in order))
+    return Dataset(y=ds.y[rows], X=ds.X[rows], design=design,
+                   column_names=ds.column_names)
+
+
+def _fit_values(fit):
+    return [fit.log_mlik, *fit.rho.values(), *fit.sigma2.values(),
+            *(b[k] for b in fit.beta for k in ("mean", "q025", "q975"))]
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(ds=ragged_datasets(), model=st.sampled_from([EXCH, AR1, OU]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fit_invariant_under_group_reordering(ds, model, seed):
+    # the evidence and the summaries depend on the groups, not on their
+    # order; each fit uses the prior built on its own design
+    assume(max(ds.design.group_sizes) > 1)
+    order = np.random.default_rng(seed).permutation(ds.design.n_groups)
+    grid = GridConfig(n_tau=41, n_corr=41)
+    fits = []
+    for data in (ds, _regroup(ds, order)):
+        prior = PCPrior.from_quantile(model, data.design,
+                                      icc_to_param(model, 0.5), 0.5)
+        hyper = HyperPriors(corr_prior=prior, psi=solve_psi(1 / 0.31, 0.01))
+        fits.append(log_marginal_likelihood(data, model, hyper, grid=grid))
+    assert_allclose(_fit_values(fits[1]), _fit_values(fits[0]), rtol=1e-12)
 
 
 def test_grid_config_validations():

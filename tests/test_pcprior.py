@@ -303,22 +303,19 @@ def test_normalization_across_designs_and_scalings():
 
 @pytest.mark.parametrize("model", [EXCH, AR1, OU],
                          ids=lambda m: m.family.value)
-def test_log_density_internal_evaluates_distance_once(model, monkeypatch):
+def test_log_density_internal_evaluates_distance_once(model, kernel_calls):
     # bit for bit the form built from the two public internal-scale pieces,
-    # with one closed-form log|R| pass instead of two
+    # with one closed-form pass for log|R| and its slope instead of two
     prior = PCPrior.from_quantile(model, unbalanced_design(),
                                   icc_to_param(model, 0.5), 0.5)
     dist = prior.distance
     t = np.linspace(-12.0, 12.0, 201)
-    want = prior._log_density(dist.value_internal(t),
-                              dist.log_abs_derivative_internal(t), t)
-    calls = []
-    log_det = corr.log_det_from_internal
-    monkeypatch.setattr(corr, "log_det_from_internal",
-                        lambda *a: calls.append(a) or log_det(*a))
+    want = (np.log(prior.lam) - prior.lam * dist.value_internal(t)
+            + dist.log_abs_derivative_internal(t))
+    kernel_calls.clear()
     got = prior.log_density_internal(t)
     assert np.array_equal(got, want)
-    assert len(calls) == 1
+    assert len(kernel_calls) == 1
 
 
 # ----------------------------------------------------------------------
