@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 usage error (bad flags or parameter values),
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -84,34 +83,33 @@ def _quantile_statement(args, model):
     return icc_to_param(model, icc), 0.5
 
 
-def _sniff_columns(path, args):
+def _sniff_columns(table, args):
     """Pick the group/pos columns: flags win, then a literal `pos` header."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if not header:
-        raise DataError(f"{path}: empty file")
+    if not table.header:
+        raise DataError(f"{table.path}: empty file")
     pos_col = args.pos_col
-    if pos_col is None and "pos" in header:
+    if pos_col is None and "pos" in table.header:
         pos_col = "pos"
-    return header, args.group_col, pos_col
+    return args.group_col, pos_col
 
 
-def _read_cli_dataset(path, args, group_col=None, pos_col=None, exclude=(),
+def _read_cli_dataset(table, args, group_col=None, pos_col=None, exclude=(),
                       sniff_pos=True):
-    """Read a dataset treating every unclaimed column as a covariate.
+    """Build a dataset treating every unclaimed column as a covariate.
 
-    `exclude` lists columns that other models in the same comparison use
-    as grouping factors or coordinates; they are never covariates.  With
-    `sniff_pos` off, positions are only used when `pos_col` names them.
+    `table` is the parsed data file.  `exclude` lists columns that other
+    models in the same comparison use as grouping factors or coordinates;
+    they are never covariates.  With `sniff_pos` off, positions are only
+    used when `pos_col` names them.
     """
-    header, default_group, default_pos = _sniff_columns(path, args)
+    default_group, default_pos = _sniff_columns(table, args)
     group_col = group_col or default_group
     if pos_col is None and sniff_pos:
         pos_col = default_pos
     taken = {"y", group_col, pos_col} | set(exclude)
-    covariates = [c for c in header if c not in taken]
-    dataset = io.read_dataset(path, covariate_names=covariates,
-                              group_column=group_col, pos_column=pos_col)
+    covariates = [c for c in table.header if c not in taken]
+    dataset = io.table_dataset(table, covariate_names=covariates,
+                               group_column=group_col, pos_column=pos_col)
     return dataset, group_col
 
 
@@ -167,7 +165,7 @@ def cmd_prior(args):
     family = parse_family(args.family)
     model = GroupModel(family, assume_unit_spacing=args.unit_spacing)
     if args.data is not None:
-        dataset, _ = _read_cli_dataset(args.data, args)
+        dataset, _ = _read_cli_dataset(io.read_table(args.data), args)
         design = dataset.design
     elif args.n is not None and args.m is not None:
         design = balanced_design(args.n, args.m,
@@ -187,7 +185,7 @@ def cmd_prior(args):
 def cmd_fit(args):
     family = parse_family(args.family)
     model = GroupModel(family, assume_unit_spacing=args.unit_spacing)
-    dataset, group_col = _read_cli_dataset(args.data, args)
+    dataset, group_col = _read_cli_dataset(io.read_table(args.data), args)
     fit = _fit_one(dataset, model, args)
     io.write_fit(fit, args.out)
     print(_format_table([(group_col, fit)]))
@@ -200,7 +198,8 @@ def cmd_compare(args):
         raise DomainError("compare needs at least one --model")
     # columns claimed as grouping factors or coordinates by any model are
     # excluded from every model's covariates, so all fits share one X
-    _, _, default_pos = _sniff_columns(args.data, args)
+    table = io.read_table(args.data)
+    _, default_pos = _sniff_columns(table, args)
     claimed = {args.group_col, default_pos}
     for _, _, group_col, pos_col in args.model:
         claimed |= {group_col, pos_col}
@@ -213,7 +212,7 @@ def cmd_compare(args):
             # a bare FAMILY spec falls back to flag/sniffed columns; an
             # explicit @GROUPCOL uses positions only when :POSCOL is given
             dataset, used_group = _read_cli_dataset(
-                args.data, args, group_col=group_col, pos_col=pos_col,
+                table, args, group_col=group_col, pos_col=pos_col,
                 exclude=claimed, sniff_pos=group_col is None)
             if shared_lam is None:
                 u, a = _quantile_statement(args, model)

@@ -30,10 +30,10 @@ import functools
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import expit
 
 from .design import Family, GroupModel, GroupedDesign
 from .errors import DomainError
+from .special import expit
 
 __all__ = [
     "corr_matrix",

@@ -33,13 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit, logsumexp, ndtr
 
 from . import corr
 from .design import Dataset, Family, GroupModel
 from .errors import DataError, DomainError, NumericError
 from .pcprior import PCPrior
+from .special import expit, logsumexp, ndtr
 
 __all__ = [
     "gumbel2_log_density",
@@ -56,6 +55,7 @@ __all__ = [
 ]
 
 _LOG_2PI = np.log(2.0 * np.pi)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 # ----------------------------------------------------------------------
@@ -277,12 +277,12 @@ def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
             Sigma[s, s] = R / tau
         Sigma += dataset.X @ dataset.X.T / beta_prec
         try:
-            f = cho_factor(Sigma)
+            L = np.linalg.cholesky(Sigma)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"covariance factorization failed: {exc}") from exc
-        logdet = 2.0 * np.log(np.diag(f[0])).sum()
-        quad = dataset.y @ cho_solve(f, dataset.y)
-        return float(-0.5 * (M * _LOG_2PI + logdet + quad))
+        logdet = 2.0 * np.log(np.diag(L)).sum()
+        z = np.linalg.solve(L, dataset.y)
+        return float(-0.5 * (M * _LOG_2PI + logdet + z @ z))
     if method != "blockwise":
         raise ValueError(f"unknown method {method!r}")
     model.check_design(dataset.design)
@@ -325,24 +325,40 @@ def posterior_summaries(values, weights,
 
 
 def _mixture_gaussian_quantile(mu: NDArray, sd: NDArray, w: NDArray,
-                               prob: float, iters: int = 90) -> float:
-    """Quantile of a Gaussian mixture by bisection on its CDF.
+                               prob: float) -> float:
+    """Quantile of a Gaussian mixture by safeguarded Newton on its CDF.
 
-    Stops early once the midpoint rounds to an end of the bracket: every
-    later step would leave the returned midpoint unchanged.
+    Starts at the mixture mean inside the bracket of +-8 sd around every
+    component and steps by (F(q) - prob) / F'(q), with F' = sum w phi(z) / sd.
+    Each CDF evaluation shrinks the bracket; a step that would leave it, or
+    a slope that underflows, bisects instead.  Converged once the step is
+    below 4e-16 (|q| + min sd) -- tested before the bracket, which the last
+    sub-ulp step may cross.
     """
     lo = float(np.min(mu - 8.0 * sd))
     hi = float(np.max(mu + 8.0 * sd))
-    for _ in range(iters):
+    min_sd = float(np.min(sd))
+    q = float(w @ mu)
+    for _ in range(200):
+        z = (q - mu) / sd
+        excess = float(w @ ndtr(z)) - prob
+        if excess < 0.0:
+            lo = q
+        else:
+            hi = q
+        slope = float(w @ (np.exp(-0.5 * z * z) / sd)) * _INV_SQRT_2PI
+        if slope > 0.0:
+            step = excess / slope
+            if abs(step) <= 4e-16 * (abs(q) + min_sd):
+                return q - step
+            if lo < q - step < hi:
+                q -= step
+                continue
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        F = float(w @ ndtr((mid - mu) / sd))
-        if F < prob:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        q = mid
+    return q
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from .errors import ParseError
 from .pcprior import PriorGrid
 
 __all__ = [
+    "read_table",
+    "table_dataset",
     "read_dataset",
     "write_dataset",
     "write_fit",
@@ -38,6 +41,119 @@ def _parse_cell(text, row, column):
     except (TypeError, ValueError):
         raise ParseError(
             f"row {row}, column {column!r}: not a number: {text!r}") from None
+
+
+@dataclass(frozen=True)
+class CsvTable:
+    """A CSV file parsed once: its header and its data rows as columns.
+
+    ``columns[k]`` holds the text cells under ``header[k]``; ``line_nums``
+    gives the file line that ends each data row, for error messages.
+    Blank lines are skipped.
+    """
+
+    path: str
+    header: tuple[str, ...]
+    columns: tuple[tuple[str, ...], ...]
+    line_nums: tuple[int, ...]
+
+    def column(self, name):
+        """The cells of the first column called ``name``."""
+        if name not in self.header:
+            raise ParseError(f"{self.path}: missing column {name!r}")
+        return self.columns[self.header.index(name)]
+
+
+def read_table(path):
+    """Parse a CSV file with a header row into a `CsvTable`.
+
+    Every data row must have as many fields as the header.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        rows, line_nums = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"row {reader.line_num}: expected {len(header)} fields, "
+                    f"got {len(row)}")
+            rows.append(row)
+            line_nums.append(reader.line_num)
+    columns = tuple(zip(*rows)) if rows else ((),) * len(header)
+    return CsvTable(str(path), tuple(header), columns, tuple(line_nums))
+
+
+def _float_columns(table, names):
+    """The named columns as lists of floats.
+
+    On a bad cell, names the first one in file order, row by row and
+    within a row in the order of ``names``.
+    """
+    cells = [table.column(name) for name in names]
+    try:
+        return [list(map(float, col)) for col in cells]
+    except ValueError:
+        for num, row in zip(table.line_nums, zip(*cells)):
+            for name, text in zip(names, row):
+                _parse_cell(text, num, name)
+        raise
+
+
+def table_dataset(table, covariate_names=(), group_column="group",
+                  pos_column=None):
+    """Build a `Dataset` from a parsed table; see `read_dataset`.
+
+    Only the columns the model uses are converted to numbers.
+    """
+    covariate_names = tuple(covariate_names)
+    needed = ["y", group_column, *covariate_names]
+    if pos_column is not None:
+        needed.append(pos_column)
+    for name in needed:
+        table.column(name)
+    if not table.line_nums:
+        raise ParseError(f"{table.path}: no data rows")
+    y, *covs = _float_columns(
+        table, ["y", *([pos_column] if pos_column is not None else []),
+                *covariate_names])
+    pos = covs.pop(0) if pos_column is not None else None
+
+    groups: dict[str, list] = {}
+    for i, label in enumerate(table.column(group_column)):
+        groups.setdefault(label, []).append(i)
+    sizes = []
+    positions = []
+    order = []
+    for label, rows in groups.items():
+        if pos is not None:
+            rows.sort(key=pos.__getitem__)
+            for prev, cur in zip(rows, rows[1:]):
+                if pos[cur] <= pos[prev]:
+                    raise ParseError(
+                        f"row {table.line_nums[cur]}, column {pos_column!r}: "
+                        f"position {pos[cur]!r} duplicates one in group "
+                        f"{label!r}")
+            positions.append(tuple(pos[i] for i in rows))
+        sizes.append(len(rows))
+        order.extend(rows)
+
+    design = GroupedDesign(
+        group_sizes=tuple(sizes),
+        positions=tuple(positions) if pos is not None else None,
+    )
+    order = np.array(order, dtype=np.intp)
+    return Dataset(
+        y=np.array(y)[order],
+        X=np.column_stack([np.ones(order.size), *covs])[order],
+        design=design,
+        column_names=("intercept",) + covariate_names,
+    )
 
 
 def read_dataset(path, covariate_names=(), group_column="group",
@@ -65,71 +181,8 @@ def read_dataset(path, covariate_names=(), group_column="group",
         Rows ordered by (group first appearance, position or file
         order), with an intercept column prepended to the covariates.
     """
-    covariate_names = tuple(covariate_names)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        needed = ["y", group_column] + list(covariate_names)
-        if pos_column is not None:
-            needed.append(pos_column)
-        index = {}
-        for name in needed:
-            if name not in header:
-                raise ParseError(f"{path}: missing column {name!r}")
-            index[name] = header.index(name)
-
-        groups: dict[str, list] = {}
-        for row in reader:
-            if not row:
-                continue
-            num = reader.line_num
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row {num}: expected {len(header)} fields, "
-                    f"got {len(row)}")
-            label = row[index[group_column]]
-            y = _parse_cell(row[index["y"]], num, "y")
-            pos = None
-            if pos_column is not None:
-                pos = _parse_cell(row[index[pos_column]], num, pos_column)
-            covs = [_parse_cell(row[index[c]], num, c)
-                    for c in covariate_names]
-            groups.setdefault(label, []).append((pos, num, y, covs))
-
-    if not groups:
-        raise ParseError(f"{path}: no data rows")
-
-    sizes = []
-    positions = []
-    ys = []
-    xs = []
-    for label, rows in groups.items():
-        if pos_column is not None:
-            rows.sort(key=lambda r: r[0])
-            for prev, cur in zip(rows, rows[1:]):
-                if cur[0] <= prev[0]:
-                    raise ParseError(
-                        f"row {cur[1]}, column {pos_column!r}: position "
-                        f"{cur[0]!r} duplicates one in group {label!r}")
-            positions.append(tuple(r[0] for r in rows))
-        sizes.append(len(rows))
-        for pos, num, y, covs in rows:
-            ys.append(y)
-            xs.append([1.0] + covs)
-
-    design = GroupedDesign(
-        group_sizes=tuple(sizes),
-        positions=tuple(positions) if pos_column is not None else None,
-    )
-    return Dataset(
-        y=np.array(ys),
-        X=np.array(xs),
-        design=design,
-        column_names=("intercept",) + covariate_names,
-    )
+    return table_dataset(read_table(path), covariate_names, group_column,
+                         pos_column)
 
 
 def write_dataset(dataset, path, group_labels=None):
@@ -144,10 +197,14 @@ def write_dataset(dataset, path, group_labels=None):
     has_pos = design.positions is not None
     covariates = list(dataset.column_names[1:])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        # the csv module quotes a field for the line terminator's characters
+        # only, so a row with a carriage return in a name is quoted in full
+        plain = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         header = ["y", "group"] + (["pos"] if has_pos else []) + covariates
-        writer.writerow(header)
+        (quoted if any("\r" in c for c in header) else plain).writerow(header)
         for j, s in enumerate(design.group_slices()):
+            writer = quoted if "\r" in group_labels[j] else plain
             for i in range(s.start, s.stop):
                 row = ["%.17g" % dataset.y[i], group_labels[j]]
                 if has_pos:

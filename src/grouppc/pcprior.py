@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve
 
 from . import corr
 from .design import Family, GroupModel, GroupedDesign, parse_family
@@ -66,13 +65,15 @@ def kld_gaussian(C: NDArray, C0: NDArray) -> float:
     if C.shape != (M, M) or C0.shape != (M, M):
         raise ValueError("covariance matrices must be square and same size")
     try:
-        f0 = cho_factor(C0)
-        trace = np.trace(cho_solve(f0, C))
-        _, logdet0 = np.linalg.slogdet(C0)
-        fC = cho_factor(C)  # existence check doubles as PD validation
-        logdetC = 2.0 * np.log(np.diag(fC[0])).sum()
+        L0 = np.linalg.cholesky(C0)
+        LC = np.linalg.cholesky(C)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"covariance factorization failed: {exc}") from exc
+    # trace(C0^-1 C) = ||L0^-1 LC||_F^2
+    A = np.linalg.solve(L0, LC)
+    trace = np.sum(A * A)
+    logdet0 = 2.0 * np.log(np.diag(L0)).sum()
+    logdetC = 2.0 * np.log(np.diag(LC)).sum()
     return 0.5 * (trace - M - (logdetC - logdet0))
 
 

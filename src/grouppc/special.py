@@ -1,0 +1,129 @@
+"""Special functions in plain numpy: logistic, log-sum-exp, normal CDF.
+
+These are the few special functions the package evaluates on every fit.
+Written here in numpy so that importing the package loads no scipy:
+
+* `expit` keeps both tails, down to subnormals, and raises no
+  floating-point warning;
+* `logsumexp` reduces a whole array the way ``scipy.special.logsumexp``
+  does, taking the largest terms out of the sum;
+* `ndtr` is the standard normal CDF through `erfc`, which evaluates
+  W. J. Cody's rational Chebyshev approximations (Math. Comp. 23 (1969)
+  631-637; coefficients of his CALERF routine) on three ranges of |x|.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["expit", "logsumexp", "erfc", "ndtr"]
+
+#: below this x, exp(-x) overflows (exp(709) is finite, exp(710) is not)
+_EXPIT_TAIL = -709.0
+
+
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)), elementwise.
+
+    Below x = -709, where exp(-x) would overflow, 1 + exp(x) rounds to 1
+    and the function is exp(x), which keeps the subnormal tail.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.where(x < _EXPIT_TAIL, np.exp(np.minimum(x, _EXPIT_TAIL)),
+                    1.0 / (1.0 + np.exp(-np.maximum(x, _EXPIT_TAIL))))
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over every element of ``a``.
+
+    The largest elements are taken out of the sum, which then adds their
+    count to the exponentials of the rest relative to them (log1p), as
+    scipy's does.  All -inf gives -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    if not np.isfinite(top):
+        return float(top)
+    is_top = a == top
+    n_top = np.count_nonzero(is_top)
+    e = np.exp(a - top)
+    e[is_top] = 0.0
+    return float(np.log1p(e.sum() / n_top) + np.log(n_top) + top)
+
+
+# Cody's CALERF coefficients: erf on |x| <= 0.46875 (A/B), erfc on
+# 0.46875 < |x| <= 4 (C/D) and, as exp(-x^2)/|x| times a series in 1/x^2,
+# on 4 < |x| < 26.543 (P/Q); beyond that erfc underflows.  The loops below
+# keep CALERF's order of operations.
+_A = (3.16112374387056560e00, 1.13864154151050156e02,
+      3.77485237685302021e02, 3.20937758913846947e03,
+      1.85777706184603153e-1)
+_B = (2.36012909523441209e01, 2.44024637934444173e02,
+      1.28261652607737228e03, 2.84423683343917062e03)
+_C = (5.64188496988670089e-1, 8.88314979438837594e00,
+      6.61191906371416295e01, 2.98635138197400131e02,
+      8.81952221241769090e02, 1.71204761263407058e03,
+      2.05107837782607147e03, 1.23033935479799725e03,
+      2.15311535474403846e-8)
+_D = (1.57449261107098347e01, 1.17693950891312499e02,
+      5.37181101862009858e02, 1.62138957456669019e03,
+      3.29079923573345963e03, 4.36261909014324716e03,
+      3.43936767414372164e03, 1.23033935480374942e03)
+_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
+      1.25781726111229246e-1, 1.60837851487422766e-2,
+      6.58749161529837803e-4, 1.63153871373020978e-2)
+_Q = (2.56852019228982242e00, 1.87295284992346725e00,
+      5.27905102951428412e-1, 6.05183413124413191e-2,
+      2.33520497626869185e-3)
+_THRESH = 0.46875
+_XBIG = 26.543
+_SQRPI = 5.6418958354775628695e-1   # 1 / sqrt(pi)
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _exp_neg_square(y):
+    """exp(-y^2), split at y's 1/16 step so y^2's rounding is not amplified."""
+    head = np.trunc(y * 16.0) / 16.0
+    return np.exp(-head * head) * np.exp(-(y - head) * (y + head))
+
+
+def erfc(x):
+    """Complementary error function, elementwise, to about 1e-15 relative."""
+    x = np.asarray(x, dtype=float)
+    y = np.abs(x)
+    out = np.where(y >= _XBIG, 0.0, np.nan)
+
+    small = y <= _THRESH
+    if small.any():
+        ys = y[small] ** 2
+        num, den = _A[4] * ys, ys
+        for a, b in zip(_A[:3], _B[:3]):
+            num, den = (num + a) * ys, (den + b) * ys
+        out[small] = 1.0 - x[small] * (num + _A[3]) / (den + _B[3])
+
+    mid = ~small & (y <= 4.0)
+    if mid.any():
+        ym = y[mid]
+        num, den = _C[8] * ym, ym
+        for c, d in zip(_C[:7], _D[:7]):
+            num, den = (num + c) * ym, (den + d) * ym
+        out[mid] = _exp_neg_square(ym) * ((num + _C[7]) / (den + _D[7]))
+
+    tail = (y > 4.0) & (y < _XBIG)
+    if tail.any():
+        yt = y[tail]
+        inv = 1.0 / (yt * yt)
+        num, den = _P[5] * inv, inv
+        for p, q in zip(_P[:4], _Q[:4]):
+            num, den = (num + p) * inv, (den + q) * inv
+        r = inv * (num + _P[4]) / (den + _Q[4])
+        out[tail] = _exp_neg_square(yt) * ((_SQRPI - r) / yt)
+
+    neg = (x < 0.0) & ~small
+    out[neg] = 2.0 - out[neg]
+    return out
+
+
+def ndtr(x):
+    """Standard normal CDF, 0.5 erfc(-x / sqrt 2), elementwise."""
+    return 0.5 * erfc(np.asarray(x, dtype=float) * -_SQRT1_2)

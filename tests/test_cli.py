@@ -7,6 +7,7 @@ library produces directly.
 """
 
 import argparse
+import builtins
 import json
 import subprocess
 import sys
@@ -292,9 +293,8 @@ def test_compare_ranks_true_model_first(tmp_path, capsys):
     assert (tmp_path / "cmp" / "fit_2_ar1_group.json").exists()
 
 
-def test_compare_across_grouping_factors(tmp_path, capsys):
-    # two grouping columns in one file: y,campaign,transect,pos,x1; the
-    # claimed columns are excluded from the covariates of every fit
+def multi_grouping_csv(tmp_path):
+    """Two grouping columns in one file: y,campaign,transect,pos,x1."""
     rng = np.random.default_rng(99)
     lines = ["y,campaign,transect,pos,x1"]
     t = 0
@@ -308,6 +308,12 @@ def test_compare_across_grouping_factors(tmp_path, capsys):
                 lines.append(f"{y:.17g},c{c + 1},t{t},{p:.17g},{x1:.17g}")
     data = tmp_path / "multi.csv"
     data.write_text("\n".join(lines) + "\n")
+    return data
+
+
+def test_compare_across_grouping_factors(tmp_path, capsys):
+    # the claimed columns are excluded from the covariates of every fit
+    data = multi_grouping_csv(tmp_path)
 
     code, out = run(capsys, ["compare", "--data", str(data),
                              "--model", "exchangeable@campaign",
@@ -324,6 +330,28 @@ def test_compare_across_grouping_factors(tmp_path, capsys):
         with open(path, encoding="utf-8") as fh:
             names = [b["name"] for b in json.load(fh)["beta"]]
         assert names == ["intercept", "x1"]
+
+
+def test_compare_opens_the_data_file_once(tmp_path, capsys, monkeypatch):
+    data = str(multi_grouping_csv(tmp_path))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == data:
+            opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, _ = run(capsys, ["compare", "--data", data,
+                           "--model", "exchangeable@campaign",
+                           "--model", "exchangeable@transect",
+                           "--model", "ar1@transect",
+                           "--model", "ou@transect:pos",
+                           "--out-dir", str(tmp_path / "cmp")])
+    assert code == 0
+    assert len(list((tmp_path / "cmp").iterdir())) == 4
+    assert opened == ["r"]
 
 
 def test_compare_table_sorted_by_evidence(tmp_path, capsys):
@@ -398,10 +426,12 @@ def test_module_entry_point_runs(tmp_path, cli_env):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded(cli_env):
-    # prior normalization uses a fixed Gauss-Legendre rule, so starting
-    # the CLI does not import scipy.integrate and what it pulls in
-    code = "import sys, grouppc.cli; print('scipy.integrate' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=cli_env,
-                            capture_output=True, text=True, check=False)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    # the package evaluates its special functions in numpy and keeps scipy
+    # as a test oracle, so neither the library nor the CLI imports scipy
+    for module in ("grouppc", "grouppc.cli"):
+        code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+                "if m.partition('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", code], env=cli_env,
+                                capture_output=True, text=True, check=False)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]", module

@@ -1,12 +1,12 @@
 """Evidence integration: likelihood paths, grids, summaries, Bayes factors."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, linalg, stats
-from scipy.special import ndtr
 
 from grouppc import (
     ConfigurationError,
@@ -468,36 +468,50 @@ def test_mixture_quantile_two_components():
     assert_allclose(stats.norm(-3, 0.5).cdf(lo) * 0.5, 0.025, atol=1e-9)
 
 
-def _fixed_bisection(mu, sd, w, prob, iters=90):
-    lo = float(np.min(mu - 8.0 * sd))
-    hi = float(np.max(mu + 8.0 * sd))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if float(w @ ndtr((mid - mu) / sd)) < prob:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _mpmath_quantile(mu, sd, w, prob):
+    """Mixture quantile by 200 bisection steps at 40 significant digits."""
+    with mpmath.workdps(40):
+        mu, sd, w = ([mpmath.mpf(float(v)) for v in a] for a in (mu, sd, w))
+        cdf = lambda x: sum(wk * mpmath.ncdf((x - mk) / sk)
+                            for mk, sk, wk in zip(mu, sd, w))
+        lo = min(m - 8 * s for m, s in zip(mu, sd))
+        hi = max(m + 8 * s for m, s in zip(mu, sd))
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if cdf(mid) < prob:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+def _random_mixture(seed, k=30):
+    rng = np.random.default_rng(seed)
+    return (list(rng.normal(0.0, 2.0, k)), list(rng.uniform(0.05, 1.5, k)),
+            list(rng.dirichlet(np.ones(k))))
 
 
 @pytest.mark.parametrize("mu, sd, w", [
     ([1.5], [2.0], [1.0]),
     ([-3.0, 3.0], [0.5, 0.5], [0.5, 0.5]),
     ([0.2, 1.1], [0.3, 1.7], [0.8, 0.2]),
+    _random_mixture(1),
+    _random_mixture(2),
+    _random_mixture(3),
 ])
-def test_mixture_quantile_stops_at_the_bisection_fixed_point(mu, sd, w,
-                                                             monkeypatch):
+def test_mixture_quantile_matches_mpmath_in_few_cdf_evaluations(
+        mu, sd, w, monkeypatch):
     mu, sd, w = np.array(mu), np.array(sd), np.array(w)
+    ndtr = inference.ndtr
     for prob in (0.025, 0.5, 0.975):
-        want = _fixed_bisection(mu, sd, w, prob)
+        want = _mpmath_quantile(mu, sd, w, prob)
         evals = []
         monkeypatch.setattr(inference, "ndtr",
                             lambda x: evals.append(1) or ndtr(x))
-        assert _mixture_gaussian_quantile(mu, sd, w, prob) == want
+        got = _mixture_gaussian_quantile(mu, sd, w, prob)
         monkeypatch.undo()
-        # doubles crowd near 0, where 90 halvings end before the fixed point
-        if abs(want) > 1e-3:
-            assert len(evals) < 70
+        assert abs(got - want) <= 4e-15 * max(abs(want), sd.min()), prob
+        assert len(evals) <= 12, prob
 
 
 # ----------------------------------------------------------------------

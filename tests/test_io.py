@@ -1,12 +1,17 @@
 """File formats: exact round trips and parse errors that name the cell."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from grouppc import (
+    Dataset,
     Family,
     GroupModel,
     GroupedDesign,
@@ -61,6 +66,61 @@ def test_dataset_round_trip_with_positions(tmp_path):
     assert np.array_equal(back.y, ds.y)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+#: any finite double; positions stay below 1e300 in magnitude so that the
+#: design's gaps between them do not overflow
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITION = st.floats(min_value=-1e300, max_value=1e300)
+LABEL = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+
+
+@st.composite
+def labelled_datasets(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n, total = len(sizes), sum(sizes)
+    p = draw(st.integers(0, 2))
+    y = draw(st.lists(FINITE, min_size=total, max_size=total))
+    X = draw(st.lists(st.lists(FINITE, min_size=p, max_size=p),
+                      min_size=total, max_size=total))
+    positions = None
+    if draw(st.booleans()):
+        positions = tuple(
+            tuple(sorted(draw(st.lists(POSITION, min_size=m, max_size=m,
+                                       unique=True))))
+            for m in sizes)
+    labels = draw(st.lists(LABEL, min_size=n, max_size=n, unique=True))
+    dataset = Dataset(
+        y=np.array(y),
+        X=np.column_stack([np.ones(total), np.array(X).reshape(total, p)]),
+        design=GroupedDesign(group_sizes=tuple(sizes), positions=positions),
+        column_names=("intercept",) + tuple(f"x{k}" for k in range(p)))
+    return dataset, labels
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(labelled_datasets())
+def test_dataset_round_trip_with_arbitrary_labels_and_floats(case):
+    # labels may hold commas, quotes, newlines and any non-ASCII text
+    ds, labels = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        io.write_dataset(ds, path, group_labels=labels)
+        back = io.read_dataset(
+            path, covariate_names=ds.column_names[1:],
+            pos_column="pos" if ds.design.positions is not None else None)
+    assert np.array_equal(_bits(back.y), _bits(ds.y))
+    assert np.array_equal(_bits(back.X), _bits(ds.X))
+    assert back.design.group_sizes == ds.design.group_sizes
+    if ds.design.positions is None:
+        assert back.design.positions is None
+    else:
+        assert [_bits(p).tolist() for p in back.design.positions] == \
+            [_bits(p).tolist() for p in ds.design.positions]
+
+
 def test_groups_ordered_by_first_appearance(tmp_path):
     path = write_csv(tmp_path / "g.csv",
                      "y,group\n1,zebra\n2,ant\n3,zebra\n4,ant\n5,ant\n")
@@ -90,6 +150,14 @@ def test_parse_errors_name_row_and_column(tmp_path):
     bad_cell = write_csv(tmp_path / "a.csv", "y,group\n1,a\nhuh,b\n")
     with pytest.raises(ParseError, match=r"row 3, column 'y'"):
         io.read_dataset(bad_cell)
+    # the first bad cell in file order, whatever its column
+    later_y = write_csv(tmp_path / "a2.csv",
+                        "y,group,x\n1,a,2\nhuh,b,no\n1,c,no\n")
+    with pytest.raises(ParseError, match=r"row 3, column 'y'"):
+        io.read_dataset(later_y, covariate_names=("x",))
+    early_x = write_csv(tmp_path / "a3.csv", "y,group,x\n1,a,no\nhuh,b,2\n")
+    with pytest.raises(ParseError, match=r"row 2, column 'x'"):
+        io.read_dataset(early_x, covariate_names=("x",))
     missing = write_csv(tmp_path / "b.csv", "z,group\n1,a\n")
     with pytest.raises(ParseError, match="missing column 'y'"):
         io.read_dataset(missing)

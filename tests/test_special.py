@@ -1,0 +1,68 @@
+"""The numpy special functions, with scipy.special and mpmath as oracles."""
+
+import warnings
+
+import mpmath
+import numpy as np
+import pytest
+from scipy import special as oracle
+
+from grouppc import special
+
+
+def test_ndtr_matches_scipy():
+    x = np.linspace(-38.0, 38.0, 2_000_001)
+    got, want = special.ndtr(x), oracle.ndtr(x)
+    assert np.max(np.abs(got - want)) <= 4.5e-16
+    normal = want >= 1e-300
+    assert np.max(np.abs(got - want)[normal] / want[normal]) <= 1e-13
+
+
+def test_erfc_matches_scipy_and_handles_the_ends():
+    x = np.linspace(-27.0, 27.0, 200_001)
+    got, want = special.erfc(x), oracle.erfc(x)
+    normal = want >= 1e-300
+    assert np.max(np.abs(got - want)[normal] / want[normal]) <= 1e-13
+    assert np.all(got[~normal] <= 1e-300)
+    ends = special.erfc(np.array([-np.inf, np.inf, np.nan, 0.0]))
+    assert ends[:2].tolist() == [2.0, 0.0]
+    assert np.isnan(ends[2]) and ends[3] == 1.0
+
+
+def test_expit_matches_scipy_without_warnings():
+    x = np.linspace(-800.0, 800.0, 2_000_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = special.expit(x)
+    want = oracle.expit(x)
+    # scipy's 1 / (1 + exp(-x)) is 0 below -709.78, where expit(x) rounds
+    # to exp(x); elsewhere the two agree to the few ulps by which numpy's
+    # exp and the C library's differ
+    under = want == 0.0
+    want[under] = np.exp(x[under])
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+
+def test_expit_within_two_ulp_of_exact():
+    x = np.linspace(-750.0, 40.0, 2_001)
+    got = special.expit(x)
+    with mpmath.workdps(40):
+        exact = np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(v))))
+                          for v in x])
+    assert np.all(np.abs(got - exact) <= 2 * np.spacing(exact))
+
+
+@pytest.mark.parametrize("a", [
+    np.array([0.3, -1.2, 4.0, 4.0, -np.inf]),
+    np.random.default_rng(7).normal(0.0, 30.0, (40, 25)),
+    np.array([[-700.0, -720.0], [-710.0, -np.inf]]),
+    np.array([5.0]),
+])
+def test_logsumexp_matches_scipy(a):
+    assert special.logsumexp(a) == pytest.approx(oracle.logsumexp(a),
+                                                 rel=1e-15, abs=0.0)
+
+
+def test_logsumexp_of_nothing_but_minus_infinity():
+    a = np.full((3, 4), -np.inf)
+    assert special.logsumexp(a) == -np.inf == oracle.logsumexp(a)
