@@ -51,7 +51,7 @@ for coef, truth in zip(fit.beta, config.beta):
 # the diagnostics block reports the grid and how much posterior mass
 # leaked into the outermost cells; a warning there means widen the grid
 diag = fit.diagnostics
-print(f"\ngrid {diag['n_tau']} x {diag['n_corr']} ({diag['rule']}), "
+print(f"\ngrid {diag['n_tau']} x {diag['n_corr']}, "
       f"boundary mass {diag['boundary_mass']:.2e}, "
       f"warning: {diag['boundary_warning']}")
 

@@ -150,7 +150,11 @@ def _corr_block(model: GroupModel, design: GroupedDesign,
         pos = np.asarray(design.positions[group_index], dtype=float)
     else:
         pos = np.arange(m, dtype=float)
-    return np.exp(-np.abs(pos[:, None] - pos[None, :]) * p)
+    with np.errstate(invalid="ignore"):   # 0 * inf on the diagonal
+        R = np.exp(-np.abs(pos[:, None] - pos[None, :]) * p)
+    # unit diagonal also at phi = inf, the independence base
+    np.fill_diagonal(R, 1.0)
+    return R
 
 
 # ----------------------------------------------------------------------

@@ -161,13 +161,6 @@ class GroupModel:
     def param_name(self) -> str:
         return "phi" if self.family is Family.OU else "rho"
 
-    @property
-    def param_domain(self) -> tuple[float, float]:
-        """Open/half-open interval of valid parameter values."""
-        if self.family is Family.OU:
-            return (0.0, np.inf)
-        return (0.0, 1.0)
-
     def check_design(self, design: GroupedDesign) -> None:
         """Raise if the design lacks what this family needs."""
         if (self.family is Family.OU and design.positions is None

@@ -38,7 +38,7 @@ from . import corr
 from .design import Dataset, Family, GroupModel
 from .errors import DataError, DomainError, NumericError
 from .pcprior import PCPrior
-from .special import expit, logsumexp, ndtr
+from .special import expit, logsumexp, ndtr, safeguarded_newton
 
 __all__ = [
     "gumbel2_log_density",
@@ -68,8 +68,8 @@ def gumbel2_log_density(tau, psi: float):
     pi(tau) = (psi / 2) tau^(-3/2) exp(-psi tau^(-1/2)); equivalently the
     residual standard deviation sigma = tau^(-1/2) is Exponential(psi).
     """
-    if psi <= 0:
-        raise DomainError("psi must be positive")
+    if not 0.0 < psi < np.inf:
+        raise DomainError("psi must be positive and finite")
     t = np.asarray(tau, dtype=float)
     if np.any(t <= 0):
         raise DomainError("tau must be positive")
@@ -79,8 +79,8 @@ def gumbel2_log_density(tau, psi: float):
 
 def solve_psi(u_sigma: float, alpha_sigma: float) -> float:
     """Scale psi such that P(sigma > u_sigma) = alpha_sigma."""
-    if u_sigma <= 0:
-        raise DomainError("u_sigma must be positive")
+    if not 0.0 < u_sigma < np.inf:
+        raise DomainError("u_sigma must be positive and finite")
     if not 0.0 < alpha_sigma < 1.0:
         raise DomainError("alpha_sigma must lie strictly in (0, 1)")
     return -np.log(alpha_sigma) / u_sigma
@@ -101,10 +101,10 @@ class HyperPriors:
     beta_prec: float = 1e-6
 
     def __post_init__(self):
-        if self.psi <= 0:
-            raise DomainError("psi must be positive")
-        if self.beta_prec < 0:
-            raise DomainError("beta_prec cannot be negative")
+        if not 0.0 < self.psi < np.inf:
+            raise DomainError("psi must be positive and finite")
+        if not 0.0 <= self.beta_prec < np.inf:
+            raise DomainError("beta_prec must be finite and not negative")
 
     def fingerprint(self) -> str:
         """Hash of the priors that comparable fits must share.
@@ -129,15 +129,10 @@ class GridConfig:
     n_corr: int = 201
     tau_bounds: tuple[float, float] = (-12.0, 12.0)
     corr_bounds: tuple[float, float] = (-12.0, 12.0)
-    rule: str = "trapezoid"  # or "simpson"
 
     def __post_init__(self):
         if self.n_tau < 2 or self.n_corr < 2:
             raise DomainError("grids need at least two nodes per axis")
-        if self.rule not in ("trapezoid", "simpson"):
-            raise DomainError(f"unknown quadrature rule {self.rule!r}")
-        if self.rule == "simpson" and (self.n_tau % 2 == 0 or self.n_corr % 2 == 0):
-            raise DomainError("the simpson rule needs an odd node count")
 
     def axis(self, which: str) -> NDArray:
         lo, hi = self.tau_bounds if which == "tau" else self.corr_bounds
@@ -145,17 +140,11 @@ class GridConfig:
         return np.linspace(lo, hi, n)
 
     def weights(self, which: str) -> NDArray:
+        """Trapezoid-rule weights on the axis' nodes."""
         nodes = self.axis(which)
         h = nodes[1] - nodes[0]
-        n = nodes.size
-        if self.rule == "trapezoid":
-            w = np.full(n, h)
-            w[0] = w[-1] = h / 2.0
-        else:
-            w = np.empty(n)
-            w[0] = w[-1] = h / 3.0
-            w[1:-1:2] = 4.0 * h / 3.0
-            w[2:-1:2] = 2.0 * h / 3.0
+        w = np.full(nodes.size, h)
+        w[0] = w[-1] = h / 2.0
         return w
 
 
@@ -324,41 +313,41 @@ def posterior_summaries(values, weights,
     return (mean, *(float(q) for q in qs))
 
 
-def _mixture_gaussian_quantile(mu: NDArray, sd: NDArray, w: NDArray,
-                               prob: float) -> float:
-    """Quantile of a Gaussian mixture by safeguarded Newton on its CDF.
+def _mixture_quantiles(mu: NDArray, sd: NDArray, w: NDArray,
+                       probs: tuple[float, ...]) -> NDArray:
+    """Quantiles of Gaussian mixtures by one safeguarded Newton on their CDFs.
 
-    Starts at the mixture mean inside the bracket of +-8 sd around every
-    component and steps by (F(q) - prob) / F'(q), with F' = sum w phi(z) / sd.
-    Each CDF evaluation shrinks the bracket; a step that would leave it, or
-    a slope that underflows, bisects instead.  Converged once the step is
-    below 4e-16 (|q| + min sd) -- tested before the bracket, which the last
-    sub-ulp step may cross.
+    Row k of ``mu`` and ``sd`` holds the components of mixture k, weighted
+    by ``w`` (one row shared by every mixture, or one row each); returns
+    one row of quantiles at ``probs`` per mixture.  Each quantile starts at
+    its mixture's mean inside the bracket of +-8 sd around every component
+    and steps by (F(q) - prob) / F'(q), with F' = sum w phi(z) / sd, all
+    quantiles in one `safeguarded_newton` (one `ndtr` call per step).  Each
+    CDF and slope is a 1-D dot product ``w @ row``, so a quantile does not
+    depend on which others are solved with it.  Met once the step is below
+    4e-16 (|q| + min sd).
     """
-    lo = float(np.min(mu - 8.0 * sd))
-    hi = float(np.max(mu + 8.0 * sd))
-    min_sd = float(np.min(sd))
-    q = float(w @ mu)
-    for _ in range(200):
-        z = (q - mu) / sd
-        excess = float(w @ ndtr(z)) - prob
-        if excess < 0.0:
-            lo = q
-        else:
-            hi = q
-        slope = float(w @ (np.exp(-0.5 * z * z) / sd)) * _INV_SQRT_2PI
-        if slope > 0.0:
-            step = excess / slope
-            if abs(step) <= 4e-16 * (abs(q) + min_sd):
-                return q - step
-            if lo < q - step < hi:
-                q -= step
-                continue
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        q = mid
-    return q
+    w = np.broadcast_to(w, mu.shape)
+    n_probs = len(probs)
+    mix = np.repeat(np.arange(mu.shape[0]), n_probs)
+    level = np.tile(np.asarray(probs, dtype=float), mu.shape[0])
+    min_sd = sd.min(axis=1)
+
+    def f_slope(idx, q):
+        m = mix[idx]
+        z = (q[:, None] - mu[m]) / sd[m]
+        dens = np.exp(-0.5 * z * z) / sd[m]
+        f = np.array([w[k] @ row for k, row in zip(m, ndtr(z))]) - level[idx]
+        slope = np.array([w[k] @ row for k, row in zip(m, dens)])
+        slope *= _INV_SQRT_2PI
+        with np.errstate(divide="ignore", invalid="ignore"):
+            met = np.abs(f / slope) <= 4e-16 * (np.abs(q) + min_sd[m])
+        return f, slope, met
+
+    start = np.array([wk @ row for wk, row in zip(w, mu)])[mix]
+    lo = (mu - 8.0 * sd).min(axis=1)[mix]
+    hi = (mu + 8.0 * sd).max(axis=1)[mix]
+    return safeguarded_newton(f_slope, start, lo, hi, True).reshape(-1, n_probs)
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +440,6 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     diagnostics = {
         "n_tau": n_t,
         "n_corr": n_s,
-        "rule": grid.rule,
         "boundary_mass": float(boundary),
         "boundary_warning": bool(boundary >= 0.01),
     }
@@ -475,17 +463,13 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
                                         z.reshape(-1, p)[active])
     w = flat_w[active]
     w = w / w.sum()
-    beta_summary = []
-    for i, name in enumerate(dataset.column_names):
-        mu = beta_mean[:, i]
-        sd = np.sqrt(beta_var[:, i])
-        mean = float(w @ mu)
-        beta_summary.append({
-            "name": name,
-            "mean": mean,
-            "q025": _mixture_gaussian_quantile(mu, sd, w, 0.025),
-            "q975": _mixture_gaussian_quantile(mu, sd, w, 0.975),
-        })
+    quantiles = _mixture_quantiles(beta_mean.T, np.sqrt(beta_var.T), w,
+                                   (0.025, 0.975))
+    beta_summary = [
+        {"name": name, "mean": float(w @ beta_mean[:, i]),
+         "q025": float(lo), "q975": float(hi)}
+        for i, (name, (lo, hi)) in enumerate(zip(dataset.column_names,
+                                                 quantiles))]
 
     return FitResult(
         log_mlik=log_mlik,

@@ -32,6 +32,7 @@ from numpy.typing import NDArray
 from . import corr
 from .design import Family, GroupModel, GroupedDesign, parse_family
 from .errors import DomainError, NumericError
+from .special import safeguarded_newton
 
 __all__ = [
     "kld_gaussian",
@@ -200,21 +201,15 @@ class DistanceFunction:
         """Internal coordinates where the distance equals ``target``.
 
         Each target starts from linear interpolation of t in log d between
-        the two table nodes around it, which also bracket its root.  Newton
-        steps on log d(t) - log target, with slope
-        d log d / dt = -(log|R|)' / (2 d^2) from the same kernel call as
-        d (one closed-form pass per step), run inside that bracket; a
-        step that would leave it, that would not halve the step before
-        last, or that has no finite slope (d = 0) bisects instead, as in
-        the safeguarded Newton "rtsafe" of Numerical Recipes (section 9.4).
-        Only targets not yet converged are evaluated.  A target is done
-        when its distance residual is at most 1e-12 (relative below a
-        target of 1, so tiny targets are not done at their start), when no
-        double lies inside its bracket, or when its step no longer moves
-        it; one last Newton step, when it stays in the bracket, refines a
-        target that met the residual.  Targets beyond what the parameter
-        can resolve in double precision clamp to the representable
-        extreme.
+        the two table nodes around it, which also bracket its root.  From
+        there `special.safeguarded_newton` solves log d(t) = log target,
+        with slope d log d / dt = -(log|R|)' / (2 d^2) from the same kernel
+        call as d (one closed-form pass per step); at d = 0 the slope is
+        not finite and the step bisects.  A target is met when its
+        distance residual is at most 1e-12 (relative below a target of 1,
+        so tiny targets are not met at their start).  Targets beyond what
+        the parameter can resolve in double precision clamp to the
+        representable extreme.
         """
         tgt = np.atleast_1d(np.asarray(target, dtype=float))
         if np.any(tgt <= 0) or np.any(~np.isfinite(tgt)):
@@ -230,34 +225,15 @@ class DistanceFunction:
         with np.errstate(invalid="ignore"):
             w = (log_x - log_d[k - 1]) / (log_d[k] - log_d[k - 1])
         t = np.where(np.isfinite(w), t_a + w * (t_b - t_a), 0.5 * (t_a + t_b))
-        lo, hi = np.minimum(t_a, t_b), np.maximum(t_a, t_b)
-        step = step_old = hi - lo
-        sign = 1.0 if self.increasing else -1.0
-        for _ in range(200):
-            if todo.size == 0:
-                break
+
+        def f_slope(idx, t):
             d, g = self._internal_scale(t)
             with np.errstate(divide="ignore", invalid="ignore"):
-                f = np.log(d) - log_x
-                newton = f / (-g / (2.0 * d * d))
-            right = sign * f < 0          # the root lies above t
-            lo = np.where(right, t, lo)
-            hi = np.where(right, hi, t)
-            t_newton = t - newton
-            inside = (t_newton >= lo) & (t_newton <= hi)
-            use = inside & (np.abs(newton) <= 0.5 * step_old)
-            step_old = step
-            step = np.where(use, np.abs(newton), 0.5 * (hi - lo))
-            t_next = np.where(use, t_newton, 0.5 * (lo + hi))
-            met = np.abs(d - x) <= tol
-            done = met | (np.nextafter(lo, hi) >= hi) | (t_next == t)
-            final = np.where(met, np.where(inside, t_newton, t), t_next)
-            out[todo[done]] = final[done]
-            keep = ~done
-            todo, x, log_x, tol = todo[keep], x[keep], log_x[keep], tol[keep]
-            t, lo, hi = t_next[keep], lo[keep], hi[keep]
-            step, step_old = step[keep], step_old[keep]
-        out[todo] = t
+                return (np.log(d) - log_x[idx], -g / (2.0 * d * d),
+                        np.abs(d - x[idx]) <= tol[idx])
+
+        out[todo] = safeguarded_newton(f_slope, t, np.minimum(t_a, t_b),
+                                       np.maximum(t_a, t_b), self.increasing)
         return float(out[0]) if np.ndim(target) == 0 else out
 
     def invert(self, target):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corr
-from .design import Dataset, Family, GroupModel, GroupedDesign
+from .design import Dataset, GroupModel, GroupedDesign
 from .errors import DomainError
 
 __all__ = ["SimConfig", "simulate_dataset"]
@@ -38,16 +38,11 @@ class SimConfig:
     def __post_init__(self):
         if self.seed is None:
             raise DomainError("a seed is required")
-        if self.sigma2 <= 0:
-            raise DomainError("sigma2 must be positive")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise DomainError("sigma2 must be positive and finite")
         if len(self.beta) < 1:
             raise DomainError("beta must at least contain the intercept")
-        lo, hi = self.model.param_domain
-        if not lo <= self.param < hi:
-            raise DomainError(
-                f"{self.model.param_name} = {self.param} outside [{lo}, {hi})")
-        if self.model.family is Family.OU and self.param <= 0:
-            raise DomainError("phi must be strictly positive")
+        corr._check_param(self.model, self.param, allow_degenerate=False)
 
 
 def simulate_dataset(config: SimConfig) -> Dataset:

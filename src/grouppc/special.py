@@ -1,7 +1,8 @@
 """Special functions in plain numpy: logistic, log-sum-exp, normal CDF.
 
-These are the few special functions the package evaluates on every fit.
-Written here in numpy so that importing the package loads no scipy:
+These are the few special functions the package evaluates on every fit,
+plus the one root finder that inverts them.  Written here in numpy so
+that importing the package loads no scipy:
 
 * `expit` keeps both tails, down to subnormals, and raises no
   floating-point warning;
@@ -9,17 +10,22 @@ Written here in numpy so that importing the package loads no scipy:
   does, taking the largest terms out of the sum;
 * `ndtr` is the standard normal CDF through `erfc`, which evaluates
   W. J. Cody's rational Chebyshev approximations (Math. Comp. 23 (1969)
-  631-637; coefficients of his CALERF routine) on three ranges of |x|.
+  631-637; coefficients of his CALERF routine) on three ranges of |x|;
+* `safeguarded_newton` solves many bracketed monotone equations at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["expit", "logsumexp", "erfc", "ndtr"]
+from .errors import NumericError
+
+__all__ = ["expit", "logsumexp", "erfc", "ndtr", "safeguarded_newton"]
 
 #: below this x, exp(-x) overflows (exp(709) is finite, exp(710) is not)
 _EXPIT_TAIL = -709.0
+#: evaluations after which `safeguarded_newton` gives up
+_NEWTON_STEPS = 200
 
 
 def expit(x):
@@ -127,3 +133,43 @@ def erfc(x):
 def ndtr(x):
     """Standard normal CDF, 0.5 erfc(-x / sqrt 2), elementwise."""
     return 0.5 * erfc(np.asarray(x, dtype=float) * -_SQRT1_2)
+
+
+def safeguarded_newton(f_slope, x, lo, hi, rising):
+    """Roots of monotone equations f_k(x) = 0, each bracketed by [lo, hi].
+
+    Every unknown steps by Newton, x - f / f', when that lands strictly
+    inside its bracket, and bisects otherwise (a slope that is zero,
+    infinite or NaN therefore bisects), as in the safeguarded Newton
+    "rtsafe" of Numerical Recipes (section 9.4).  Each evaluation shrinks
+    the bracket to the side where f changes sign; ``rising`` says f
+    increases with x.  ``f_slope(idx, x)`` returns f, f' and a "met" mask
+    at the iterates ``x`` of the unknowns ``idx`` still open; only those
+    are evaluated.  An unknown is done when it is met (its last Newton
+    step is kept when that stays in the bracket), when no double lies
+    inside its bracket, or when its step no longer moves it.  Unknowns
+    still open after 200 evaluations raise `NumericError`.
+    """
+    x, lo, hi = (np.array(a, dtype=float) for a in (x, lo, hi))
+    out = np.empty_like(x)
+    todo = np.arange(x.size)
+    for _ in range(_NEWTON_STEPS):
+        if todo.size == 0:
+            return out
+        f, slope, met = f_slope(todo, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_newton = x - f / slope
+        above = f < 0 if rising else f > 0      # the root lies above x
+        lo = np.where(above, x, lo)
+        hi = np.where(above, hi, x)
+        inside = (lo < x_newton) & (x_newton < hi)
+        x_next = np.where(inside, x_newton, 0.5 * (lo + hi))
+        done = met | (np.nextafter(lo, hi) >= hi) | (x_next == x)
+        final = np.where(met, np.where(inside, x_newton, x), x_next)
+        out[todo[done]] = final[done]
+        keep = ~done
+        todo, x, lo, hi = todo[keep], x_next[keep], lo[keep], hi[keep]
+    if todo.size:
+        raise NumericError(f"{todo.size} root(s) not converged in "
+                           f"{_NEWTON_STEPS} steps")
+    return out

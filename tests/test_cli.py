@@ -170,6 +170,16 @@ def test_simulate_phi_only_applies_to_ou(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_simulate_non_finite_sigma2_is_domain_error(tmp_path, capsys, value):
+    code, _ = run(capsys, ["simulate", "--family", "exchangeable",
+                           "--rho", "0.5", "--sigma2", value, "--n", "5",
+                           "--m", "4", "--seed", "1",
+                           "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert not (tmp_path / "s.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -217,6 +227,16 @@ def test_fit_grid_flag_changes_resolution(tmp_path, capsys):
     with open(out_json, encoding="utf-8") as fh:
         diag = json.load(fh)["diagnostics"]
     assert (diag["n_tau"], diag["n_corr"]) == (51, 41)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_fit_non_finite_sigma_u_is_domain_error(tmp_path, capsys, value):
+    data = simulate_csv(tmp_path, n=8, m=5, seed=21)
+    code, _ = run(capsys, ["fit", "--family", "exchangeable", "--data", data,
+                           "--sigma-u", value,
+                           "--out", str(tmp_path / "fit.json")])
+    assert code == 2
+    assert not (tmp_path / "fit.json").exists()
 
 
 def test_fit_missing_file_is_data_error(tmp_path, capsys):

@@ -101,6 +101,14 @@ def test_ou_matrix_from_positions():
     assert_allclose(np.diag(R), 1.0)
 
 
+def test_ou_matrix_at_infinite_phi_is_the_identity():
+    # phi = inf is the independence base, where log|R| = 0
+    d = GroupedDesign(group_sizes=(3,), positions=((0.0, 1.0, 3.0),))
+    with np.errstate(all="raise"):
+        R = corr_matrix(GroupModel(Family.OU), d, 0, np.inf)
+    assert_array_equal(R, np.eye(3))
+
+
 def test_corr_matrix_positive_definite_interior():
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -1,5 +1,7 @@
 """Evidence integration: likelihood paths, grids, summaries, Bayes factors."""
 
+import functools
+
 import mpmath
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from grouppc import inference
 from grouppc.corr import log_det_from_internal
 from grouppc.inference import (
     _beta_moments,
-    _mixture_gaussian_quantile,
+    _mixture_quantiles,
     _sufficient_stats,
     _woodbury,
 )
@@ -90,10 +92,23 @@ def test_gumbel2_normalizes_and_hits_tail_statement():
 
 
 def test_solve_psi_validates():
-    with pytest.raises(DomainError):
-        solve_psi(0.0, 0.01)
+    for u_sigma in (0.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            solve_psi(u_sigma, 0.01)
     with pytest.raises(DomainError):
         solve_psi(1.0, 0.0)
+
+
+def test_hyper_priors_reject_non_finite_scales():
+    prior = PCPrior.from_quantile(EXCH, balanced_design(3, 4), 0.5, 0.5)
+    for psi in (0.0, np.nan, np.inf):
+        with pytest.raises(DomainError, match="psi"):
+            HyperPriors(corr_prior=prior, psi=psi)
+        with pytest.raises(DomainError, match="psi"):
+            gumbel2_log_density(1.0, psi)
+    for beta_prec in (-1.0, np.nan, np.inf):
+        with pytest.raises(DomainError, match="beta_prec"):
+            HyperPriors(corr_prior=prior, psi=1.0, beta_prec=beta_prec)
 
 
 # ----------------------------------------------------------------------
@@ -249,11 +264,6 @@ def test_log_mlik_grid_refinement_converges():
         grid=GridConfig(n_tau=401, n_corr=401,
                         tau_bounds=(-25, 25), corr_bounds=(-25, 25)))
     assert_allclose(coarse.log_mlik, fine.log_mlik, atol=5e-5)
-    simpson = log_marginal_likelihood(
-        ds, EXCH, hyper,
-        grid=GridConfig(n_tau=401, n_corr=401, tau_bounds=(-25, 25),
-                        corr_bounds=(-25, 25), rule="simpson"))
-    assert_allclose(simpson.log_mlik, fine.log_mlik, atol=1e-8)
 
 
 def test_ou_equals_ar1_under_shared_distance_prior():
@@ -413,14 +423,7 @@ def test_fit_invariant_under_group_reordering(ds, model, seed):
 def test_grid_config_validations():
     with pytest.raises(DomainError):
         GridConfig(n_tau=1)
-    with pytest.raises(DomainError):
-        GridConfig(rule="midpoint")
-    with pytest.raises(DomainError):
-        GridConfig(n_tau=200, rule="simpson")
     w = GridConfig(n_tau=5, n_corr=5, tau_bounds=(0.0, 4.0)).weights("tau")
-    assert_allclose(w.sum(), 4.0)
-    w = GridConfig(n_tau=5, n_corr=5, tau_bounds=(0.0, 4.0),
-                   rule="simpson").weights("tau")
     assert_allclose(w.sum(), 4.0)
 
 
@@ -452,9 +455,13 @@ def test_posterior_summaries_match_exponential_quantiles():
     assert_allclose(q975, -np.log(0.025), atol=2e-3)
 
 
+def _quantile(mu, sd, w, prob):
+    """One quantile of one mixture through `_mixture_quantiles`."""
+    return _mixture_quantiles(mu[None], sd[None], w, (prob,))[0, 0]
+
+
 def test_mixture_quantile_single_gaussian():
-    q = _mixture_gaussian_quantile(np.array([1.5]), np.array([2.0]),
-                                   np.array([1.0]), 0.975)
+    q = _quantile(np.array([1.5]), np.array([2.0]), np.array([1.0]), 0.975)
     assert_allclose(q, stats.norm(1.5, 2.0).ppf(0.975), atol=1e-9)
 
 
@@ -462,14 +469,17 @@ def test_mixture_quantile_two_components():
     mu = np.array([-3.0, 3.0])
     sd = np.array([0.5, 0.5])
     w = np.array([0.5, 0.5])
-    assert_allclose(_mixture_gaussian_quantile(mu, sd, w, 0.5), 0.0,
-                    atol=1e-9)
-    lo = _mixture_gaussian_quantile(mu, sd, w, 0.025)
+    assert_allclose(_quantile(mu, sd, w, 0.5), 0.0, atol=1e-9)
+    lo = _quantile(mu, sd, w, 0.025)
     assert_allclose(stats.norm(-3, 0.5).cdf(lo) * 0.5, 0.025, atol=1e-9)
 
 
+@functools.lru_cache(maxsize=None)
 def _mpmath_quantile(mu, sd, w, prob):
-    """Mixture quantile by 200 bisection steps at 40 significant digits."""
+    """Mixture quantile by 200 bisection steps at 40 significant digits.
+
+    Takes tuples, so each case is computed once per session.
+    """
     with mpmath.workdps(40):
         mu, sd, w = ([mpmath.mpf(float(v)) for v in a] for a in (mu, sd, w))
         cdf = lambda x: sum(wk * mpmath.ncdf((x - mk) / sk)
@@ -487,31 +497,74 @@ def _mpmath_quantile(mu, sd, w, prob):
 
 def _random_mixture(seed, k=30):
     rng = np.random.default_rng(seed)
-    return (list(rng.normal(0.0, 2.0, k)), list(rng.uniform(0.05, 1.5, k)),
-            list(rng.dirichlet(np.ones(k))))
+    return (tuple(rng.normal(0.0, 2.0, k)), tuple(rng.uniform(0.05, 1.5, k)),
+            tuple(rng.dirichlet(np.ones(k))))
 
 
-@pytest.mark.parametrize("mu, sd, w", [
-    ([1.5], [2.0], [1.0]),
-    ([-3.0, 3.0], [0.5, 0.5], [0.5, 0.5]),
-    ([0.2, 1.1], [0.3, 1.7], [0.8, 0.2]),
+MIXTURES = [
+    ((1.5,), (2.0,), (1.0,)),
+    ((-3.0, 3.0), (0.5, 0.5), (0.5, 0.5)),
+    ((0.2, 1.1), (0.3, 1.7), (0.8, 0.2)),
     _random_mixture(1),
     _random_mixture(2),
     _random_mixture(3),
-])
+]
+PROBS = (0.025, 0.5, 0.975)
+
+
+def _counting_ndtr(monkeypatch):
+    """Replace `inference.ndtr` by a wrapper; returns the list of calls."""
+    evals = []
+    ndtr = inference.ndtr
+    monkeypatch.setattr(inference, "ndtr",
+                        lambda x: evals.append(1) or ndtr(x))
+    return evals
+
+
+@pytest.mark.parametrize("mu, sd, w", MIXTURES)
 def test_mixture_quantile_matches_mpmath_in_few_cdf_evaluations(
         mu, sd, w, monkeypatch):
-    mu, sd, w = np.array(mu), np.array(sd), np.array(w)
-    ndtr = inference.ndtr
-    for prob in (0.025, 0.5, 0.975):
+    for prob in PROBS:
         want = _mpmath_quantile(mu, sd, w, prob)
-        evals = []
-        monkeypatch.setattr(inference, "ndtr",
-                            lambda x: evals.append(1) or ndtr(x))
-        got = _mixture_gaussian_quantile(mu, sd, w, prob)
+        mu_, sd_, w_ = np.array(mu), np.array(sd), np.array(w)
+        evals = _counting_ndtr(monkeypatch)
+        got = _quantile(mu_, sd_, w_, prob)
         monkeypatch.undo()
-        assert abs(got - want) <= 4e-15 * max(abs(want), sd.min()), prob
+        assert abs(got - want) <= 4e-15 * max(abs(want), sd_.min()), prob
         assert len(evals) <= 12, prob
+
+
+def test_mixture_quantiles_of_stacked_mixtures_in_one_solve(monkeypatch):
+    # every mixture padded to 30 components by zero-weight copies of its
+    # first, which leave its CDF, slope, bracket and min sd unchanged
+    k = max(len(mu) for mu, _, _ in MIXTURES)
+    pad = lambda a, fill: list(a) + [fill] * (k - len(a))
+    mu = np.array([pad(m, m[0]) for m, _, _ in MIXTURES])
+    sd = np.array([pad(s, s[0]) for _, s, _ in MIXTURES])
+    w = np.array([pad(v, 0.0) for _, _, v in MIXTURES])
+    evals = _counting_ndtr(monkeypatch)
+    got = _mixture_quantiles(mu, sd, w, PROBS)
+    monkeypatch.undo()
+    assert got.shape == (len(MIXTURES), len(PROBS))
+    assert len(evals) <= 12
+    for row, (m, s, v) in zip(got, MIXTURES):
+        for q, prob in zip(row, PROBS):
+            want = _mpmath_quantile(m, s, v, prob)
+            assert abs(q - want) <= 4e-15 * max(abs(want), min(s)), prob
+
+
+def test_mixture_quantiles_of_stacked_columns_equal_each_alone():
+    rng = np.random.default_rng(5)
+    mu = rng.normal(0.0, 1.0, (4, 300))
+    sd = rng.uniform(0.1, 2.0, (4, 300))
+    w = rng.dirichlet(np.ones(300))
+    joint = _mixture_quantiles(mu, sd, w, (0.025, 0.975))
+    for i in range(4):
+        one = slice(i, i + 1)
+        alone = _mixture_quantiles(mu[one], sd[one], w, (0.025, 0.975))
+        assert_array_equal(joint[i], alone[0])
+        assert_array_equal(joint[i, :1],
+                           _mixture_quantiles(mu[one], sd[one], w, (0.025,))[0])
 
 
 # ----------------------------------------------------------------------

@@ -74,8 +74,11 @@ def test_config_validation():
         SimConfig(design=d, model=EXCH, param=0.5)
     with pytest.raises(DomainError):
         SimConfig(design=d, model=EXCH, param=1.0, seed=1)
-    with pytest.raises(DomainError):
-        SimConfig(design=d, model=EXCH, param=0.5, sigma2=0.0, seed=1)
+    for sigma2 in (0.0, np.nan, np.inf):
+        with pytest.raises(DomainError, match="sigma2"):
+            SimConfig(design=d, model=EXCH, param=0.5, sigma2=sigma2, seed=1)
+    with pytest.raises(DomainError, match="NaN"):
+        SimConfig(design=d, model=EXCH, param=np.nan, seed=1)
     with pytest.raises(DomainError):
         SimConfig(design=d, model=EXCH, param=0.5, beta=(), seed=1)
     with pytest.raises(DomainError):

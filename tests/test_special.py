@@ -8,6 +8,7 @@ import pytest
 from scipy import special as oracle
 
 from grouppc import special
+from grouppc.errors import NumericError
 
 
 def test_ndtr_matches_scipy():
@@ -66,3 +67,43 @@ def test_logsumexp_matches_scipy(a):
 def test_logsumexp_of_nothing_but_minus_infinity():
     a = np.full((3, 4), -np.inf)
     assert special.logsumexp(a) == -np.inf == oracle.logsumexp(a)
+
+
+def test_safeguarded_newton_solves_rising_and_falling_equations():
+    a = np.array([0.5, 2.0, 9.0, 1e6])
+    calls = []
+
+    def rising(idx, x):
+        calls.append(idx.size)
+        f = x * x - a[idx]
+        return f, 2.0 * x, np.abs(f) <= 1e-15 * a[idx]
+
+    x = special.safeguarded_newton(rising, np.ones(4), np.zeros(4),
+                                   np.full(4, 1e3), True)
+    np.testing.assert_allclose(x, np.sqrt(a), rtol=1e-15)
+    # unknowns that are done are not evaluated again
+    assert calls[0] == 4 and calls[-1] < 4
+    # f = a - x^2 falls in x: same roots
+    falling = lambda idx, x: (a[idx] - x * x, -2.0 * x,
+                              np.abs(a[idx] - x * x) <= 1e-15 * a[idx])
+    y = special.safeguarded_newton(falling, np.ones(4), np.zeros(4),
+                                   np.full(4, 1e3), False)
+    np.testing.assert_allclose(y, np.sqrt(a), rtol=1e-15)
+
+
+def test_safeguarded_newton_bisects_without_a_slope():
+    # a zero slope makes every step a bisection, which ends when no double
+    # is left inside the bracket
+    f_slope = lambda idx, x: (x - 0.3, np.zeros_like(x),
+                              np.zeros(x.shape, dtype=bool))
+    x = special.safeguarded_newton(f_slope, [0.9], [0.0], [1.0], True)
+    assert abs(x[0] - 0.3) <= np.spacing(0.3)
+
+
+def test_safeguarded_newton_raises_when_not_converged():
+    # the root at 1e-300 is about a thousand bisections from [-1, 1], and
+    # the unknown is never met
+    f_slope = lambda idx, x: (x - 1e-300, np.zeros_like(x),
+                              np.zeros(x.shape, dtype=bool))
+    with pytest.raises(NumericError, match="not converged in 200 steps"):
+        special.safeguarded_newton(f_slope, [0.5], [-1.0], [1.0], True)
