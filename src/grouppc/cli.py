@@ -95,8 +95,9 @@ def _sniff_columns(table, args):
 
 def _read_cli_dataset(table, args, group_col=None, pos_col=None, exclude=(),
                       sniff_pos=True):
-    """Build a dataset treating every unclaimed column as a covariate.
+    """Build a dataset with the `--covariates` columns as covariates.
 
+    Without `--covariates`, every unclaimed column is a covariate.
     `table` is the parsed data file.  `exclude` lists columns that other
     models in the same comparison use as grouping factors or coordinates;
     they are never covariates.  With `sniff_pos` off, positions are only
@@ -107,7 +108,13 @@ def _read_cli_dataset(table, args, group_col=None, pos_col=None, exclude=(),
     if pos_col is None and sniff_pos:
         pos_col = default_pos
     taken = {"y", group_col, pos_col} | set(exclude)
-    covariates = [c for c in table.header if c not in taken]
+    covariates = args.covariates
+    if covariates is None:
+        covariates = [c for c in table.header if c not in taken]
+    for name in covariates:
+        if name in taken:
+            raise DataError(f"column {name!r} is the response, a grouping "
+                            "factor or a coordinate, not a covariate")
     dataset = io.table_dataset(table, covariate_names=covariates,
                                group_column=group_col, pos_column=pos_col)
     return dataset, group_col
@@ -314,6 +321,11 @@ def build_parser():
         p.add_argument("--unit-spacing", action="store_true",
                        help="let OU treat rows as unit-spaced when no "
                             "position column exists")
+        p.add_argument("--covariates", nargs="*", default=None,
+                       metavar="NAME",
+                       help="covariate columns beside the intercept; with "
+                            "no NAME, none (default: every column not used "
+                            "as y, a grouping factor or a coordinate)")
 
     def add_fit_flags(p):
         p.add_argument("--sigma-u", type=float, default=DEFAULT_SIGMA_U,

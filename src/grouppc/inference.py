@@ -13,10 +13,11 @@ Conditional on (tau, param) the marginal covariance of y is
 whose likelihood is evaluated through the Woodbury identity from the
 q x q sufficient statistics Z'C^-1 Z of Z = [y, X], built from group
 sums and consecutive-pair products for every correlation node at once.
-The p x p capacitance is Cholesky-factored at every grid cell; the
-conditional moments of beta, which need its inverse, are formed only at
-the cells that carry posterior mass.  A dense evaluation of the same
-likelihood is kept alongside for verification.
+One eigendecomposition of X'C^-1 X per correlation node diagonalises
+the p x p capacitance at every precision at once; the conditional
+moments of beta are formed only at the cells that carry posterior
+mass.  A dense evaluation of the same likelihood is kept alongside for
+verification.
 
 The evidence integrates the conditional likelihood against a penalized
 complexity prior on the correlation parameter and a Gumbel type-2 prior
@@ -202,44 +203,41 @@ def _woodbury(dataset: Dataset, model: GroupModel, s: NDArray,
               log_tau: NDArray, beta_prec: float, logdetC: NDArray):
     """Likelihood on the (log tau, internal correlation) tensor grid.
 
-    Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X'), the Cholesky
-    factor L and the whitened vector z = L^-1 b, all indexed [log tau, s].
-    With the statistics W = Z'QZ of `_sufficient_stats`, the capacitance
-    B = beta_prec I + tau X'QX = L L' and b = tau X'Qy, the determinant
-    lemma and the Woodbury identity need only log|L|, z'z and log|C| at
-    the nodes ``s`` (``logdetC``, from the caller's closed-form pass).  B is
-    factored at every cell and z comes from a forward substitution over
-    the p coefficients; no inverse is formed (`_beta_moments` does that
-    on the cells that carry posterior mass).
+    Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') indexed [log tau, s],
+    the capacitance's eigenvalues d indexed [log tau, s, :], and per node
+    its eigenvectors V and c = V'X'Qy.  With the statistics W = Z'QZ of
+    `_sufficient_stats`, one `eigh` per node gives X'QX = V diag(lam) V',
+    so the capacitance B = beta_prec I + tau X'QX is V diag(d) V' with
+    d = beta_prec + tau lam at every tau at once.  The determinant lemma
+    and the Woodbury identity then need only sum(log d),
+    b'B^-1 b = tau^2 sum(c^2 / d) and log|C| at the nodes (``logdetC``,
+    from the caller's closed-form pass).  A d that is not positive and
+    finite raises `NumericError`.
     """
     M, p = dataset.n_obs, dataset.n_coef
     W = _sufficient_stats(dataset, model, s)
+    lam, V = np.linalg.eigh(W[:, 1:, 1:])
+    c = np.einsum("kji,kj->ki", V, W[:, 1:, 0])
     tau = np.exp(log_tau)[:, None]
-    try:
-        L = np.linalg.cholesky(beta_prec * np.eye(p)
-                               + tau[..., None, None] * W[:, 1:, 1:])
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"capacitance factorization failed: {exc}") from exc
-    z = tau[..., None] * W[:, 1:, 0]
-    for i in range(p):
-        z[..., i] -= np.einsum("tkj,tkj->tk", L[..., i, :i], z[..., :i])
-        z[..., i] /= L[..., i, i]
+    d = beta_prec + tau[..., None] * lam
+    if not np.all((d > 0) & (d < np.inf)):
+        raise NumericError("capacitance is not positive definite")
     logdet = (-M * log_tau[:, None] + logdetC - p * np.log(beta_prec)
-              + 2.0 * np.log(np.einsum("tkii->tki", L)).sum(axis=-1))
+              + np.log(d).sum(axis=-1))
     loglik = -0.5 * (M * _LOG_2PI + logdet + tau * W[:, 0, 0]
-                     - np.einsum("tki,tki->tk", z, z))
-    return loglik, L, z
+                     - tau * tau * (c * c / d).sum(axis=-1))
+    return loglik, d, (V, c)
 
 
-def _beta_moments(L: NDArray, z: NDArray):
-    """Mean L^-T z and variance diag(B^-1) of beta given y, per cell.
+def _beta_moments(V: NDArray, d: NDArray, b: NDArray):
+    """Mean V (b / d) and variance (V o V)(1 / d) of beta given y, per cell.
 
-    ``L`` and ``z`` are `_woodbury`'s factor and whitened vector at the
-    selected cells, stacked along the first axis.
+    ``V``, ``d`` and ``b`` = tau c are `_woodbury`'s eigenvectors,
+    eigenvalues and rotated vector at the selected cells, stacked along
+    the first axis; (V o V)(1 / d) is the diagonal of B^-1.
     """
-    Linv = np.linalg.inv(L)
-    return (np.einsum("nji,nj->ni", Linv, z),
-            np.einsum("nji,nji->ni", Linv, Linv))
+    return (np.einsum("nij,nj->ni", V, b / d),
+            np.einsum("nij,nj->ni", V * V, 1.0 / d))
 
 
 def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
@@ -424,8 +422,8 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
         *prior.distance._from_kernel(kernel, s_nodes), 0.0, s_nodes)
 
     n_t, n_s = t_nodes.size, s_nodes.size
-    loglik, L, z = _woodbury(dataset, model, s_nodes, t_nodes,
-                             hyper.beta_prec, kernel[0])
+    loglik, d, (V, c) = _woodbury(dataset, model, s_nodes, t_nodes,
+                                  hyper.beta_prec, kernel[0])
 
     log_joint = loglik + log_prior_t[:, None] + log_prior_s[None, :]
     log_cells = log_joint + logw_t[:, None] + logw_s[None, :]
@@ -458,9 +456,10 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     sigma2_summary = {"mean": s2_mean, "q025": s2_lo, "q975": s2_hi}
 
     flat_w = mass.ravel()
-    active = flat_w > 1e-15
-    beta_mean, beta_var = _beta_moments(L.reshape(-1, p, p)[active],
-                                        z.reshape(-1, p)[active])
+    active = np.flatnonzero(flat_w > 1e-15)
+    t_idx, k_idx = np.divmod(active, n_s)
+    beta_mean, beta_var = _beta_moments(
+        V[k_idx], d[t_idx, k_idx], np.exp(t_nodes[t_idx])[:, None] * c[k_idx])
     w = flat_w[active]
     w = w / w.sum()
     quantiles = _mixture_quantiles(beta_mean.T, np.sqrt(beta_var.T), w,

@@ -26,7 +26,7 @@ from grouppc import (
     log_marginal_likelihood,
     solve_psi,
 )
-from grouppc import cli
+from grouppc import cli, inference
 from grouppc.cli import main
 
 # scaling for exchangeable, n=6, m=50, median ICC 0.5 (frozen)
@@ -272,6 +272,77 @@ def test_fit_all_singleton_groups_is_degenerate_scaling(tmp_path, capsys):
     assert not (tmp_path / "fit.json").exists()
 
 
+def test_fit_refuses_indefinite_capacitance(tmp_path, capsys, monkeypatch):
+    # one flipped diagonal entry makes X'QX indefinite at every node
+    data = simulate_csv(tmp_path, n=8, m=5, seed=21)
+    real = inference._sufficient_stats
+
+    def flipped(*args):
+        W = real(*args)
+        W[:, -1, -1] *= -1.0
+        return W
+    monkeypatch.setattr(inference, "_sufficient_stats", flipped)
+    capsys.readouterr()
+    code = main(["fit", "--family", "exchangeable", "--data", data,
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == 4
+    assert "not positive definite" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
+def text_column_csv(tmp_path):
+    """y,group,site,x1,x2 where the text column site is no covariate."""
+    rng = np.random.default_rng(7)
+    lines = ["y,group,site,x1,x2"]
+    for g in range(8):
+        for _ in range(5):
+            x1, x2 = rng.normal(size=2)
+            y = 0.5 + 0.8 * x1 - 0.3 * x2 + rng.normal()
+            lines.append(f"{y:.17g},g{g},s{g % 3},{x1:.17g},{x2:.17g}")
+    data = tmp_path / "text.csv"
+    data.write_text("\n".join(lines) + "\n")
+    return str(data)
+
+
+def test_fit_covariates_flag_names_the_covariates(tmp_path, capsys):
+    data = text_column_csv(tmp_path)
+    out_json = tmp_path / "fit.json"
+    argv = ["fit", "--family", "exchangeable", "--data", data,
+            "--out", str(out_json)]
+    # without the flag every unclaimed column is a covariate, text included
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "'site'" in capsys.readouterr().err
+    assert not out_json.exists()
+
+    code, _ = run(capsys, argv + ["--covariates", "x1", "x2"])
+    assert code == 0
+    with open(out_json, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert [b["name"] for b in payload["beta"]] == ["intercept", "x1", "x2"]
+    dataset = io.read_dataset(data, covariate_names=("x1", "x2"))
+    model = GroupModel(Family.EXCHANGEABLE)
+    hyper = HyperPriors(
+        corr_prior=PCPrior.from_quantile(model, dataset.design, 0.5, 0.5),
+        psi=solve_psi(1.0 / 0.31, 0.01))
+    fit = log_marginal_likelihood(dataset, model, hyper)
+    assert_allclose(payload["log_mlik"], fit.log_mlik, rtol=1e-12)
+
+    # no NAME: the intercept alone
+    code, _ = run(capsys, argv + ["--covariates"])
+    assert code == 0
+    with open(out_json, encoding="utf-8") as fh:
+        assert [b["name"] for b in json.load(fh)["beta"]] == ["intercept"]
+
+    # an unknown or claimed name is refused and named
+    out_json.unlink()
+    for names in (["x1", "x3"], ["x1", "group"]):
+        capsys.readouterr()
+        assert main(argv + ["--covariates", *names]) == 3
+        assert repr(names[1]) in capsys.readouterr().err
+    assert not out_json.exists()
+
+
 def test_unknown_family_is_usage_error(tmp_path, capsys):
     code, _ = run(capsys, ["prior", "--family", "weird", "--n", "4",
                            "--m", "5", "--out", str(tmp_path / "pg.csv")])
@@ -350,6 +421,20 @@ def test_compare_across_grouping_factors(tmp_path, capsys):
         with open(path, encoding="utf-8") as fh:
             names = [b["name"] for b in json.load(fh)["beta"]]
         assert names == ["intercept", "x1"]
+
+
+def test_compare_covariates_flag_shares_one_x(tmp_path, capsys):
+    data = str(multi_grouping_csv(tmp_path))
+    argv = ["compare", "--data", data, "--model", "exchangeable@campaign",
+            "--model", "ou@transect:pos", "--out-dir", str(tmp_path / "cmp")]
+    code, out = run(capsys, argv)
+    assert code == 0
+    code, named = run(capsys, argv + ["--covariates", "x1"])
+    assert (code, named) == (0, out)
+    # a column another model claims as its grouping factor is refused
+    capsys.readouterr()
+    assert main(argv + ["--covariates", "x1", "transect"]) == 3
+    assert "'transect'" in capsys.readouterr().err
 
 
 def test_compare_opens_the_data_file_once(tmp_path, capsys, monkeypatch):

@@ -21,6 +21,7 @@ from grouppc import (
     GroupModel,
     GroupedDesign,
     HyperPriors,
+    NumericError,
     PCPrior,
     SimConfig,
     balanced_design,
@@ -175,43 +176,102 @@ def test_loglik_blockwise_equals_dense(ds, model, u, s_other, log_tau):
             assert_allclose(grid[i, k], one, rtol=1e-11)
 
 
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(ds=ragged_datasets(), model=st.sampled_from([EXCH, AR1, OU]),
+       s=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=3),
+       log_tau=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=3))
+def test_beta_moments_equal_dense_solve(ds, model, s, log_tau):
+    # oracle: B = beta_prec I + tau X'QX built and solved cell by cell
+    s, tau = np.array(s), np.exp(log_tau)
+    p = ds.n_coef
+    _, d, (V, c) = _woodbury(ds, model, s, np.log(tau), 1e-3,
+                             log_det_from_internal(model, ds.design, s))
+    t_idx, k_idx = np.divmod(np.arange(tau.size * s.size), s.size)
+    mean, var = _beta_moments(V[k_idx], d[t_idx, k_idx],
+                              tau[t_idx, None] * c[k_idx])
+    W = _sufficient_stats(ds, model, s)[k_idx]
+    B = 1e-3 * np.eye(p) + tau[t_idx, None, None] * W[:, 1:, 1:]
+    b = tau[t_idx, None] * W[:, 1:, 0]
+    assert_allclose(mean, np.linalg.solve(B, b[..., None])[..., 0],
+                    rtol=1e-10)
+    assert_allclose(var, np.diagonal(np.linalg.inv(B), axis1=1, axis2=2),
+                    rtol=1e-10)
+
+
 @pytest.mark.parametrize("model", [EXCH, AR1, OU],
                          ids=lambda m: m.family.value)
-def test_beta_moments_match_full_grid_inverse(model):
-    # oracle: L^-1 on every cell, mean L^-T L^-1 b, variance diag(B^-1)
+def test_woodbury_matches_per_cell_capacitance(model):
+    # oracle: B = beta_prec I + tau X'QX built on every cell, then
+    # slogdet and solve for the likelihood, solve and inv for the moments
     ds = reference_dataset()
-    p = ds.n_coef
+    M, p = ds.n_obs, ds.n_coef
     s = np.linspace(-12.0, 12.0, 41)
     log_tau = np.linspace(-12.0, 12.0, 31)
-    _, L, z = _woodbury(ds, model, s, log_tau, 1e-6,
-                        log_det_from_internal(model, ds.design, s))
-    b = np.exp(log_tau)[:, None, None] * _sufficient_stats(ds, model, s)[:, 1:, 0]
-    Linv = np.linalg.inv(L)
-    want_z = np.einsum("tkij,tkj->tki", Linv, b)
-    want_mean = np.einsum("tkji,tkj->tki", Linv, want_z).reshape(-1, p)
-    want_var = np.einsum("tkji,tkji->tki", Linv, Linv).reshape(-1, p)
-    assert_allclose(z, want_z, rtol=1e-12)
-    cells = np.random.default_rng(8).choice(len(want_mean), 60, replace=False)
-    mean, var = _beta_moments(L.reshape(-1, p, p)[cells],
-                              z.reshape(-1, p)[cells])
-    assert_allclose(mean, want_mean[cells], rtol=1e-12)
-    assert_allclose(var, want_var[cells], rtol=1e-12)
+    logdetC = log_det_from_internal(model, ds.design, s)
+    loglik, d, (V, c) = _woodbury(ds, model, s, log_tau, 1e-6, logdetC)
+    W = _sufficient_stats(ds, model, s)
+    tau = np.exp(log_tau)
+    B = 1e-6 * np.eye(p) + tau[:, None, None, None] * W[:, 1:, 1:]
+    b = tau[:, None, None] * W[:, 1:, 0]
+    sign, logdetB = np.linalg.slogdet(B)
+    assert np.all(sign == 1.0)
+    sol = np.linalg.solve(B, b[..., None])[..., 0]
+    want = -0.5 * (M * np.log(2.0 * np.pi) - M * log_tau[:, None] + logdetC
+                   - p * np.log(1e-6) + logdetB
+                   + tau[:, None] * W[:, 0, 0] - np.sum(b * sol, axis=-1))
+    assert_allclose(loglik, want, rtol=1e-12)
+    cells = np.random.default_rng(8).choice(loglik.size, 60, replace=False)
+    t_idx, k_idx = np.divmod(cells, s.size)
+    mean, var = _beta_moments(V[k_idx], d[t_idx, k_idx],
+                              tau[t_idx, None] * c[k_idx])
+    Binv = np.linalg.inv(B.reshape(-1, p, p)[cells])
+    assert_allclose(mean, sol.reshape(-1, p)[cells], rtol=1e-12)
+    assert_allclose(var, np.diagonal(Binv, axis1=1, axis2=2), rtol=1e-12)
 
 
-def test_fit_inverts_only_cells_with_mass(monkeypatch):
+def test_fit_diagonalises_once_and_forms_moments_only_where_mass_is(
+        monkeypatch):
     ds = reference_dataset()
-    inverted = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv",
-                        lambda a: inverted.append(np.shape(a)) or inv(a))
     prior = PCPrior.from_quantile(AR1, ds.design, 0.5, 0.5)
     hyper = HyperPriors(corr_prior=prior, psi=solve_psi(1 / 0.31, 0.01))
+    calls = {"eigh": [], "cholesky": [], "inv": []}
+    for name, shapes in calls.items():
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _r=real, _s=shapes:
+                            _s.append(np.shape(a)) or _r(a))
+    moments = []
+    real_moments = inference._beta_moments
+    monkeypatch.setattr(inference, "_beta_moments",
+                        lambda V, d, b: moments.append(d.shape)
+                        or real_moments(V, d, b))
     log_marginal_likelihood(ds, AR1, hyper)
-    # one batch of p x p factors, far fewer than the 201 x 201 grid cells
-    assert len(inverted) == 1
-    n_cells, rows, cols = inverted[0]
-    assert (rows, cols) == (ds.n_coef, ds.n_coef)
+    # one eigendecomposition per correlation node, no p x p factor per cell
+    assert calls == {"eigh": [(201, ds.n_coef, ds.n_coef)], "cholesky": [],
+                     "inv": []}
+    # one batch of moments, far fewer than the 201 x 201 grid cells
+    assert len(moments) == 1
+    n_cells, p = moments[0]
+    assert p == ds.n_coef
     assert 0 < n_cells < 201 * 201 // 4
+
+
+def test_fit_refuses_indefinite_capacitance(monkeypatch):
+    # one flipped diagonal entry makes X'QX indefinite at every node
+    ds = reference_dataset()
+    prior = PCPrior.from_quantile(EXCH, ds.design, 0.5, 0.5)
+    hyper = HyperPriors(corr_prior=prior, psi=solve_psi(1 / 0.31, 0.01))
+    real = inference._sufficient_stats
+
+    def flipped(*args):
+        W = real(*args)
+        W[:, -1, -1] *= -1.0
+        return W
+    monkeypatch.setattr(inference, "_sufficient_stats", flipped)
+    with pytest.raises(NumericError, match="not positive definite"):
+        log_marginal_likelihood(ds, EXCH, hyper)
+    with pytest.raises(NumericError, match="not positive definite"):
+        gaussian_loglik(ds, EXCH, 0.3, 1e4)
 
 
 @pytest.mark.parametrize("method", ["blockwise", "dense"])
