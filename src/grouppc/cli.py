@@ -34,7 +34,7 @@ from .errors import (
 from .inference import (
     GridConfig,
     HyperPriors,
-    evidence_category,
+    bayes_factor,
     log_marginal_likelihood,
     solve_psi,
 )
@@ -93,58 +93,70 @@ def _sniff_columns(table, args):
     return args.group_col, pos_col
 
 
-def _read_cli_dataset(table, args, group_col=None, pos_col=None, exclude=(),
-                      sniff_pos=True):
-    """Build a dataset with the `--covariates` columns as covariates.
+def _fit_models(args, specs):
+    """Fit each (text, family, group_col, pos_col) spec to the `--data` file.
 
-    Without `--covariates`, every unclaimed column is a covariate.
-    `table` is the parsed data file.  `exclude` lists columns that other
-    models in the same comparison use as grouping factors or coordinates;
-    they are never covariates.  With `sniff_pos` off, positions are only
-    used when `pos_col` names them.
+    The file is parsed once, and every fit shares one X: the `--covariates`
+    columns, or else every column that is not y and that no spec claims
+    as a grouping factor or coordinate.  A bare FAMILY spec falls back to
+    the flag/sniffed columns; an explicit @GROUPCOL uses positions only
+    when :POSCOL is given.  The first model's design scales the
+    correlation prior and every fit takes that rate.  Returns
+    (grouping, fit) pairs in spec order; an error names its spec.
     """
+    table = io.read_table(args.data)
     default_group, default_pos = _sniff_columns(table, args)
-    group_col = group_col or default_group
-    if pos_col is None and sniff_pos:
-        pos_col = default_pos
-    taken = {"y", group_col, pos_col} | set(exclude)
+    claimed = {"y", default_group, default_pos}
+    for _, _, group_col, pos_col in specs:
+        claimed |= {group_col, pos_col}
     covariates = args.covariates
     if covariates is None:
-        covariates = [c for c in table.header if c not in taken]
+        covariates = [c for c in table.header if c not in claimed]
     for name in covariates:
-        if name in taken:
+        if name in claimed:
             raise DataError(f"column {name!r} is the response, a grouping "
                             "factor or a coordinate, not a covariate")
-    dataset = io.table_dataset(table, covariate_names=covariates,
-                               group_column=group_col, pos_column=pos_col)
-    return dataset, group_col
-
-
-def _fit_one(dataset, model, args, lam=None):
-    if lam is None:
-        u, a = _quantile_statement(args, model)
-        prior = PCPrior.from_quantile(model, dataset.design, u, a)
-    else:
-        prior = PCPrior(lam=lam,
-                        distance=DistanceFunction(model, dataset.design))
-    hyper = HyperPriors(corr_prior=prior,
-                        psi=solve_psi(args.sigma_u, args.sigma_alpha))
-    return log_marginal_likelihood(dataset, model, hyper, grid=args.grid)
+    psi = solve_psi(args.sigma_u, args.sigma_alpha)
+    fits, lam = [], None
+    for text, family, group_col, pos_col in specs:
+        model = GroupModel(family, assume_unit_spacing=args.unit_spacing)
+        if group_col is None:
+            pos_col = default_pos
+        group_col = group_col or default_group
+        try:
+            dataset = io.table_dataset(table, covariates, group_col, pos_col)
+            if lam is None:
+                u, a = _quantile_statement(args, model)
+                lam = PCPrior.from_quantile(model, dataset.design, u, a).lam
+            prior = PCPrior(lam=lam,
+                            distance=DistanceFunction(model, dataset.design))
+            hyper = HyperPriors(corr_prior=prior, psi=psi)
+            fits.append((group_col, log_marginal_likelihood(
+                dataset, model, hyper, grid=args.grid)))
+        except (DomainError, ConfigurationError, DataError,
+                NumericError) as exc:
+            raise type(exc)(f"model {text!r}: {exc}") from exc
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"model {text!r}: {exc}") from exc
+    return fits
 
 
 def _format_table(rows):
     """Ranking table: grouping, model, rho quantiles, log_mlik, log BF.
 
-    `rows` holds (grouping, fit) pairs; they are sorted best first and
-    the Bayes factor column is left empty on the best row.
+    `rows` holds (grouping, fit) pairs; they are sorted best first, and
+    each row's log BF and category are `bayes_factor` of the best fit
+    over it, which refuses fits on other data or under other priors.  The
+    Bayes factor columns are left empty on the best row.
     """
     rows = sorted(rows, key=lambda r: -r[1].log_mlik)
-    best = rows[0][1].log_mlik
+    best = rows[0][1]
     header = ["grouping", "model", "rho_q025", "rho_mean", "rho_q975",
               "log_mlik", "log_bf", "evidence"]
     cells = [header]
     for grouping, fit in rows:
-        log_bf = best - fit.log_mlik
+        bf = bayes_factor(best, fit)
+        tie = bf.log_bf == 0.0
         cells.append([
             grouping,
             fit.family,
@@ -152,9 +164,8 @@ def _format_table(rows):
             "%.3f" % fit.rho["mean"],
             "%.3f" % fit.rho["q975"],
             "%.3f" % fit.log_mlik,
-            "" if fit.log_mlik == best else "%.2f" % log_bf,
-            "" if fit.log_mlik == best
-            else evidence_category(log_bf).replace(" ", "-"),
+            "" if tie else "%.2f" % bf.log_bf,
+            "" if tie else bf.category.replace(" ", "-"),
         ])
     widths = [max(len(row[k]) for row in cells) for k in range(len(header))]
     lines = []
@@ -172,8 +183,11 @@ def cmd_prior(args):
     family = parse_family(args.family)
     model = GroupModel(family, assume_unit_spacing=args.unit_spacing)
     if args.data is not None:
-        dataset, _ = _read_cli_dataset(io.read_table(args.data), args)
-        design = dataset.design
+        # the design needs the grouping and coordinates, no covariate
+        table = io.read_table(args.data)
+        group_col, pos_col = _sniff_columns(table, args)
+        design = io.table_dataset(table, group_column=group_col,
+                                  pos_column=pos_col).design
     elif args.n is not None and args.m is not None:
         design = balanced_design(args.n, args.m,
                                  unit_positions=family is Family.OU)
@@ -191,11 +205,10 @@ def cmd_prior(args):
 
 def cmd_fit(args):
     family = parse_family(args.family)
-    model = GroupModel(family, assume_unit_spacing=args.unit_spacing)
-    dataset, group_col = _read_cli_dataset(io.read_table(args.data), args)
-    fit = _fit_one(dataset, model, args)
-    io.write_fit(fit, args.out)
-    print(_format_table([(group_col, fit)]))
+    fits = _fit_models(args, [(args.family, family, None, None)])
+    table = _format_table(fits)
+    io.write_fit(fits[0][1], args.out)
+    print(table)
     print(f"wrote {args.out}")
     return 0
 
@@ -203,49 +216,16 @@ def cmd_fit(args):
 def cmd_compare(args):
     if not args.model:
         raise DomainError("compare needs at least one --model")
-    # columns claimed as grouping factors or coordinates by any model are
-    # excluded from every model's covariates, so all fits share one X
-    table = io.read_table(args.data)
-    _, default_pos = _sniff_columns(table, args)
-    claimed = {args.group_col, default_pos}
-    for _, _, group_col, pos_col in args.model:
-        claimed |= {group_col, pos_col}
-    claimed.discard(None)
-    fits = []
-    shared_lam = None
-    for k, (text, family, group_col, pos_col) in enumerate(args.model, 1):
-        model = GroupModel(family, assume_unit_spacing=args.unit_spacing)
-        try:
-            # a bare FAMILY spec falls back to flag/sniffed columns; an
-            # explicit @GROUPCOL uses positions only when :POSCOL is given
-            dataset, used_group = _read_cli_dataset(
-                table, args, group_col=group_col, pos_col=pos_col,
-                exclude=claimed, sniff_pos=group_col is None)
-            if shared_lam is None:
-                u, a = _quantile_statement(args, model)
-                shared_lam = PCPrior.from_quantile(
-                    model, dataset.design, u, a).lam
-            fit = _fit_one(dataset, model, args, lam=shared_lam)
-        except (DomainError, ConfigurationError, DataError,
-                NumericError) as exc:
-            raise type(exc)(f"model {text!r}: {exc}") from exc
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"model {text!r}: {exc}") from exc
-        path = f"{args.out_dir}/fit_{k}_{family.value}_{used_group}.json"
-        fits.append((used_group, fit, path))
-
-    # the table ranks evidences, which compare only on the same data under
-    # the same shared priors (as `bayes_factor` requires); a refused
-    # comparison writes no file
-    for kind in ("dataset", "prior"):
-        prints = {getattr(fit, f"{kind}_fingerprint") for _, fit, _ in fits}
-        if len(prints) != 1:
-            raise DataError(f"fits do not share a {kind} fingerprint")
+    fits = _fit_models(args, args.model)
+    # a comparison `bayes_factor` refuses writes no file
+    table = _format_table(fits)
     os.makedirs(args.out_dir, exist_ok=True)
-    for _, fit, path in fits:
-        io.write_fit(fit, path)
-    print(_format_table([(g, fit) for g, fit, _ in fits]))
-    print("wrote", " ".join(path for _, _, path in fits))
+    paths = []
+    for k, (group, fit) in enumerate(fits, 1):
+        paths.append(f"{args.out_dir}/fit_{k}_{fit.family}_{group}.json")
+        io.write_fit(fit, paths[-1])
+    print(table)
+    print("wrote", " ".join(paths))
     return 0
 
 
@@ -321,13 +301,13 @@ def build_parser():
         p.add_argument("--unit-spacing", action="store_true",
                        help="let OU treat rows as unit-spaced when no "
                             "position column exists")
+
+    def add_fit_flags(p):
         p.add_argument("--covariates", nargs="*", default=None,
                        metavar="NAME",
                        help="covariate columns beside the intercept; with "
                             "no NAME, none (default: every column not used "
                             "as y, a grouping factor or a coordinate)")
-
-    def add_fit_flags(p):
         p.add_argument("--sigma-u", type=float, default=DEFAULT_SIGMA_U,
                        help="residual sd scale U in P(sd > U) = alpha "
                             "(default: 1/0.31)")

@@ -15,7 +15,8 @@ gap correlations ``exp(-delta_i phi)`` enter.  AR1 is the unit-spacing
 special case under ``rho = exp(-phi)``.
 
 One private kernel returns log |R| and its derivative from one pass over
-the nodes; the public functions on both parameter scales project it.
+the nodes; the public functions project it on the parameter scale, and
+`_internal_kernel` evaluates it on the internal scale.
 
 A dense Cholesky fallback (`log_det_dense`, `dlogdet_finite_difference`)
 backs the same quantities for verification.
@@ -43,8 +44,6 @@ __all__ = [
     "dlogdet_finite_difference",
     "param_to_internal",
     "internal_to_param",
-    "log_det_from_internal",
-    "dlogdet_dinternal",
 ]
 
 # Largest logit(rho) with rho strictly below 1.0 in double precision.
@@ -334,7 +333,7 @@ def internal_to_param(model: GroupModel, t):
 
 
 def _internal_kernel(model: GroupModel, design: GroupedDesign, t):
-    """`_log_det_slope` at internal coordinates ``t``, stable in the tails."""
+    """(log |R|, slope) at internal coordinates ``t``, stable in the tails."""
     model.check_design(design)
     x = np.asarray(t, dtype=float)
     if model.family is Family.OU:
@@ -342,12 +341,3 @@ def _internal_kernel(model: GroupModel, design: GroupedDesign, t):
     rho = expit(x)
     return _log_det_slope(model, design, rho, -np.logaddexp(0.0, x), rho)
 
-
-def log_det_from_internal(model: GroupModel, design: GroupedDesign, t):
-    """`log_det` evaluated from the internal coordinate, stable in the tails."""
-    return _scalar_like(t, _internal_kernel(model, design, t)[0])
-
-
-def dlogdet_dinternal(model: GroupModel, design: GroupedDesign, t):
-    """Derivative of `log_det` in the internal coordinate (chain rule applied)."""
-    return _scalar_like(t, _internal_kernel(model, design, t)[1])

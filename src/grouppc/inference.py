@@ -22,8 +22,9 @@ verification.
 The evidence integrates the conditional likelihood against a penalized
 complexity prior on the correlation parameter and a Gumbel type-2 prior
 on the precision over a fixed tensor grid in (log tau, internal
-correlation coordinate).  Grid cells are independent work items; the
-reduction is an ordered log-sum-exp, so results are deterministic for a
+correlation coordinate).  Grid cells are independent work items; one
+pass exponentiates them relative to the largest, giving the evidence
+and the posterior weights alike, so results are deterministic for a
 given grid.
 """
 
@@ -39,7 +40,7 @@ from . import corr
 from .design import Dataset, Family, GroupModel
 from .errors import DataError, DomainError, NumericError
 from .pcprior import PCPrior
-from .special import expit, logsumexp, ndtr, safeguarded_newton
+from .special import expit, ndtr, safeguarded_newton
 
 __all__ = [
     "gumbel2_log_density",
@@ -104,8 +105,8 @@ class HyperPriors:
     def __post_init__(self):
         if not 0.0 < self.psi < np.inf:
             raise DomainError("psi must be positive and finite")
-        if not 0.0 <= self.beta_prec < np.inf:
-            raise DomainError("beta_prec must be finite and not negative")
+        if not 0.0 < self.beta_prec < np.inf:
+            raise DomainError("beta_prec must be positive and finite")
 
     def fingerprint(self) -> str:
         """Hash of the priors that comparable fits must share.
@@ -275,7 +276,7 @@ def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
     model.check_design(dataset.design)
     p = corr._check_param(model, param, allow_degenerate=False)
     s = np.atleast_1d(corr.param_to_internal(model, p))
-    logdetC = corr.log_det_from_internal(model, dataset.design, s)
+    logdetC = corr._internal_kernel(model, dataset.design, s)[0]
     loglik, _, _ = _woodbury(dataset, model, s, np.log([tau]), beta_prec,
                              logdetC)
     return float(loglik[0, 0])
@@ -383,7 +384,8 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
 
     Integrates the block-wise Gaussian likelihood against the priors over
     (log tau, logit rho) -- or (log tau, log phi) for OU -- with the
-    configured quadrature weights, reducing by log-sum-exp.  Posterior
+    configured quadrature weights: one exponentiation of the cells relative
+    to the largest gives the evidence and the posterior weights.  Posterior
     summaries come from the same grid: the correlation and variance
     marginals by interpolating the weighted CDF, the fixed effects from
     the analytic conditional Gaussians mixed over cells.
@@ -400,9 +402,6 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     if prior.design != dataset.design:
         raise DomainError(
             "the correlation prior was built for a different design")
-    if hyper.beta_prec <= 0:
-        raise DomainError("the evidence needs a proper fixed-effects prior "
-                          "(beta_prec > 0)")
     p = dataset.n_coef
     XtX = dataset.X.T @ dataset.X
     if np.linalg.matrix_rank(XtX) < p:
@@ -410,28 +409,30 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
 
     t_nodes = grid.axis("tau")          # log tau
     s_nodes = grid.axis("corr")         # internal correlation coordinate
-    logw_t = np.log(grid.weights("tau"))
-    logw_s = np.log(grid.weights("corr"))
 
-    # log prior factors on the internal scales (Jacobians included); one
-    # closed-form pass gives log|C| to the likelihood and d, d' to the prior
-    log_prior_t = (np.log(hyper.psi / 2.0) - 0.5 * t_nodes
-                   - hyper.psi * np.exp(-0.5 * t_nodes))
+    # log prior factors on the internal scales (Jacobians included) with
+    # the trapezoid log weights; one closed-form pass gives log|C| to the
+    # likelihood and d, d' to the prior
+    log_t = (gumbel2_log_density(np.exp(t_nodes), hyper.psi) + t_nodes
+             + np.log(grid.weights("tau")))
     kernel = corr._internal_kernel(model, dataset.design, s_nodes)
-    log_prior_s = prior._log_density(
-        *prior.distance._from_kernel(kernel, s_nodes), 0.0, s_nodes)
+    log_s = (prior._log_density(*prior.distance._from_kernel(kernel, s_nodes),
+                                0.0, s_nodes) + np.log(grid.weights("corr")))
 
     n_t, n_s = t_nodes.size, s_nodes.size
     loglik, d, (V, c) = _woodbury(dataset, model, s_nodes, t_nodes,
                                   hyper.beta_prec, kernel[0])
 
-    log_joint = loglik + log_prior_t[:, None] + log_prior_s[None, :]
-    log_cells = log_joint + logw_t[:, None] + logw_s[None, :]
-    if not np.all(np.isfinite(log_joint) | (log_joint == -np.inf)):
+    # one exponentiation relative to the largest cell; a NaN or +inf cell
+    # makes the maximum non-finite, and so does a grid with no mass
+    log_cells = loglik + log_t[:, None] + log_s[None, :]
+    top = log_cells.max()
+    if not np.isfinite(top):
         raise NumericError("non-finite evidence integrand")
-    log_mlik = float(logsumexp(log_cells))
-    mass = np.exp(log_cells - log_mlik)
-    mass /= mass.sum()
+    mass = np.exp(log_cells - top)
+    total = mass.sum()
+    log_mlik = float(top + np.log(total))
+    mass /= total
 
     boundary = (mass[0, :].sum() + mass[-1, :].sum()
                 + mass[1:-1, 0].sum() + mass[1:-1, -1].sum())
@@ -513,10 +514,9 @@ def bayes_factor(fit_a: FitResult, fit_b: FitResult) -> BayesFactor:
     priors (psi and beta_prec); other comparisons are refused.
     """
     if fit_a.dataset_fingerprint != fit_b.dataset_fingerprint:
-        raise DataError("fits are not on the same dataset "
-                        "(fingerprints differ)")
+        raise DataError("fits do not share a dataset fingerprint")
     if fit_a.prior_fingerprint != fit_b.prior_fingerprint:
-        raise DataError("fits do not share the precision and fixed-effect "
-                        "priors (psi, beta_prec)")
+        raise DataError("fits do not share a prior fingerprint: the "
+                        "precision and fixed-effect priors (psi, beta_prec)")
     log_bf = fit_a.log_mlik - fit_b.log_mlik
     return BayesFactor(log_bf=log_bf, category=evidence_category(log_bf))

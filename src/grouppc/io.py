@@ -244,19 +244,7 @@ def write_grid(grid, path):
 
 def read_grid(path):
     """Read a grid CSV written by `write_grid`."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(GRID_HEADER):
-            raise ParseError(
-                f"{path}: expected header {','.join(GRID_HEADER)}")
-        columns = [[], [], [], []]
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(
-                    f"row {reader.line_num}: expected 4 fields")
-            for store, name, cell in zip(columns, GRID_HEADER, row):
-                store.append(_parse_cell(cell, reader.line_num, name))
-    return PriorGrid(*(np.array(c) for c in columns))
+    table = read_table(path)
+    if table.header != GRID_HEADER:
+        raise ParseError(f"{path}: expected header {','.join(GRID_HEADER)}")
+    return PriorGrid(*map(np.array, _float_columns(table, GRID_HEADER)))

@@ -1,4 +1,4 @@
-"""Special functions in plain numpy: logistic, log-sum-exp, normal CDF.
+"""Special functions in plain numpy: logistic and normal CDF.
 
 These are the few special functions the package evaluates on every fit,
 plus the one root finder that inverts them.  Written here in numpy so
@@ -6,8 +6,6 @@ that importing the package loads no scipy:
 
 * `expit` keeps both tails, down to subnormals, and raises no
   floating-point warning;
-* `logsumexp` reduces a whole array the way ``scipy.special.logsumexp``
-  does, taking the largest terms out of the sum;
 * `ndtr` is the standard normal CDF through `erfc`, which evaluates
   W. J. Cody's rational Chebyshev approximations (Math. Comp. 23 (1969)
   631-637; coefficients of his CALERF routine) on three ranges of |x|;
@@ -20,7 +18,7 @@ import numpy as np
 
 from .errors import NumericError
 
-__all__ = ["expit", "logsumexp", "erfc", "ndtr", "safeguarded_newton"]
+__all__ = ["expit", "erfc", "ndtr", "safeguarded_newton"]
 
 #: below this x, exp(-x) overflows (exp(709) is finite, exp(710) is not)
 _EXPIT_TAIL = -709.0
@@ -37,24 +35,6 @@ def expit(x):
     x = np.asarray(x, dtype=float)
     return np.where(x < _EXPIT_TAIL, np.exp(np.minimum(x, _EXPIT_TAIL)),
                     1.0 / (1.0 + np.exp(-np.maximum(x, _EXPIT_TAIL))))
-
-
-def logsumexp(a) -> float:
-    """log(sum(exp(a))) over every element of ``a``.
-
-    The largest elements are taken out of the sum, which then adds their
-    count to the exponentials of the rest relative to them (log1p), as
-    scipy's does.  All -inf gives -inf.
-    """
-    a = np.asarray(a, dtype=float)
-    top = a.max()
-    if not np.isfinite(top):
-        return float(top)
-    is_top = a == top
-    n_top = np.count_nonzero(is_top)
-    e = np.exp(a - top)
-    e[is_top] = 0.0
-    return float(np.log1p(e.sum() / n_top) + np.log(n_top) + top)
 
 
 # Cody's CALERF coefficients: erf on |x| <= 0.46875 (A/B), erfc on

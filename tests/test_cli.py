@@ -6,7 +6,6 @@ determinism, and that the CLI plumbs flags into the same numbers the
 library produces directly.
 """
 
-import argparse
 import builtins
 import json
 import subprocess
@@ -86,6 +85,28 @@ def test_prior_from_data_file(tmp_path, capsys):
                              "--out", str(tmp_path / "pg.csv")])
     assert code == 0
     assert out.startswith("lambda = ")
+
+
+def test_prior_from_data_reads_no_covariate(tmp_path, capsys):
+    # the prior's design needs only the groups: a text column does not stop
+    # it, and it scales the prior as on the file without that column
+    data = text_column_csv(tmp_path)
+    with open(data, encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join(",".join(r[:2] + r[3:]) for r in rows) + "\n")
+    argv = ["prior", "--family", "ar1", "--out", str(tmp_path / "pg.csv"),
+            "--data"]
+    code, with_text = run(capsys, argv + [data])
+    assert code == 0
+    code, without = run(capsys, argv + [str(plain)])
+    assert code == 0
+    assert with_text.splitlines()[0].startswith("lambda = ")
+    assert with_text.splitlines()[0] == without.splitlines()[0]
+    # prior takes no --covariates flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [data, "--covariates", "x1"])
+    assert exc.value.code == 2
 
 
 def test_prior_median_icc_zero_is_usage_error(tmp_path, capsys):
@@ -437,6 +458,23 @@ def test_compare_covariates_flag_shares_one_x(tmp_path, capsys):
     assert "'transect'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])
+def test_fit_is_a_one_model_compare(tmp_path, capsys, family):
+    data = str(multi_grouping_csv(tmp_path))
+    flags = ["--data", data, "--group-col", "transect", "--covariates", "x1"]
+    code, fit_out = run(capsys, ["fit", "--family", family, *flags,
+                                 "--out", str(tmp_path / "fit.json")])
+    assert code == 0
+    code, compare_out = run(capsys, ["compare", "--model", family, *flags,
+                                     "--out-dir", str(tmp_path / "cmp")])
+    assert code == 0
+    written = tmp_path / "cmp" / f"fit_1_{family}_transect.json"
+    assert written.read_bytes() == (tmp_path / "fit.json").read_bytes()
+    # the same header and row; only the "wrote" line differs
+    assert fit_out.splitlines()[:-1] == compare_out.splitlines()[:-1]
+    assert len(fit_out.splitlines()) == 3
+
+
 def test_compare_opens_the_data_file_once(tmp_path, capsys, monkeypatch):
     data = str(multi_grouping_csv(tmp_path))
     opened = []
@@ -482,20 +520,20 @@ def test_compare_failure_names_the_model(tmp_path, capsys):
 
 def test_compare_refuses_fits_under_different_priors(tmp_path, capsys,
                                                     monkeypatch):
-    # the second fit sees a different sigma_u, so its psi and hence its
-    # prior fingerprint differ from the first fit's
+    # the second fit runs under a doubled psi, so its prior fingerprint
+    # differs from the first fit's
     data = simulate_csv(tmp_path, rho=0.6, seed=3)
-    fit_one = cli._fit_one
+    fit = cli.log_marginal_likelihood
     calls = []
 
-    def drifting(dataset, model, args, lam=None):
+    def drifting(dataset, model, hyper, grid):
         calls.append(model)
         if len(calls) > 1:
-            args = argparse.Namespace(**{**vars(args),
-                                         "sigma_u": 2.0 * args.sigma_u})
-        return fit_one(dataset, model, args, lam=lam)
+            hyper = HyperPriors(corr_prior=hyper.corr_prior,
+                                psi=2.0 * hyper.psi)
+        return fit(dataset, model, hyper, grid=grid)
 
-    monkeypatch.setattr(cli, "_fit_one", drifting)
+    monkeypatch.setattr(cli, "log_marginal_likelihood", drifting)
     capsys.readouterr()
     code = main(["compare", "--data", data, "--model", "exchangeable",
                  "--model", "ar1", "--out-dir", str(tmp_path / "cmp")])

@@ -19,10 +19,9 @@ from grouppc import (
     param_to_internal,
 )
 from grouppc.corr import (
-    dlogdet_dinternal,
+    _internal_kernel,
     dlogdet_finite_difference,
     log_det_dense,
-    log_det_from_internal,
 )
 
 EXCH = GroupModel(Family.EXCHANGEABLE)
@@ -303,7 +302,7 @@ def test_log_det_from_internal_matches_param_scale():
         t = rng.uniform(-8, 8, 7)
         for model in (EXCH, AR1, GroupModel(Family.OU)):
             want = [log_det(model, d, internal_to_param(model, tk)) for tk in t]
-            assert_allclose(log_det_from_internal(model, d, t), want,
+            assert_allclose(_internal_kernel(model, d, t)[0], want,
                             rtol=1e-11, atol=1e-13)
 
 
@@ -311,7 +310,7 @@ def test_log_det_from_internal_survives_saturation():
     # logit(rho) = 200 is far past double-precision rho < 1, yet the
     # internal-scale expression stays finite and follows the asymptote
     d = balanced_design(6, 50)
-    val = log_det_from_internal(EXCH, d, 200.0)
+    val = _internal_kernel(EXCH, d, 200.0)[0]
     assert np.isfinite(val)
     # asymptote: log(m) - (m-1) * t per group
     assert_allclose(val, 6 * (np.log(50) - 49 * 200.0), rtol=1e-10)
@@ -321,7 +320,7 @@ def test_log_det_from_internal_survives_saturation():
     for model in (EXCH, AR1):
         prior = PCPrior.from_quantile(model, ragged, 0.5, 0.5)
         for t in (40.0, 200.0):
-            slope = dlogdet_dinternal(model, ragged, t)
+            slope = _internal_kernel(model, ragged, t)[1]
             assert np.isfinite(slope)
             assert_allclose(slope, -13.0, rtol=1e-14)
             assert np.isfinite(prior.log_density_internal(t))
@@ -330,7 +329,7 @@ def test_log_det_from_internal_survives_saturation():
     ragged_ou = GroupedDesign(group_sizes=(5, 1, 9, 2), positions=tuple(
         tuple(np.cumsum(np.full(m, 0.5)).tolist()) for m in (5, 1, 9, 2)))
     prior = PCPrior.from_quantile(ou, ragged_ou, np.log(2.0), 0.5)
-    slope = dlogdet_dinternal(ou, ragged_ou, -700.0)
+    slope = _internal_kernel(ou, ragged_ou, -700.0)[1]
     assert np.isfinite(slope)
     assert_allclose(slope, 13.0, rtol=1e-14)
     assert np.isfinite(prior.log_density_internal(-700.0))
@@ -342,9 +341,9 @@ def test_dlogdet_dinternal_matches_chain_rule_and_differences():
     for model in (EXCH, AR1, GroupModel(Family.OU)):
         for t in (-6.0, -1.0, 0.5, 4.0):
             h = 1e-6
-            fd = (log_det_from_internal(model, d, t + h)
-                  - log_det_from_internal(model, d, t - h)) / (2 * h)
-            assert_allclose(dlogdet_dinternal(model, d, t), fd, rtol=2e-6)
+            fd = (_internal_kernel(model, d, t + h)[0]
+                  - _internal_kernel(model, d, t - h)[0]) / (2 * h)
+            assert_allclose(_internal_kernel(model, d, t)[1], fd, rtol=2e-6)
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 7])
@@ -359,12 +358,10 @@ def test_ou_closed_forms_are_chunk_invariant(chunk, monkeypatch):
     ou = GroupModel(Family.OU)
     for n in (1, chunk, chunk + 1, 3 * chunk + 1, 40):
         t = rng.uniform(-4.0, 4.0, n)
-        whole = (log_det_from_internal(ou, design, t),
-                 dlogdet_dinternal(ou, design, t),
+        whole = (*_internal_kernel(ou, design, t),
                  log_det(ou, design, np.exp(t).reshape(1, n)))
         monkeypatch.setattr("grouppc.corr._OU_CHUNK", chunk)
-        parts = (log_det_from_internal(ou, design, t),
-                 dlogdet_dinternal(ou, design, t),
+        parts = (*_internal_kernel(ou, design, t),
                  log_det(ou, design, np.exp(t).reshape(1, n)))
         monkeypatch.undo()
         for a, b in zip(whole, parts):

@@ -40,7 +40,7 @@ from grouppc import (
     solve_psi,
 )
 from grouppc import inference
-from grouppc.corr import log_det_from_internal
+from grouppc.corr import _internal_kernel
 from grouppc.inference import (
     _beta_moments,
     _mixture_quantiles,
@@ -107,7 +107,7 @@ def test_hyper_priors_reject_non_finite_scales():
             HyperPriors(corr_prior=prior, psi=psi)
         with pytest.raises(DomainError, match="psi"):
             gumbel2_log_density(1.0, psi)
-    for beta_prec in (-1.0, np.nan, np.inf):
+    for beta_prec in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(DomainError, match="beta_prec"):
             HyperPriors(corr_prior=prior, psi=1.0, beta_prec=beta_prec)
 
@@ -168,7 +168,7 @@ def test_loglik_blockwise_equals_dense(ds, model, u, s_other, log_tau):
     s = np.array([s_other, param_to_internal(model, param), -s_other])
     log_taus = np.array([log_tau, 0.0])
     grid, _, _ = _woodbury(ds, model, s, log_taus, 1e-3,
-                           log_det_from_internal(model, ds.design, s))
+                           _internal_kernel(model, ds.design, s)[0])
     for k, s_k in enumerate(s):
         for i, t_i in enumerate(log_taus):
             one = gaussian_loglik(ds, model, internal_to_param(model, s_k),
@@ -185,7 +185,7 @@ def test_beta_moments_equal_dense_solve(ds, model, s, log_tau):
     s, tau = np.array(s), np.exp(log_tau)
     p = ds.n_coef
     _, d, (V, c) = _woodbury(ds, model, s, np.log(tau), 1e-3,
-                             log_det_from_internal(model, ds.design, s))
+                             _internal_kernel(model, ds.design, s)[0])
     t_idx, k_idx = np.divmod(np.arange(tau.size * s.size), s.size)
     mean, var = _beta_moments(V[k_idx], d[t_idx, k_idx],
                               tau[t_idx, None] * c[k_idx])
@@ -207,7 +207,7 @@ def test_woodbury_matches_per_cell_capacitance(model):
     M, p = ds.n_obs, ds.n_coef
     s = np.linspace(-12.0, 12.0, 41)
     log_tau = np.linspace(-12.0, 12.0, 31)
-    logdetC = log_det_from_internal(model, ds.design, s)
+    logdetC = _internal_kernel(model, ds.design, s)[0]
     loglik, d, (V, c) = _woodbury(ds, model, s, log_tau, 1e-6, logdetC)
     W = _sufficient_stats(ds, model, s)
     tau = np.exp(log_tau)
@@ -254,6 +254,44 @@ def test_fit_diagonalises_once_and_forms_moments_only_where_mass_is(
     n_cells, p = moments[0]
     assert p == ds.n_coef
     assert 0 < n_cells < 201 * 201 // 4
+
+
+def test_fit_exponentiates_its_cells_once(monkeypatch):
+    ds = reference_dataset()
+    prior = PCPrior.from_quantile(AR1, ds.design, 0.5, 0.5)
+    hyper = HyperPriors(corr_prior=prior, psi=solve_psi(1 / 0.31, 0.01))
+    grid = GridConfig(n_tau=31, n_corr=41)
+    shapes = []
+    real_exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x, *args, **kwargs:
+                        shapes.append(np.shape(x))
+                        or real_exp(x, *args, **kwargs))
+    log_marginal_likelihood(ds, AR1, hyper, grid=grid)
+    assert shapes.count((31, 41)) == 1
+
+
+def test_fit_refuses_non_finite_cells(monkeypatch):
+    # a NaN or +inf cell, or a grid whose every cell is -inf, is refused;
+    # a single -inf cell only carries no mass
+    ds = reference_dataset()
+    prior = PCPrior.from_quantile(AR1, ds.design, 0.5, 0.5)
+    hyper = HyperPriors(corr_prior=prior, psi=solve_psi(1 / 0.31, 0.01))
+    grid = GridConfig(n_tau=31, n_corr=41)
+    real = inference._woodbury
+    want = log_marginal_likelihood(ds, AR1, hyper, grid=grid).log_mlik
+    for cells, value in ((np.s_[0, 0], -np.inf), (np.s_[3, 5], np.nan),
+                         (np.s_[3, 5], np.inf), (np.s_[:], -np.inf)):
+        def patched(*args, _cells=cells, _value=value):
+            loglik, d, eig = real(*args)
+            loglik[_cells] = _value
+            return loglik, d, eig
+        monkeypatch.setattr(inference, "_woodbury", patched)
+        if cells == np.s_[0, 0]:
+            got = log_marginal_likelihood(ds, AR1, hyper, grid=grid)
+            assert_allclose(got.log_mlik, want, rtol=1e-15)
+            continue
+        with pytest.raises(NumericError, match="non-finite"):
+            log_marginal_likelihood(ds, AR1, hyper, grid=grid)
 
 
 def test_fit_refuses_indefinite_capacitance(monkeypatch):

@@ -153,7 +153,7 @@ def test_distance_finite_and_nondecreasing_down_to_bracket_end(model):
                     + (a ** 3 - a) / 3 * rho ** 3).sum(axis=0)
         else:
             want = -a.sum() * rho ** 2
-        assert_allclose(corr.log_det_from_internal(model, design, tail), want,
+        assert_allclose(corr._internal_kernel(model, design, tail)[0], want,
                         rtol=1e-14)
         assert_allclose(corr.log_det(model, design, rho), want, rtol=1e-14)
 
