@@ -186,8 +186,7 @@ def cmd_prior(args):
         # the design needs the grouping and coordinates, no covariate
         table = io.read_table(args.data)
         group_col, pos_col = _sniff_columns(table, args)
-        design = io.table_dataset(table, group_column=group_col,
-                                  pos_column=pos_col).design
+        design, _ = io.table_design(table, group_col, pos_col)
     elif args.n is not None and args.m is not None:
         design = balanced_design(args.n, args.m,
                                  unit_positions=family is Family.OU)
@@ -254,10 +253,9 @@ def cmd_simulate(args):
             tuple(np.concatenate([[0.0], np.cumsum(g)])) for g in gaps)
         design = GroupedDesign(group_sizes=(args.m,) * args.n,
                                positions=positions)
-    elif family is Family.OU:
-        design = balanced_design(args.n, args.m, unit_positions=True)
     else:
-        design = balanced_design(args.n, args.m)
+        design = balanced_design(args.n, args.m,
+                                 unit_positions=family is Family.OU)
 
     config = SimConfig(design=design, model=GroupModel(family), param=param,
                        beta=tuple(args.beta), sigma2=args.sigma2,

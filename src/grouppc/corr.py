@@ -27,8 +27,6 @@ broadcast over the parameter.  All functions are pure.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -168,13 +166,6 @@ def _corr_block(model: GroupModel, design: GroupedDesign,
 # cancels before it can round to 0.  OU takes phi and
 # j = (d phi / d c) / phi: 1 / phi, or 1 for log phi.
 
-@functools.lru_cache(maxsize=64)
-def _size_counts(group_sizes: tuple) -> tuple:
-    """(size, number of groups) pairs, as ints, for each distinct size."""
-    sizes, counts = np.unique(np.asarray(group_sizes), return_counts=True)
-    return tuple(zip(sizes.tolist(), counts.tolist()))
-
-
 #: parameter nodes per OU block of gaps x nodes (bounds its memory)
 _OU_CHUNK = 512
 
@@ -235,13 +226,13 @@ def _log_det_slope(model: GroupModel, design: GroupedDesign, p, log1m_rho, j):
         return log_det, j * ratio
     log1m_plus = _log1pmx(-p, log1m_rho)
     if model.family is Family.AR1:
-        k = design.total_size - design.n_groups
+        k = design.gaps.size
         slope = -2.0 * k * p * j / (1.0 + p)
         if k == 0:
             return np.zeros(np.shape(p)), slope
         return k * (_log1pmx(p) + log1m_plus), slope
     log_det = slope = np.zeros(np.shape(p))
-    for m, c in _size_counts(design.group_sizes):
+    for m, c in design.size_classes:
         if m > 1:
             log_det = log_det + c * (_log1pmx((m - 1) * p)
                                      + (m - 1) * log1m_plus)

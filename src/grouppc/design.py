@@ -59,15 +59,17 @@ class GroupedDesign:
         on the model.
 
     Built once, read-only: ``offsets``, each group's first row in the
-    stacked observations followed by the total size, and ``gaps``, every
+    stacked observations followed by the total size; ``gaps``, every
     group's consecutive position gaps concatenated (unit gaps without
-    positions).
+    positions); ``size_classes``, (size, number of groups) int pairs by
+    increasing size.
     """
 
     group_sizes: tuple[int, ...]
     positions: tuple[tuple[float, ...], ...] | None = None
     offsets: NDArray = field(init=False, repr=False, compare=False)
     gaps: NDArray = field(init=False, repr=False, compare=False)
+    size_classes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.group_sizes) == 0:
@@ -105,6 +107,9 @@ class GroupedDesign:
         gaps.flags.writeable = False
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "gaps", gaps)
+        distinct, counts = np.unique(sizes, return_counts=True)
+        object.__setattr__(self, "size_classes",
+                           tuple(zip(distinct.tolist(), counts.tolist())))
 
     @property
     def n_groups(self) -> int:
@@ -112,7 +117,7 @@ class GroupedDesign:
 
     @property
     def total_size(self) -> int:
-        return sum(self.group_sizes)
+        return int(self.offsets[-1])
 
     def spacings(self, group_index: int) -> NDArray:
         """Consecutive position gaps within one group (unit gaps if no positions)."""

@@ -22,6 +22,7 @@ from .pcprior import PriorGrid
 
 __all__ = [
     "read_table",
+    "table_design",
     "table_dataset",
     "read_dataset",
     "write_dataset",
@@ -105,31 +106,24 @@ def _float_columns(table, names):
         raise
 
 
-def table_dataset(table, covariate_names=(), group_column="group",
-                  pos_column=None):
-    """Build a `Dataset` from a parsed table; see `read_dataset`.
+def table_design(table, group_column="group", pos_column=None):
+    """The `GroupedDesign` of a parsed table, and its row order.
 
-    Only the columns the model uses are converted to numbers.
+    Groups are numbered by first appearance.  With ``pos_column``, rows
+    are sorted by position within each group, and positions must be
+    distinct within a group; that column is the only one converted to
+    numbers.  The row order lists the table's rows group by group, as
+    an index array.
     """
-    covariate_names = tuple(covariate_names)
-    needed = ["y", group_column, *covariate_names]
-    if pos_column is not None:
-        needed.append(pos_column)
-    for name in needed:
-        table.column(name)
-    if not table.line_nums:
+    labels = table.column(group_column)
+    pos = None if pos_column is None else _float_columns(table, [pos_column])[0]
+    if not labels:
         raise ParseError(f"{table.path}: no data rows")
-    y, *covs = _float_columns(
-        table, ["y", *([pos_column] if pos_column is not None else []),
-                *covariate_names])
-    pos = covs.pop(0) if pos_column is not None else None
 
     groups: dict[str, list] = {}
-    for i, label in enumerate(table.column(group_column)):
+    for i, label in enumerate(labels):
         groups.setdefault(label, []).append(i)
-    sizes = []
     positions = []
-    order = []
     for label, rows in groups.items():
         if pos is not None:
             rows.sort(key=pos.__getitem__)
@@ -140,14 +134,24 @@ def table_dataset(table, covariate_names=(), group_column="group",
                         f"position {pos[cur]!r} duplicates one in group "
                         f"{label!r}")
             positions.append(tuple(pos[i] for i in rows))
-        sizes.append(len(rows))
-        order.extend(rows)
 
     design = GroupedDesign(
-        group_sizes=tuple(sizes),
+        group_sizes=tuple(map(len, groups.values())),
         positions=tuple(positions) if pos is not None else None,
     )
-    order = np.array(order, dtype=np.intp)
+    order = [i for rows in groups.values() for i in rows]
+    return design, np.array(order, dtype=np.intp)
+
+
+def table_dataset(table, covariate_names=(), group_column="group",
+                  pos_column=None):
+    """Build a `Dataset` from a parsed table; see `read_dataset`.
+
+    Only the columns the model uses are converted to numbers.
+    """
+    covariate_names = tuple(covariate_names)
+    design, order = table_design(table, group_column, pos_column)
+    y, *covs = _float_columns(table, ["y", *covariate_names])
     return Dataset(
         y=np.array(y)[order],
         X=np.column_stack([np.ones(order.size), *covs])[order],

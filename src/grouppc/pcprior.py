@@ -112,9 +112,9 @@ class DistanceFunction:
         self.increasing = model.family is not Family.OU
         if model.family is Family.EXCHANGEABLE:
             self._base_slope = np.sqrt(
-                sum(m * (m - 1) / 2.0 for m in design.group_sizes))
+                sum(c * m * (m - 1) / 2.0 for m, c in design.size_classes))
         elif model.family is Family.AR1:
-            self._base_slope = np.sqrt(design.total_size - design.n_groups)
+            self._base_slope = np.sqrt(design.gaps.size)
         else:
             self._base_slope = None
         if self.increasing:
