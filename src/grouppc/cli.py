@@ -183,7 +183,7 @@ def cmd_prior(args):
     family = parse_family(args.family)
     model = GroupModel(family, assume_unit_spacing=args.unit_spacing)
     if args.data is not None:
-        # the design needs the grouping and coordinates, no covariate
+        # the design needs the grouping and coordinates, not y or X
         table = io.read_table(args.data)
         group_col, pos_col = _sniff_columns(table, args)
         design, _ = io.table_design(table, group_col, pos_col)

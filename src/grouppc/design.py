@@ -54,15 +54,14 @@ class GroupedDesign:
     group_sizes : tuple of int
         Number of observations in each group, in row order.
     positions : tuple of tuple of float, optional
-        Per-group observation coordinates, strictly increasing within each
-        group.  Required by the OU family unless unit spacing is declared
-        on the model.
+        Per-group observation coordinates, finite and strictly increasing
+        within each group.  Required by the OU family unless unit spacing
+        is declared on the model.
 
     Built once, read-only: ``offsets``, each group's first row in the
-    stacked observations followed by the total size; ``gaps``, every
-    group's consecutive position gaps concatenated (unit gaps without
-    positions); ``size_classes``, (size, number of groups) int pairs by
-    increasing size.
+    stacked observations, then the total size; ``gaps``, all groups'
+    consecutive position gaps in a row (unit gaps without positions);
+    ``size_classes``, (size, number of groups) int pairs by size.
     """
 
     group_sizes: tuple[int, ...]
@@ -92,6 +91,8 @@ class GroupedDesign:
                     raise ConfigurationError(
                         f"group {j} has {m} observations but {len(p)} positions"
                     )
+                if not np.isfinite(p).all():
+                    raise ConfigurationError(f"group {j}: position not finite")
             object.__setattr__(self, "positions", pos)
             # drop the differences that straddle two groups
             flat = np.fromiter((x for p in pos for x in p), float, offsets[-1])

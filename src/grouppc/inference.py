@@ -64,6 +64,11 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # precision prior
 # ----------------------------------------------------------------------
 
+def _gumbel2_log_tau(t, psi: float):
+    """Log density of t = log tau under the Gumbel type-2 prior, any real t."""
+    return np.log(psi / 2.0) - 0.5 * t - psi * np.exp(-0.5 * t)
+
+
 def gumbel2_log_density(tau, psi: float):
     """Log density of the Gumbel type-2 prior on a precision.
 
@@ -75,7 +80,7 @@ def gumbel2_log_density(tau, psi: float):
     t = np.asarray(tau, dtype=float)
     if np.any(t <= 0):
         raise DomainError("tau must be positive")
-    out = np.log(psi / 2.0) - 1.5 * np.log(t) - psi / np.sqrt(t)
+    out = _gumbel2_log_tau(np.log(t), psi) - np.log(t)
     return float(out) if np.ndim(tau) == 0 else out
 
 
@@ -413,8 +418,7 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     # log prior factors on the internal scales (Jacobians included) with
     # the trapezoid log weights; one closed-form pass gives log|C| to the
     # likelihood and d, d' to the prior
-    log_t = (gumbel2_log_density(np.exp(t_nodes), hyper.psi) + t_nodes
-             + np.log(grid.weights("tau")))
+    log_t = _gumbel2_log_tau(t_nodes, hyper.psi) + np.log(grid.weights("tau"))
     kernel = corr._internal_kernel(model, dataset.design, s_nodes)
     log_s = (prior._log_density(*prior.distance._from_kernel(kernel, s_nodes),
                                 0.0, s_nodes) + np.log(grid.weights("corr")))

@@ -109,19 +109,21 @@ def _float_columns(table, names):
 def table_design(table, group_column="group", pos_column=None):
     """The `GroupedDesign` of a parsed table, and its row order.
 
-    Groups are numbered by first appearance.  With ``pos_column``, rows
-    are sorted by position within each group, and positions must be
-    distinct within a group; that column is the only one converted to
-    numbers.  The row order lists the table's rows group by group, as
-    an index array.
+    Groups are numbered by first appearance.  With ``pos_column``, the
+    only column converted to numbers, rows are sorted by position within
+    each group, and positions must be finite and distinct in a group.
+    The row order indexes the table's rows, group by group.
     """
-    labels = table.column(group_column)
     pos = None if pos_column is None else _float_columns(table, [pos_column])[0]
-    if not labels:
+    if not table.line_nums:
         raise ParseError(f"{table.path}: no data rows")
+    if pos is not None and not np.isfinite(pos).all():
+        i = int(np.argmin(np.isfinite(pos)))
+        raise ParseError(f"row {table.line_nums[i]}, column {pos_column!r}: "
+                         f"position {pos[i]!r} is not finite")
 
     groups: dict[str, list] = {}
-    for i, label in enumerate(labels):
+    for i, label in enumerate(table.column(group_column)):
         groups.setdefault(label, []).append(i)
     positions = []
     for label, rows in groups.items():
@@ -177,7 +179,7 @@ def read_dataset(path, covariate_names=(), group_column="group",
     pos_column : str, optional
         Column holding within-group coordinates.  When given, rows are
         sorted by position within each group and positions must be
-        distinct within a group.
+        finite and distinct within a group.
 
     Returns
     -------

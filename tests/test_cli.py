@@ -109,6 +109,51 @@ def test_prior_from_data_reads_no_covariate(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def _edit_cell(path, line, column, value):
+    """Copy of a CSV with one cell replaced (``line`` counts the header)."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [r.split(",") for r in fh.read().splitlines()]
+    rows[line - 1][rows[0].index(column)] = value
+    out = path[:-4] + f"_{column}_{value}.csv"
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(",".join(r) for r in rows) + "\n")
+    return out
+
+
+def test_prior_from_data_reads_no_y(tmp_path, capsys):
+    # the prior's design needs no response: a text y scales it as a number
+    data = simulate_csv(tmp_path, n=6, m=5)
+    texty = _edit_cell(data, 2, "y", "abc")
+    argv = ["prior", "--family", "exchangeable",
+            "--out", str(tmp_path / "pg.csv"), "--data"]
+    code, numeric = run(capsys, argv + [data])
+    assert code == 0
+    code, text = run(capsys, argv + [texty])
+    assert code == 0
+    assert numeric.splitlines()[0].startswith("lambda = ")
+    assert numeric.splitlines()[1].startswith("d(u) = ")
+    assert text.splitlines()[:2] == numeric.splitlines()[:2]
+    # the fit reads y, and names the cell
+    assert main(["fit", "--family", "exchangeable", "--data", texty,
+                 "--out", str(tmp_path / "f.json")]) == 3
+    assert "row 2, column 'y'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_position_is_a_data_error(tmp_path, capsys, value):
+    # the last position of the third group; the file line counts the header
+    data = simulate_csv(tmp_path, n=6, m=5, extra=("--pos-jitter", "0.2"))
+    bad = _edit_cell(data, 16, "pos", value)
+    for command, out in (("fit", "f.json"), ("prior", "pg.csv")):
+        code = main([command, "--family", "ou", "--data", bad,
+                     "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert code == 3, (command, err)
+        assert f"row 16, column 'pos': position {value}" in err
+        assert "not finite" in err
+        assert not (tmp_path / out).exists()
+
+
 def test_prior_median_icc_zero_is_usage_error(tmp_path, capsys):
     code, _ = run(capsys, ["prior", "--family", "exch", "--n", "6",
                            "--m", "50", "--median-icc", "0",

@@ -75,6 +75,25 @@ def test_design_names_group_with_unordered_positions():
                       positions=((0.0, 1.0), (5.0,), (0.0, 2.0, 2.0)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_design_names_group_with_non_finite_position(value):
+    # a last position, and the lone position of a one-row group
+    with pytest.raises(ConfigurationError, match="group 1: position not"):
+        GroupedDesign(group_sizes=(2, 3),
+                      positions=((0.0, 1.0), (0.0, 1.0, value)))
+    with pytest.raises(ConfigurationError, match="group 0: position not"):
+        GroupedDesign(group_sizes=(1, 2), positions=((value,), (0.0, 1.0)))
+
+
+def test_design_size_classes_count_each_size():
+    d = GroupedDesign(group_sizes=(3, 1, 3, 2, 3, 1))
+    assert d.size_classes == ((1, 2), (2, 1), (3, 3))
+    assert all(type(v) is int for pair in d.size_classes for v in pair)
+    assert d.total_size == 13 and type(d.total_size) is int
+    assert "size_classes" not in repr(d)
+    assert d == GroupedDesign(group_sizes=d.group_sizes)
+
+
 # ----------------------------------------------------------------------
 # corr_matrix
 # ----------------------------------------------------------------------

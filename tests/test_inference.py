@@ -92,6 +92,23 @@ def test_gumbel2_normalizes_and_hits_tail_statement():
     assert_allclose(np.exp(-psi * u_sigma), alpha, rtol=1e-13)
 
 
+def test_fit_takes_the_precision_prior_below_log_tau_minus_745():
+    # e^t underflows to 0 below t = -745: the fit evaluates the prior at t
+    design = balanced_design(5, 4)
+    data = simulate_dataset(SimConfig(design=design, model=EXCH, param=0.3,
+                                      seed=1))
+    hyper = toy_hyper(data)
+    deep = GridConfig(n_tau=8121, n_corr=41, tau_bounds=(-800.0, 12.0))
+    with np.errstate(over="ignore"):   # sigma^2 = e^-t at the far nodes
+        fit = log_marginal_likelihood(data, EXCH, hyper, deep)
+    assert np.isfinite(fit.log_mlik)
+    # the same 0.1 step over [-12, 12]: the nodes below carry no mass
+    near = GridConfig(n_tau=241, n_corr=41, tau_bounds=(-12.0, 12.0))
+    assert_allclose(fit.log_mlik,
+                    log_marginal_likelihood(data, EXCH, hyper, near).log_mlik,
+                    rtol=1e-12)
+
+
 def test_solve_psi_validates():
     for u_sigma in (0.0, np.nan, np.inf):
         with pytest.raises(DomainError):

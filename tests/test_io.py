@@ -146,6 +146,32 @@ def test_unbalanced_sizes_accepted(tmp_path):
     assert ds.design.group_sizes == (7, 8, 9, 10)
 
 
+def test_table_design_reads_only_group_and_position(tmp_path):
+    # a text y does not stop the design, which is read_dataset's design
+    text = write_csv(tmp_path / "t.csv",
+                     "y,group,pos\nabc,b,2\nx,a,5\n3,b,1\n4,a,4\n")
+    design, order = io.table_design(io.read_table(text), pos_column="pos")
+    assert design.group_sizes == (2, 2)
+    assert design.positions == ((1.0, 2.0), (4.0, 5.0))
+    assert order.tolist() == [2, 0, 3, 1]
+    numeric = write_csv(tmp_path / "n.csv", "y,group,pos\n1,b,2\n2,a,5\n"
+                        "3,b,1\n4,a,4\n")
+    ds = io.read_dataset(numeric, pos_column="pos")
+    assert ds.design == design
+    assert ds.y.tolist() == [3.0, 1.0, 4.0, 2.0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_position_names_row_and_column(tmp_path, value):
+    path = write_csv(tmp_path / "p.csv",
+                     f"y,group,pos\n1,a,0\n2,a,1\n3,b,0\n4,b,{value}\n")
+    for read in (lambda: io.read_dataset(path, pos_column="pos"),
+                 lambda: io.table_design(io.read_table(path), "group", "pos")):
+        with pytest.raises(ParseError,
+                           match=r"row 5, column 'pos': position .* not finite"):
+            read()
+
+
 def test_parse_errors_name_row_and_column(tmp_path):
     bad_cell = write_csv(tmp_path / "a.csv", "y,group\n1,a\nhuh,b\n")
     with pytest.raises(ParseError, match=r"row 3, column 'y'"):
