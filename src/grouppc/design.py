@@ -10,6 +10,7 @@ single free parameter each.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -91,7 +92,7 @@ class GroupedDesign:
                     raise ConfigurationError(
                         f"group {j} has {m} observations but {len(p)} positions"
                     )
-                if not np.isfinite(p).all():
+                if not all(map(math.isfinite, p)):
                     raise ConfigurationError(f"group {j}: position not finite")
             object.__setattr__(self, "positions", pos)
             # drop the differences that straddle two groups

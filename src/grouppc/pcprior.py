@@ -380,9 +380,8 @@ def balanced_density(family: Family | str, n_groups: int, group_size: int,
         neg_logdet = -(m - 1) * (np.log1p(-p) + np.log1p(p))
         factor = p * (m - 1) / ((1.0 - p) * (1.0 + p))
     else:
-        x = 2.0 * p   # log(1 - e^-x): log(-expm1(-x)) below log 2, log1p above
-        neg_logdet = -(m - 1) * np.piecewise(x, [x < np.log(2)], [
-            lambda v: np.log(-np.expm1(-v)), lambda v: np.log1p(-np.exp(-v))])
+        neg_logdet = -(m - 1) * np.piecewise(2.0 * p, [p < np.log(2) / 2], [
+            lambda x: np.log(-np.expm1(-x)), lambda x: np.log1p(-np.exp(-x))])
         # exp(-2 phi) / (1 - exp(-2 phi)) = 1 / expm1(2 phi)
         factor = (m - 1) / np.expm1(2.0 * p)
     s = np.sqrt(neg_logdet)
