@@ -167,8 +167,8 @@ def test_non_finite_position_names_row_and_column(tmp_path, value):
                      f"y,group,pos\n1,a,0\n2,a,1\n3,b,0\n4,b,{value}\n")
     for read in (lambda: io.read_dataset(path, pos_column="pos"),
                  lambda: io.table_design(io.read_table(path), "group", "pos")):
-        with pytest.raises(ParseError,
-                           match=r"row 5, column 'pos': position .* not finite"):
+        with pytest.raises(ParseError, match=r"row 5, column 'pos': "
+                                             r"position .* is not finite"):
             read()
 
 
