@@ -14,7 +14,9 @@ whose likelihood is evaluated through the Woodbury identity from the
 q x q sufficient statistics Z'C^-1 Z of Z = [y, X], built from group
 sums and consecutive-pair products for every correlation node at once.
 One eigendecomposition of X'C^-1 X per correlation node diagonalises
-the p x p capacitance at every precision at once; the conditional
+the p x p capacitance at every precision at once, and the likelihood
+then takes one pass per coefficient over (log tau, correlation) planes,
+so no array grows with the number of cells times p; the conditional
 moments of beta are formed only at the cells that carry posterior
 mass.  A dense evaluation of the same likelihood is kept alongside for
 verification.
@@ -23,9 +25,9 @@ The evidence integrates the conditional likelihood against a penalized
 complexity prior on the correlation parameter and a Gumbel type-2 prior
 on the precision over a fixed tensor grid in (log tau, internal
 correlation coordinate).  Grid cells are independent work items; one
-pass exponentiates them relative to the largest, giving the evidence
-and the posterior weights alike, so results are deterministic for a
-given grid.
+pass exponentiates them relative to the largest, in the likelihood's
+buffer, giving the evidence and the posterior weights alike, so results
+are deterministic for a given grid.
 """
 
 from __future__ import annotations
@@ -209,40 +211,58 @@ def _woodbury(dataset: Dataset, model: GroupModel, s: NDArray,
               log_tau: NDArray, beta_prec: float, logdetC: NDArray):
     """Likelihood on the (log tau, internal correlation) tensor grid.
 
-    Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') indexed [log tau, s],
-    the capacitance's eigenvalues d indexed [log tau, s, :], and per node
-    its eigenvectors V and c = V'X'Qy.  With the statistics W = Z'QZ of
-    `_sufficient_stats`, one `eigh` per node gives X'QX = V diag(lam) V',
-    so the capacitance B = beta_prec I + tau X'QX is V diag(d) V' with
-    d = beta_prec + tau lam at every tau at once.  The determinant lemma
-    and the Woodbury identity then need only sum(log d),
-    b'B^-1 b = tau^2 sum(c^2 / d) and log|C| at the nodes (``logdetC``,
-    from the caller's closed-form pass).  A d that is not positive and
-    finite raises `NumericError`.
+    Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') indexed [log tau, s]
+    and per node the eigenvalues lam, eigenvectors V and c = V'X'Qy of
+    X'QX.  With the statistics W = Z'QZ of `_sufficient_stats`, one `eigh`
+    per node gives X'QX = V diag(lam) V', so the capacitance
+    B = beta_prec I + tau X'QX is V diag(d) V' with d = beta_prec + tau lam.
+    The determinant lemma and the Woodbury identity then need only
+    sum(log d), b'B^-1 b = tau^2 sum(c^2 / d) and log|C| at the nodes
+    (``logdetC``, from the caller's closed-form pass).  Both sums take p
+    passes over (log tau, s) planes, one per coefficient k with its plane
+    d_k, so no array grows with the grid size times p.  A d_k that is not
+    positive and finite raises `NumericError`.
     """
     M, p = dataset.n_obs, dataset.n_coef
     W = _sufficient_stats(dataset, model, s)
     lam, V = np.linalg.eigh(W[:, 1:, 1:])
     c = np.einsum("kji,kj->ki", V, W[:, 1:, 0])
     tau = np.exp(log_tau)[:, None]
-    d = beta_prec + tau[..., None] * lam
-    if not np.all((d > 0) & (d < np.inf)):
-        raise NumericError("capacitance is not positive definite")
-    logdet = (-M * log_tau[:, None] + logdetC - p * np.log(beta_prec)
-              + np.log(d).sum(axis=-1))
-    loglik = -0.5 * (M * _LOG_2PI + logdet + tau * W[:, 0, 0]
-                     - tau * tau * (c * c / d).sum(axis=-1))
-    return loglik, d, (V, c)
+    shape = (log_tau.size, s.size)
+    d, term = np.empty(shape), np.empty(shape)
+    sum_log_d, sum_q = np.zeros(shape), np.zeros(shape)
+    for k in range(p):
+        np.multiply(tau, lam[:, k], out=d)
+        d += beta_prec
+        if not (d.min() > 0 and d.max() < np.inf):
+            raise NumericError("capacitance is not positive definite")
+        sum_log_d += np.log(d, out=term)
+        sum_q += np.divide(c[:, k] * c[:, k], d, out=term)
+    # -0.5 (M log 2pi + logdet + tau W_yy - tau^2 sum_q), logdet being
+    # -M log tau + log|C| - p log beta_prec + sum_log_d
+    loglik = np.add(-M * log_tau[:, None], logdetC)
+    loglik -= p * np.log(beta_prec)
+    loglik += sum_log_d
+    loglik += M * _LOG_2PI
+    loglik += np.multiply(tau, W[:, 0, 0], out=term)
+    loglik -= np.multiply(tau * tau, sum_q, out=sum_q)
+    loglik *= -0.5
+    return loglik, lam, (V, c)
 
 
-def _beta_moments(V: NDArray, d: NDArray, b: NDArray):
+def _beta_moments(V: NDArray, lam: NDArray, c: NDArray, tau: NDArray,
+                  beta_prec: float):
     """Mean V (b / d) and variance (V o V)(1 / d) of beta given y, per cell.
 
-    ``V``, ``d`` and ``b`` = tau c are `_woodbury`'s eigenvectors,
+    ``V``, ``lam`` and ``c`` are `_woodbury`'s per-node eigenvectors,
     eigenvalues and rotated vector at the selected cells, stacked along
-    the first axis; (V o V)(1 / d) is the diagonal of B^-1.
+    the first axis with the cells' precisions ``tau``; the capacitance's
+    eigenvalues there are d = beta_prec + tau lam, b = tau c, and
+    (V o V)(1 / d) is the diagonal of B^-1.
     """
-    return (np.einsum("nij,nj->ni", V, b / d),
+    tau = tau[:, None]
+    d = beta_prec + tau * lam
+    return (np.einsum("nij,nj->ni", V, tau * c / d),
             np.einsum("nij,nj->ni", V * V, 1.0 / d))
 
 
@@ -424,16 +444,19 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
                                 0.0, s_nodes) + np.log(grid.weights("corr")))
 
     n_t, n_s = t_nodes.size, s_nodes.size
-    loglik, d, (V, c) = _woodbury(dataset, model, s_nodes, t_nodes,
-                                  hyper.beta_prec, kernel[0])
+    log_cells, lam, (V, c) = _woodbury(dataset, model, s_nodes, t_nodes,
+                                       hyper.beta_prec, kernel[0])
 
-    # one exponentiation relative to the largest cell; a NaN or +inf cell
-    # makes the maximum non-finite, and so does a grid with no mass
-    log_cells = loglik + log_t[:, None] + log_s[None, :]
+    # one exponentiation relative to the largest cell, in the likelihood's
+    # buffer; a NaN or +inf cell makes the maximum non-finite, and so does
+    # a grid with no mass
+    log_cells += log_t[:, None]
+    log_cells += log_s[None, :]
     top = log_cells.max()
     if not np.isfinite(top):
         raise NumericError("non-finite evidence integrand")
-    mass = np.exp(log_cells - top)
+    log_cells -= top
+    mass = np.exp(log_cells, out=log_cells)
     total = mass.sum()
     log_mlik = float(top + np.log(total))
     mass /= total
@@ -456,15 +479,19 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     rho_mean, rho_lo, rho_hi = posterior_summaries(report, mass_s)
     rho_summary = {"mean": rho_mean, "q025": rho_lo, "q975": rho_hi}
 
+    # sigma^2 = e^-t only where tau has mass: e^-t overflows below t = -709
     mass_t = mass.sum(axis=1)
-    s2_mean, s2_lo, s2_hi = posterior_summaries(np.exp(-t_nodes), mass_t)
+    held = mass_t > 0
+    s2_mean, s2_lo, s2_hi = posterior_summaries(np.exp(-t_nodes[held]),
+                                                mass_t[held])
     sigma2_summary = {"mean": s2_mean, "q025": s2_lo, "q975": s2_hi}
 
     flat_w = mass.ravel()
     active = np.flatnonzero(flat_w > 1e-15)
     t_idx, k_idx = np.divmod(active, n_s)
-    beta_mean, beta_var = _beta_moments(
-        V[k_idx], d[t_idx, k_idx], np.exp(t_nodes[t_idx])[:, None] * c[k_idx])
+    beta_mean, beta_var = _beta_moments(V[k_idx], lam[k_idx], c[k_idx],
+                                        np.exp(t_nodes[t_idx]),
+                                        hyper.beta_prec)
     w = flat_w[active]
     w = w / w.sum()
     quantiles = _mixture_quantiles(beta_mean.T, np.sqrt(beta_var.T), w,

@@ -1,6 +1,8 @@
 """Evidence integration: likelihood paths, grids, summaries, Bayes factors."""
 
 import functools
+import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -64,6 +66,21 @@ def reference_dataset():
     return simulate_dataset(cfg)
 
 
+def nine_coef_dataset():
+    """Ragged six-group AR1 dataset with the intercept and eight covariates.
+
+    Nine coefficients take `_woodbury`'s per-coefficient sums past seven
+    terms, where numpy's own sum of a short axis stops adding in order.
+    """
+    rng = np.random.default_rng(9)
+    sizes = (4, 9, 6, 11, 5, 8)
+    design = GroupedDesign(group_sizes=sizes, positions=tuple(
+        tuple(np.cumsum(rng.uniform(0.5, 1.5, m)).tolist()) for m in sizes))
+    cfg = SimConfig(design=design, model=AR1, param=0.6,
+                    beta=tuple(rng.uniform(-1.0, 1.0, 9)), sigma2=1.5, seed=12)
+    return simulate_dataset(cfg)
+
+
 def toy_dataset():
     """Three observations in one group; small enough for 2-D quadrature."""
     y = np.random.default_rng(5).standard_normal(3) * 1.3 + 0.7
@@ -99,7 +116,8 @@ def test_fit_takes_the_precision_prior_below_log_tau_minus_745():
                                       seed=1))
     hyper = toy_hyper(data)
     deep = GridConfig(n_tau=8121, n_corr=41, tau_bounds=(-800.0, 12.0))
-    with np.errstate(over="ignore"):   # sigma^2 = e^-t at the far nodes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         fit = log_marginal_likelihood(data, EXCH, hyper, deep)
     assert np.isfinite(fit.log_mlik)
     # the same 0.1 step over [-12, 12]: the nodes below carry no mass
@@ -201,11 +219,11 @@ def test_beta_moments_equal_dense_solve(ds, model, s, log_tau):
     # oracle: B = beta_prec I + tau X'QX built and solved cell by cell
     s, tau = np.array(s), np.exp(log_tau)
     p = ds.n_coef
-    _, d, (V, c) = _woodbury(ds, model, s, np.log(tau), 1e-3,
-                             _internal_kernel(model, ds.design, s)[0])
+    _, lam, (V, c) = _woodbury(ds, model, s, np.log(tau), 1e-3,
+                               _internal_kernel(model, ds.design, s)[0])
     t_idx, k_idx = np.divmod(np.arange(tau.size * s.size), s.size)
-    mean, var = _beta_moments(V[k_idx], d[t_idx, k_idx],
-                              tau[t_idx, None] * c[k_idx])
+    mean, var = _beta_moments(V[k_idx], lam[k_idx], c[k_idx], tau[t_idx],
+                              1e-3)
     W = _sufficient_stats(ds, model, s)[k_idx]
     B = 1e-3 * np.eye(p) + tau[t_idx, None, None] * W[:, 1:, 1:]
     b = tau[t_idx, None] * W[:, 1:, 0]
@@ -215,17 +233,21 @@ def test_beta_moments_equal_dense_solve(ds, model, s, log_tau):
                     rtol=1e-10)
 
 
-@pytest.mark.parametrize("model", [EXCH, AR1, OU],
-                         ids=lambda m: m.family.value)
-def test_woodbury_matches_per_cell_capacitance(model):
+@pytest.mark.parametrize("model, make_dataset", [
+    pytest.param(EXCH, reference_dataset, id="exchangeable"),
+    pytest.param(AR1, reference_dataset, id="ar1"),
+    pytest.param(OU, reference_dataset, id="ou"),
+    pytest.param(AR1, nine_coef_dataset, id="ar1-p9"),
+])
+def test_woodbury_matches_per_cell_capacitance(model, make_dataset):
     # oracle: B = beta_prec I + tau X'QX built on every cell, then
     # slogdet and solve for the likelihood, solve and inv for the moments
-    ds = reference_dataset()
+    ds = make_dataset()
     M, p = ds.n_obs, ds.n_coef
     s = np.linspace(-12.0, 12.0, 41)
     log_tau = np.linspace(-12.0, 12.0, 31)
     logdetC = _internal_kernel(model, ds.design, s)[0]
-    loglik, d, (V, c) = _woodbury(ds, model, s, log_tau, 1e-6, logdetC)
+    loglik, lam, (V, c) = _woodbury(ds, model, s, log_tau, 1e-6, logdetC)
     W = _sufficient_stats(ds, model, s)
     tau = np.exp(log_tau)
     B = 1e-6 * np.eye(p) + tau[:, None, None, None] * W[:, 1:, 1:]
@@ -239,8 +261,8 @@ def test_woodbury_matches_per_cell_capacitance(model):
     assert_allclose(loglik, want, rtol=1e-12)
     cells = np.random.default_rng(8).choice(loglik.size, 60, replace=False)
     t_idx, k_idx = np.divmod(cells, s.size)
-    mean, var = _beta_moments(V[k_idx], d[t_idx, k_idx],
-                              tau[t_idx, None] * c[k_idx])
+    mean, var = _beta_moments(V[k_idx], lam[k_idx], c[k_idx], tau[t_idx],
+                              1e-6)
     Binv = np.linalg.inv(B.reshape(-1, p, p)[cells])
     assert_allclose(mean, sol.reshape(-1, p)[cells], rtol=1e-12)
     assert_allclose(var, np.diagonal(Binv, axis1=1, axis2=2), rtol=1e-12)
@@ -260,8 +282,9 @@ def test_fit_diagonalises_once_and_forms_moments_only_where_mass_is(
     moments = []
     real_moments = inference._beta_moments
     monkeypatch.setattr(inference, "_beta_moments",
-                        lambda V, d, b: moments.append(d.shape)
-                        or real_moments(V, d, b))
+                        lambda V, lam, c, tau, beta_prec:
+                        moments.append(lam.shape)
+                        or real_moments(V, lam, c, tau, beta_prec))
     log_marginal_likelihood(ds, AR1, hyper)
     # one eigendecomposition per correlation node, no p x p factor per cell
     assert calls == {"eigh": [(201, ds.n_coef, ds.n_coef)], "cholesky": [],
@@ -271,6 +294,24 @@ def test_fit_diagonalises_once_and_forms_moments_only_where_mass_is(
     n_cells, p = moments[0]
     assert p == ds.n_coef
     assert 0 < n_cells < 201 * 201 // 4
+
+
+def test_default_fit_holds_no_array_of_cells_times_coefficients():
+    # ten 201 x 201 planes are 3.2 MB; one (n_tau, n_corr, p) array at
+    # p = 10 is as large
+    design = balanced_design(30, 20)
+    data = simulate_dataset(SimConfig(design=design, model=AR1, param=0.5,
+                                      beta=tuple(np.linspace(1.0, -1.0, 10)),
+                                      seed=3))
+    prior = PCPrior.from_quantile(AR1, design, 0.5, 0.5)
+    hyper = HyperPriors(corr_prior=prior, psi=solve_psi(1 / 0.31, 0.01))
+    tracemalloc.start()
+    try:
+        log_marginal_likelihood(data, AR1, hyper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 def test_fit_exponentiates_its_cells_once(monkeypatch):
