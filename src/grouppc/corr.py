@@ -166,48 +166,51 @@ def _corr_block(model: GroupModel, design: GroupedDesign,
 # cancels before it can round to 0.  OU takes phi and
 # j = (d phi / d c) / phi: 1 / phi, or 1 for log phi.
 
-#: parameter nodes per OU block of gaps x nodes (bounds its memory)
-_OU_CHUNK = 512
+#: elements per OU block of nodes x gaps (bounds its memory; at least a node)
+_OU_BLOCK = 1 << 15
 
 
-def _ou_terms(x):
-    """Sums along axis 0 of log(1 - e^-x) and x / (e^x - 1), for x >= 0.
+def _ou_terms(x, e, one_m_e, small):
+    """Row sums of log(1 - e^-x) and x / (e^x - 1), for x >= 0.
 
     Both share e^-x and 1 - e^-x = -expm1(-x): the log is log(1 - e^-x)
-    below x = log 2 and log1p(-e^-x) above, accurate at both ends; the
-    ratio has its limits 1 at 0 and 0 at inf.  Overwrites ``x``.
+    below x = log 2 and log1p(-e^-x) above, accurate at both ends.  The
+    ratio x e^-x / (1 - e^-x) takes its limits 1 at x = 0 by fmin (0/0)
+    and 0 at inf from x capped at 1e308.  Overwrites all four arrays.
     """
-    small, tiny, far = x < np.log(2.0), x < 1e-12, x == np.inf
-    neg = np.negative(x)
-    e = np.exp(neg)
-    one_m_e = np.negative(np.expm1(neg, out=neg), out=neg)
+    np.minimum(x, 1e308, out=x)
+    np.less(x, np.log(2.0), out=small)
+    np.exp(np.negative(x, out=one_m_e), out=e)
+    np.negative(np.expm1(one_m_e, out=one_m_e), out=one_m_e)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.divide(np.multiply(x, e, out=x), one_m_e, out=x)
-        log_term = np.log1p(np.negative(e, out=e), out=e)
-        np.copyto(log_term, np.log(one_m_e, out=one_m_e), where=small)
-    ratio[tiny] = 1.0
-    ratio[far] = 0.0
-    return log_term.sum(axis=0), ratio.sum(axis=0)
+        np.divide(np.multiply(x, e, out=x), one_m_e, out=x)
+        np.fmin(x, 1.0, out=x)
+        np.log1p(np.negative(e, out=e), out=e)
+        np.log(one_m_e, out=e, where=small)
+    return e.sum(axis=-1), x.sum(axis=-1)
 
 
 def _ou_gap_sums(design: GroupedDesign, phi):
-    """`_ou_terms` over gaps at x = 2 gap phi, a column of nodes at a time.
+    """`_ou_terms` over all gaps at x = 2 gap phi, one row of gaps per node.
 
-    Each chunk keeps whole columns, so every node's sum runs in the same
-    order as over one gaps x nodes block.  A lone last column is merged
-    into the chunk before it: NumPy sums a one-column block pairwise.
+    The nodes x gaps rows are built `_OU_BLOCK` elements at a time into
+    three float work arrays and a mask made once per call and reused by
+    every block, so memory stays bounded, and each node's sums run over
+    its own contiguous row: the same whatever its block or the shape of
+    ``phi`` (a 0-d ``phi`` gives NumPy scalars).
     """
-    gaps = design.all_spacings()
-    if np.ndim(phi) == 0:
-        return _ou_terms(2.0 * gaps * phi)
+    two_gaps = 2.0 * design.all_spacings()
     flat = np.ravel(phi)
-    edges = list(range(0, flat.size, _OU_CHUNK)) + [flat.size]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
+    rows = max(1, min(flat.size, _OU_BLOCK // max(two_gaps.size, 1)))
+    shape = (rows, two_gaps.size)
+    work = (np.empty(shape), np.empty(shape), np.empty(shape),
+            np.empty(shape, dtype=bool))
     log_det, ratio = np.empty(flat.shape), np.empty(flat.shape)
-    for a, b in zip(edges[:-1], edges[1:]):
-        log_det[a:b], ratio[a:b] = _ou_terms(2.0 * gaps[:, None] * flat[a:b])
-    return log_det.reshape(np.shape(phi)), ratio.reshape(np.shape(phi))
+    for a in range(0, flat.size, rows):
+        n = min(rows, flat.size - a)
+        np.multiply(flat[a:a + n, None], two_gaps, out=work[0][:n])
+        log_det[a:a + n], ratio[a:a + n] = _ou_terms(*(w[:n] for w in work))
+    return log_det.reshape(np.shape(phi))[()], ratio.reshape(np.shape(phi))[()]
 
 
 def _log_det_slope(model: GroupModel, design: GroupedDesign, p, log1m_rho, j):

@@ -192,12 +192,13 @@ def _sufficient_stats(dataset: Dataset, model: GroupModel, s: NDArray):
     first = Z[starts]
     b = np.delete(np.arange(design.total_size), starts)
     D, A = Z[b] - Z[b - 1], Z[b - 1]
-    pairs = [outer(D, D), outer(D, A) + outer(A, D), outer(A, A)]
     if model.family is Family.AR1:
         # one gap correlation for every pair: sum the products first
         r, one_m_r = expit(s)[:, None], expit(-s)[:, None]
-        pairs = [P.sum(axis=0, keepdims=True) for P in pairs]
+        DA = D.T @ A
+        pairs = [P.reshape(1, q * q) for P in (D.T @ D, DA + DA.T, A.T @ A)]
     else:
+        pairs = [outer(D, D), outer(D, A) + outer(A, D), outer(A, A)]
         log_r = -np.exp(s)[:, None] * design.gaps
         one_m_r, r = -np.expm1(log_r), np.exp(log_r, out=log_r)
     # w = 1 / (1 + r) in place: the OU weights are n_corr x n_gaps

@@ -1,5 +1,8 @@
 """Correlation structures: closed forms against dense linear algebra."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -20,6 +23,7 @@ from grouppc import (
 )
 from grouppc.corr import (
     _internal_kernel,
+    _ou_gap_sums,
     dlogdet_finite_difference,
     log_det_dense,
 )
@@ -365,11 +369,11 @@ def test_dlogdet_dinternal_matches_chain_rule_and_differences():
             assert_allclose(_internal_kernel(model, d, t)[1], fd, rtol=2e-6)
 
 
-@pytest.mark.parametrize("chunk", [2, 3, 7])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 def test_ou_closed_forms_are_chunk_invariant(chunk, monkeypatch):
-    # the OU sums over gaps run a block of nodes at a time; every node's
-    # sum keeps its order, bit for bit, whatever the block (chunk * k + 1
-    # nodes would leave a lone column, which NumPy sums in another order)
+    # the OU sums over gaps run a block of nodes at a time, one contiguous
+    # row of gaps per node: every node's sum is the same, bit for bit,
+    # whatever its block, and a scalar phi gives its batched value
     rng = np.random.default_rng(11)
     sizes = tuple(int(v) for v in rng.integers(1, 13, 30))
     design = GroupedDesign(group_sizes=sizes, positions=tuple(
@@ -377,12 +381,97 @@ def test_ou_closed_forms_are_chunk_invariant(chunk, monkeypatch):
     ou = GroupModel(Family.OU)
     for n in (1, chunk, chunk + 1, 3 * chunk + 1, 40):
         t = rng.uniform(-4.0, 4.0, n)
+        phi = np.exp(t)
         whole = (*_internal_kernel(ou, design, t),
-                 log_det(ou, design, np.exp(t).reshape(1, n)))
-        monkeypatch.setattr("grouppc.corr._OU_CHUNK", chunk)
+                 log_det(ou, design, phi.reshape(1, n))[0],
+                 dlogdet_dparam(ou, design, phi))
+        monkeypatch.setattr("grouppc.corr._OU_BLOCK",
+                            chunk * design.gaps.size)
         parts = (*_internal_kernel(ou, design, t),
-                 log_det(ou, design, np.exp(t).reshape(1, n)))
+                 log_det(ou, design, phi.reshape(1, n))[0],
+                 dlogdet_dparam(ou, design, phi))
         monkeypatch.undo()
         for a, b in zip(whole, parts):
             assert a.shape == b.shape
             assert_array_equal(a, b)
+        for i in range(n):
+            one = (*_internal_kernel(ou, design, t[i]),
+                   log_det(ou, design, phi[i]),
+                   dlogdet_dparam(ou, design, phi[i]))
+            assert one == tuple(a[i] for a in whole)
+
+
+def _ou_reference_terms(x):
+    """Per-gap log(1 - e^-x) and x / (e^x - 1) at x > 0, term by term."""
+    log_term = np.piecewise(x, [x < np.log(2.0)], [
+        lambda v: np.log(-np.expm1(-v)), lambda v: np.log1p(-np.exp(-v))])
+    return log_term, x * np.exp(-x) / -np.expm1(-x)
+
+
+def test_ou_gap_sums_are_accurate_on_18000_gaps():
+    # pairwise sums of contiguous rows stay within 1e-14 of the exactly
+    # rounded sum (math.fsum) of the same terms, scaled by sum |term|
+    rng = np.random.default_rng(21)
+    design = GroupedDesign(group_sizes=(10,) * 2000, positions=tuple(
+        tuple(np.cumsum(rng.uniform(0.7, 1.3, 10)).tolist())
+        for _ in range(2000)))
+    assert design.gaps.size == 18000
+    ou = GroupModel(Family.OU)
+    t = np.concatenate([np.linspace(-6.0, 6.0, 25), [-40.0]])
+    log_det_t, slope_t = _internal_kernel(ou, design, t)
+    for k, phi in enumerate(np.exp(t)):
+        x = 2.0 * design.gaps * phi
+        if t[k] == -40.0:
+            assert x.max() < 1e-12
+        for got, terms in zip((log_det_t[k], slope_t[k]),
+                              _ou_reference_terms(x)):
+            assert (abs(got - math.fsum(terms))
+                    <= 1e-14 * math.fsum(np.abs(terms)))
+
+
+def test_ou_closed_forms_at_the_edges():
+    rng = np.random.default_rng(4)
+    design = random_design(rng, with_positions=True)
+    ou = GroupModel(Family.OU)
+    assert log_det(ou, design, 0.0) == -np.inf
+    assert_array_equal(log_det(ou, design, np.array([0.0, 1.0]))[0], -np.inf)
+    assert log_det(ou, design, np.inf) == 0.0
+    assert dlogdet_dparam(ou, design, np.inf) == 0.0
+    assert _internal_kernel(ou, design, np.inf) == (0.0, 0.0)
+    # every x below 1e-12: each slope term is its limit 1
+    log_det_tiny, slope_tiny = _internal_kernel(ou, design, -40.0)
+    assert np.isfinite(log_det_tiny)
+    assert slope_tiny == design.gaps.size
+    for t in (np.empty(0), np.empty((2, 0))):
+        for out in (*_internal_kernel(ou, design, t), log_det(ou, design, t)):
+            assert out.shape == t.shape
+    t = rng.uniform(-3.0, 3.0, (3, 4))
+    for grid, flat in zip(_internal_kernel(ou, design, t),
+                          _internal_kernel(ou, design, t.ravel())):
+        assert grid.shape == (3, 4)
+        assert_array_equal(grid.ravel(), flat)
+    no_gaps = GroupedDesign(group_sizes=(1, 1, 1),
+                            positions=((0.0,), (1.0,), (2.0,)))
+    assert log_det(ou, no_gaps, 0.5) == 0.0
+    assert dlogdet_dparam(ou, no_gaps, 0.5) == 0.0
+    assert_array_equal(log_det(ou, no_gaps, np.array([0.5, 2.0])), 0.0)
+    assert_array_equal(_internal_kernel(ou, no_gaps, np.zeros((2, 2)))[1], 0.0)
+
+
+def test_ou_gap_sums_hold_no_block_of_all_nodes():
+    # 1,024 density-grid nodes on a 1,800-gap transect design; one
+    # nodes x gaps block would take 14.7 MB
+    rng = np.random.default_rng(8)
+    sizes = rng.permutation(np.rint(np.linspace(1, 19, 200)).astype(int))
+    design = GroupedDesign(group_sizes=tuple(int(m) for m in sizes),
+                           positions=tuple(
+        tuple(np.cumsum(rng.uniform(0.4, 1.6, m)).tolist()) for m in sizes))
+    assert design.gaps.size == 1800
+    phi = np.exp(np.linspace(-6.0, 6.0, 1024))
+    tracemalloc.start()
+    try:
+        _ou_gap_sums(design, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
