@@ -142,6 +142,9 @@ class GridConfig:
     def __post_init__(self):
         if self.n_tau < 2 or self.n_corr < 2:
             raise DomainError("grids need at least two nodes per axis")
+        for lo, hi in (self.tau_bounds, self.corr_bounds):
+            if not -np.inf < lo < hi < np.inf:
+                raise DomainError("grid bounds must be finite with lo < hi")
 
     def axis(self, which: str) -> NDArray:
         lo, hi = self.tau_bounds if which == "tau" else self.corr_bounds

@@ -52,6 +52,8 @@ _INVERT_TOL = 1e-12
 _TABLE_NODES = 161
 #: Gauss-Legendre nodes per knot interval in `normalization_mass`
 _GAUSS_NODES = 64
+#: distance tail probability left outside each end of `density_grid`
+_GRID_TAIL = 1e-4
 
 
 def kld_gaussian(C: NDArray, C0: NDArray) -> float:
@@ -412,12 +414,11 @@ class PriorGrid:
         return self.param.size
 
 
-def density_grid(prior: PCPrior, grid_size: int,
-                 tail_prob: float = 1e-4) -> PriorGrid:
+def density_grid(prior: PCPrior, grid_size: int) -> PriorGrid:
     """Tabulate the prior on a monotone parameter grid.
 
-    The grid is uniform on the internal scale between the ``tail_prob``
-    and ``1 - tail_prob`` distance quantiles, clipped to coordinates
+    The grid is uniform on the internal scale between the `_GRID_TAIL`
+    and ``1 - _GRID_TAIL`` distance quantiles, clipped to coordinates
     whose parameter value is still strictly inside the domain (the prior
     tail can outrun floating point well before it runs out of mass).
     """
@@ -425,7 +426,7 @@ def density_grid(prior: PCPrior, grid_size: int,
         raise DomainError("a grid needs at least two points")
     lam = prior.lam
     t_ends = prior.distance.invert_internal(
-        np.array([-np.log1p(-tail_prob), -np.log(tail_prob)]) / lam)
+        np.array([-np.log1p(-_GRID_TAIL), -np.log(_GRID_TAIL)]) / lam)
     t_lo, t_hi = min(t_ends), max(t_ends)
     if prior.model.family is not Family.OU:
         # keep consecutive rows at least one double apart near rho = 1:

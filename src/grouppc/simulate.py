@@ -42,6 +42,8 @@ class SimConfig:
             raise DomainError("sigma2 must be positive and finite")
         if len(self.beta) < 1:
             raise DomainError("beta must at least contain the intercept")
+        if not np.all(np.isfinite(self.beta)):
+            raise DomainError("beta must be finite")
         corr._check_param(self.model, self.param, allow_degenerate=False)
 
 

@@ -246,6 +246,16 @@ def test_simulate_non_finite_sigma2_is_domain_error(tmp_path, capsys, value):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "2e308"])
+def test_simulate_non_finite_beta_is_domain_error(tmp_path, capsys, value):
+    code, _ = run(capsys, ["simulate", "--family", "exchangeable",
+                           "--rho", "0.5", "--beta", "1.0", value,
+                           "--n", "5", "--m", "4", "--seed", "1",
+                           "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert not (tmp_path / "s.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # fit
 

@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, linalg, stats
@@ -174,7 +174,11 @@ def ragged_datasets(draw):
                            st.lists(st.integers(1, 12), min_size=n,
                                     max_size=n)))
     p = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return _seeded_dataset(sizes, p, draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _seeded_dataset(sizes, p, seed):
+    rng = np.random.default_rng(seed)
     pos = tuple(tuple(np.cumsum(rng.uniform(0.2, 2.5, m)).tolist())
                 for m in sizes)
     d = GroupedDesign(group_sizes=tuple(sizes), positions=pos)
@@ -189,6 +193,10 @@ def ragged_datasets(draw):
 @given(ds=ragged_datasets(), model=st.sampled_from([EXCH, AR1, OU]),
        u=st.floats(0.0, 0.9), s_other=st.floats(-8.0, 8.0),
        log_tau=st.floats(-2.0, 3.0))
+# at s = 8 the round trip through rho moves the node by 3e-13, enough to
+# move this grid column by 1e-10 relative if the grid kept the raw node
+@example(ds=_seeded_dataset([3], 4, 0), model=EXCH, u=0.0, s_other=8.0,
+         log_tau=0.0)
 def test_loglik_blockwise_equals_dense(ds, model, u, s_other, log_tau):
     # the two routes share nothing past the correlation closed forms;
     # compare where the dense route is well conditioned
@@ -199,15 +207,18 @@ def test_loglik_blockwise_equals_dense(ds, model, u, s_other, log_tau):
     b = gaussian_loglik(ds, model, param, tau, beta_prec=1e-3,
                         method="dense")
     assert_allclose(a, b, rtol=1e-8)
-    # every column of the grid evaluation is the one-node evaluation
-    s = np.array([s_other, param_to_internal(model, param), -s_other])
+    # every column of the grid evaluation is the one-node evaluation, at
+    # the internal node that gaussian_loglik itself maps the parameter to
+    params = internal_to_param(
+        model, np.array([s_other, param_to_internal(model, param), -s_other]))
+    s = param_to_internal(model, params)
     log_taus = np.array([log_tau, 0.0])
     grid, _, _ = _woodbury(ds, model, s, log_taus, 1e-3,
                            _internal_kernel(model, ds.design, s)[0])
-    for k, s_k in enumerate(s):
+    for k, p_k in enumerate(params):
         for i, t_i in enumerate(log_taus):
-            one = gaussian_loglik(ds, model, internal_to_param(model, s_k),
-                                  float(np.exp(t_i)), beta_prec=1e-3)
+            one = gaussian_loglik(ds, model, p_k, float(np.exp(t_i)),
+                                  beta_prec=1e-3)
             assert_allclose(grid[i, k], one, rtol=1e-11)
 
 
@@ -581,6 +592,17 @@ def test_grid_config_validations():
         GridConfig(n_tau=1)
     w = GridConfig(n_tau=5, n_corr=5, tau_bounds=(0.0, 4.0)).weights("tau")
     assert_allclose(w.sum(), 4.0)
+
+
+@pytest.mark.parametrize("bounds", [(12.0, -12.0), (0.0, 0.0),
+                                    (np.nan, 12.0), (-12.0, np.nan),
+                                    (-np.inf, 12.0), (-12.0, np.inf)])
+@pytest.mark.parametrize("axis", ["tau_bounds", "corr_bounds"])
+def test_grid_config_refuses_empty_or_unbounded_axes(axis, bounds):
+    # such a grid would only fail later, in the evidence, with a
+    # NumericError and floating-point warnings
+    with pytest.raises(DomainError, match="finite with lo < hi"):
+        GridConfig(**{axis: bounds})
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,16 @@ def test_erfc_matches_scipy_and_handles_the_ends():
     assert np.isnan(ends[2]) and ends[3] == 1.0
 
 
+def test_erfc_within_three_ulp_of_exact():
+    # erfc(26.5) is about 1e-307, the last decade above the subnormals
+    x = np.linspace(-6.0, 26.5, 3_251)
+    got = special.erfc(x)
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.erfc(mpmath.mpf(v))) for v in x])
+    assert np.all(exact >= np.finfo(float).tiny)
+    assert np.all(np.abs(got - exact) <= 3 * np.spacing(exact))
+
+
 def test_expit_matches_scipy_without_warnings():
     x = np.linspace(-800.0, 800.0, 2_000_001)
     with warnings.catch_warnings():
