@@ -199,7 +199,7 @@ def _ou_gap_sums(design: GroupedDesign, phi):
     its own contiguous row: the same whatever its block or the shape of
     ``phi`` (a 0-d ``phi`` gives NumPy scalars).
     """
-    two_gaps = 2.0 * design.all_spacings()
+    two_gaps = 2.0 * design.gaps
     flat = np.ravel(phi)
     rows = max(1, min(flat.size, _OU_BLOCK // max(two_gaps.size, 1)))
     shape = (rows, two_gaps.size)

@@ -60,14 +60,16 @@ class GroupedDesign:
         is declared on the model.
 
     Built once, read-only: ``offsets``, each group's first row in the
-    stacked observations, then the total size; ``gaps``, all groups'
-    consecutive position gaps in a row (unit gaps without positions);
+    stacked observations, then the total size; ``pair_rows``, the later
+    row of each consecutive pair within a group; ``gaps``, the position
+    differences at those rows (unit gaps without positions);
     ``size_classes``, (size, number of groups) int pairs by size.
     """
 
     group_sizes: tuple[int, ...]
     positions: tuple[tuple[float, ...], ...] | None = None
     offsets: NDArray = field(init=False, repr=False, compare=False)
+    pair_rows: NDArray = field(init=False, repr=False, compare=False)
     gaps: NDArray = field(init=False, repr=False, compare=False)
     size_classes: tuple = field(init=False, repr=False, compare=False)
 
@@ -79,8 +81,9 @@ class GroupedDesign:
             raise ConfigurationError("group sizes must be positive")
         object.__setattr__(self, "group_sizes", sizes)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
+        pair_rows = np.delete(np.arange(offsets[-1]), offsets[:-1])
         if self.positions is None:
-            gaps = np.ones(offsets[-1] - len(sizes))
+            gaps = np.ones(pair_rows.size)
         else:
             pos = tuple(tuple(float(x) for x in p) for p in self.positions)
             if len(pos) != len(sizes):
@@ -95,20 +98,18 @@ class GroupedDesign:
                 if not all(map(math.isfinite, p)):
                     raise ConfigurationError(f"group {j}: position not finite")
             object.__setattr__(self, "positions", pos)
-            # drop the differences that straddle two groups
             flat = np.fromiter((x for p in pos for x in p), float, offsets[-1])
-            gaps = np.delete(np.diff(flat), offsets[1:-1] - 1)
-            bad = np.flatnonzero(gaps <= 0)
+            gaps = flat[pair_rows] - flat[pair_rows - 1]
+            bad = pair_rows[gaps <= 0]
             if bad.size:
-                gap_ends = offsets[1:] - np.arange(1, len(sizes) + 1)
-                j = np.searchsorted(gap_ends, bad[0], side="right")
+                j = np.searchsorted(offsets, bad[0], side="right") - 1
                 raise ConfigurationError(
                     f"positions in group {j} must be strictly increasing"
                 )
-        offsets.flags.writeable = False
-        gaps.flags.writeable = False
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "gaps", gaps)
+        for name, value in (("offsets", offsets), ("pair_rows", pair_rows),
+                            ("gaps", gaps)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         distinct, counts = np.unique(sizes, return_counts=True)
         object.__setattr__(self, "size_classes",
                            tuple(zip(distinct.tolist(), counts.tolist())))

@@ -169,15 +169,15 @@ def _sufficient_stats(dataset: Dataset, model: GroupModel, s: NDArray):
 
     Q = C^-1 is never formed.  The exchangeable block precision is
     (1 - rho)^-1 [I - c_j 11'] with c_j = rho / (1 + (m_j - 1) rho); split
-    into group means and deviations from them, Z_j'Q_j Z_j is
-    (1 + e^s) D_j'D_j + S_j S_j' / (m_j (1 + (m_j - 1) rho)), where S_j
-    sums group j and 1 + e^s = 1 / (1 - rho) exactly.  AR1 and OU are
-    Markov chains: u'Qv sums u_0 v_0 over first rows and
-    (u_b - r u_a)(v_b - r v_a) / (1 - r^2) over consecutive pairs (a, b)
-    with gap correlation r.  Writing u_b - r u_a as
-    (u_b - u_a) + (1 - r) u_a gives pair weights 1 / (1 - r^2),
-    1 / (1 + r) and (1 - r) / (1 + r), with 1 - r from expit(-s) (AR1)
-    or -expm1(-phi gap) (OU), so neither form cancels as r -> 1.
+    into group means mu_j and deviations D_j from them, Z_j'Q_j Z_j is
+    (1 + e^s) D_j'D_j + m_j mu_j mu_j' / (1 + (m_j - 1) rho), with
+    1 + e^s = 1 / (1 - rho) exactly; the mu_j mu_j' are summed per size
+    class first.  AR1 and OU are Markov chains: u'Qv sums u_0 v_0 over
+    first rows and (u_b - r u_a)(v_b - r v_a) / (1 - r^2) over pairs
+    (a, b), b in ``design.pair_rows``, with gap correlation r.  Writing
+    u_b - r u_a as (u_b - u_a) + (1 - r) u_a gives pair weights
+    1 / (1 - r^2), 1 / (1 + r) and (1 - r) / (1 + r), with 1 - r from
+    expit(-s) (AR1) or -expm1(-phi gap) (OU); neither cancels as r -> 1.
     """
     Z = np.column_stack([dataset.y, dataset.X])
     q = Z.shape[1]
@@ -188,12 +188,14 @@ def _sufficient_stats(dataset: Dataset, model: GroupModel, s: NDArray):
         sizes = np.diff(design.offsets)
         means = np.add.reduceat(Z, starts, axis=0) / sizes[:, None]
         D = Z - np.repeat(means, sizes, axis=0)
-        rho = expit(s)[:, None]
-        between = (sizes / (1.0 + (sizes - 1) * rho)) @ outer(means, means)
+        m, count = np.array(design.size_classes).T
+        mu = means[np.argsort(sizes, kind="stable")]
+        P = np.add.reduceat(outer(mu, mu), np.cumsum(count) - count)
+        between = (m / (1.0 + (m - 1) * expit(s)[:, None])) @ P
         return ((1.0 + np.exp(s))[:, None, None] * (D.T @ D)
                 + between.reshape(-1, q, q))
     first = Z[starts]
-    b = np.delete(np.arange(design.total_size), starts)
+    b = design.pair_rows
     D, A = Z[b] - Z[b - 1], Z[b - 1]
     if model.family is Family.AR1:
         # one gap correlation for every pair: sum the products first
@@ -262,7 +264,9 @@ def _beta_moments(V: NDArray, lam: NDArray, c: NDArray, tau: NDArray,
     eigenvalues and rotated vector at the selected cells, stacked along
     the first axis with the cells' precisions ``tau``; the capacitance's
     eigenvalues there are d = beta_prec + tau lam, b = tau c, and
-    (V o V)(1 / d) is the diagonal of B^-1.
+    (V o V)(1 / d) is the diagonal of B^-1.  X must have full column rank,
+    as the fit requires: along null directions of X'QX, c holds only
+    rounding, which 1 / d amplifies up to tau / beta_prec-fold.
     """
     tau = tau[:, None]
     d = beta_prec + tau * lam

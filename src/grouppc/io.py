@@ -68,9 +68,10 @@ class CsvTable:
 def read_table(path):
     """Parse a CSV file with a header row into a `CsvTable`.
 
-    Every data row must have as many fields as the header.
+    Every data row must have as many fields as the header.  A leading
+    UTF-8 byte-order mark, as spreadsheet exports write, is dropped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -67,6 +67,9 @@ def simulate_dataset(config: SimConfig) -> Dataset:
                 "correlation block is not positive definite at "
                 f"{config.model.param_name} = {config.param}") from exc
         theta[s] = L @ rng.standard_normal(design.group_sizes[j])
-    y = X @ np.asarray(config.beta) + theta
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = X @ np.asarray(config.beta) + theta
+    if not np.all(np.isfinite(y)):
+        raise DomainError("beta is too large: X beta + theta is not finite")
     names = tuple(["intercept"] + [f"x{i}" for i in range(1, p)])
     return Dataset(y=y, X=X, design=design, column_names=names)

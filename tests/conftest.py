@@ -1,13 +1,30 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and Hypothesis profiles shared by the test modules."""
 
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import grouppc
 from grouppc import corr
+
+# Hypothesis profiles of the property tests.  "tier1", the default, draws
+# derandomized examples, as many as each test names through
+# `property_examples`; "sweep" draws 1,500 random ones per test:
+#   python -m pytest -q -m hypothesis --hypothesis-profile=sweep
+settings.register_profile("tier1", database=None, deadline=None,
+                          derandomize=True)
+settings.register_profile("sweep", database=None, deadline=None,
+                          derandomize=False, max_examples=1500)
+settings.load_profile("tier1")
+
+
+def property_examples(tier1: int) -> int:
+    """A property test's examples: ``tier1`` if derandomized, else the profile's."""
+    default = settings.default
+    return tier1 if default.derandomize else default.max_examples
 
 
 @pytest.fixture

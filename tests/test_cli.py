@@ -256,6 +256,17 @@ def test_simulate_non_finite_beta_is_domain_error(tmp_path, capsys, value):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_simulate_overflowing_beta_is_domain_error(tmp_path, capsys):
+    # each beta is finite but X beta overflows: a usage error naming beta,
+    # with no RuntimeWarning (pytest would raise it)
+    code = main(["simulate", "--family", "exchangeable", "--rho", "0.5",
+                 "--beta", "1e308", "1e308", "--n", "5", "--m", "4",
+                 "--seed", "1", "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "beta is too large" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -273,6 +284,22 @@ def test_fit_writes_json_summary(tmp_path, capsys):
         ["log_mlik", "rho", "sigma2", "beta", "diagnostics"])
     assert payload["rho"]["q025"] <= payload["rho"]["mean"] <= \
         payload["rho"]["q975"]
+
+
+def test_fit_reads_csv_with_byte_order_mark(tmp_path, capsys):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF; the header's first
+    # name must still read "y"
+    plain = simulate_csv(tmp_path, n=8, m=5)
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "sim.csv").read_bytes())
+    out_json = tmp_path / "fit.json"
+    results = []
+    for data in (plain, str(marked)):
+        code, out = run(capsys, ["fit", "--family", "ar1", "--data", data,
+                                 "--out", str(out_json)])
+        assert code == 0
+        results.append((out, out_json.read_bytes()))
+    assert results[1] == results[0]
 
 
 def test_fit_matches_direct_library_call(tmp_path, capsys):

@@ -63,13 +63,55 @@ def test_design_gaps_and_offsets_match_positions():
         for j, gaps in enumerate(want):
             assert_array_equal(d.spacings(j), gaps)
         assert_array_equal(d.all_spacings(), np.concatenate(want))
-        for cached in (d.offsets, d.gaps, d.spacings(0), d.all_spacings()):
+        # the later row of each within-group pair: every row but the firsts
+        assert_array_equal(d.pair_rows,
+                           np.setdiff1d(np.arange(bounds[-1]), bounds[:-1]))
+        for cached in (d.offsets, d.pair_rows, d.gaps, d.spacings(0),
+                       d.all_spacings()):
             with pytest.raises(ValueError):
-                cached[...] = 0.0
+                cached[...] = 0
         # the cached arrays are derived, not part of the design's identity
         twin = GroupedDesign(group_sizes=d.group_sizes, positions=d.positions)
         assert twin == d and hash(twin) == hash(d)
-        assert "gaps" not in repr(d) and "offsets" not in repr(d)
+        assert all(name not in repr(d)
+                   for name in ("gaps", "offsets", "pair_rows"))
+
+
+def test_design_gaps_are_bitwise_the_dropped_straddling_differences():
+    # gaps taken at the pair rows are the differences of all positions
+    # with those straddling two groups deleted, bit for bit
+    rng = np.random.default_rng(12)
+    designs = [random_design(rng, with_positions=pos)
+               for pos in (True, False) for _ in range(40)]
+    designs.append(GroupedDesign(group_sizes=(1, 1, 1)))
+    designs.append(GroupedDesign(group_sizes=(1, 3, 1),
+                                 positions=((7.0,), (0.1, 0.3, 0.7), (2.0,))))
+    assert any(1 in d.group_sizes for d in designs)
+    for d in designs:
+        if d.positions is None:
+            want = np.ones(d.total_size - d.n_groups)
+        else:
+            flat = np.concatenate([np.asarray(p) for p in d.positions])
+            want = np.delete(np.diff(flat), d.offsets[1:-1] - 1)
+        assert d.gaps.tobytes() == want.tobytes()
+
+
+def test_design_names_group_of_first_bad_gap():
+    # the group named is the one the gap counts per group point to
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        sizes = rng.integers(1, 6, int(rng.integers(1, 7)))
+        gaps = rng.uniform(0.3, 1.8, sizes.sum() - sizes.size)
+        if gaps.size == 0:
+            continue
+        gaps[rng.integers(gaps.size, size=2)] = rng.choice([0.0, -0.5])
+        ends = np.cumsum(sizes - 1)
+        positions = tuple(tuple(np.concatenate([[5.0], 5.0 + np.cumsum(g)]))
+                          for g in np.split(gaps, ends[:-1]))
+        j = np.searchsorted(ends, np.flatnonzero(gaps <= 0)[0], side="right")
+        with pytest.raises(ConfigurationError,
+                           match=f"positions in group {j} must be strictly"):
+            GroupedDesign(group_sizes=tuple(sizes), positions=positions)
 
 
 def test_design_names_group_with_unordered_positions():

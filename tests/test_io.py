@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import property_examples
 from grouppc import (
     Dataset,
     Family,
@@ -100,7 +101,7 @@ def labelled_datasets(draw):
     return dataset, labels
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@settings(max_examples=property_examples(100))
 @given(labelled_datasets())
 def test_dataset_round_trip_with_arbitrary_labels_and_floats(case):
     # labels may hold commas, quotes, newlines and any non-ASCII text

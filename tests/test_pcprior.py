@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import linalg, stats
 
+from conftest import property_examples
 from grouppc import (
     DistanceFunction,
     DomainError,
@@ -183,7 +184,7 @@ def bisect_internal(dist, target, steps=200):
     return 0.5 * (lo + hi)
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=property_examples(60))
 @given(design=ragged_designs(), model=st.sampled_from([EXCH, AR1, OU]),
        quarter_decades=st.lists(st.one_of(st.integers(-24, 10),
                                           st.integers(-1200, -25)),

@@ -68,6 +68,14 @@ def test_ou_uses_positions():
                     atol=0.02)
 
 
+def test_overflowing_beta_is_domain_error():
+    # every beta is finite, so the config accepts it; y is not
+    cfg = SimConfig(design=balanced_design(5, 4), model=EXCH, param=0.5,
+                    beta=(1e308, 1e308), seed=1)
+    with pytest.raises(DomainError, match="beta is too large"):
+        simulate_dataset(cfg)
+
+
 def test_config_validation():
     d = balanced_design(2, 3)
     with pytest.raises(DomainError, match="seed"):
