@@ -352,12 +352,23 @@ def _mixture_quantiles(mu: NDArray, sd: NDArray, w: NDArray,
     Row k of ``mu`` and ``sd`` holds the components of mixture k, weighted
     by ``w`` (one row shared by every mixture, or one row each); returns
     one row of quantiles at ``probs`` per mixture.  Each quantile starts at
-    its mixture's mean inside the bracket of +-8 sd around every component
-    and steps by (F(q) - prob) / F'(q), with F' = sum w phi(z) / sd, all
-    quantiles in one `safeguarded_newton` (one `ndtr` call per step).  Each
-    CDF and slope is a 1-D dot product ``w @ row``, so a quantile does not
-    depend on which others are solved with it.  Met once the step is below
-    4e-16 (|q| + min sd).
+    the quantile of the normal with its mixture's mean and variance
+    (sum w (sd^2 + (mu - mean)^2)), clipped into the bracket of +-8 sd
+    around every component, and steps by (F(q) - prob) / F'(q), with
+    F' = sum w phi(z) / sd, all quantiles in one `safeguarded_newton` (one
+    `ndtr` call per step).  Each start, CDF and slope comes from 1-D dot
+    products ``w @ row``, so a quantile does not depend on which others
+    are solved with it.  Met once the step is below 4e-16 (|q| + min sd).
+
+    Accuracy: with n components and eps = 2^-52, each quantile q is within
+
+        (3 + n/2) eps F(q) / f(q) + 4e-16 max(|q|, min sd)
+
+    of the exact one.  The first term is the root's conditioning: the
+    computed CDF carries a relative error of at most 3 eps from `erfc`
+    (3 ulp per term, as tests/test_special.py checks) plus n eps / 2 from
+    rounding the n products and their sum, and a relative error delta in
+    F moves its root by delta F / f.  The second is the met test's scale.
     """
     w = np.broadcast_to(w, mu.shape)
     n_probs = len(probs)
@@ -376,9 +387,15 @@ def _mixture_quantiles(mu: NDArray, sd: NDArray, w: NDArray,
             met = np.abs(f / slope) <= 4e-16 * (np.abs(q) + min_sd[m])
         return f, slope, met
 
-    start = np.array([wk @ row for wk, row in zip(w, mu)])[mix]
+    mean = np.array([wk @ row for wk, row in zip(w, mu)])
+    var = np.array([wk @ row for wk, row in
+                    zip(w, sd * sd + (mu - mean[:, None]) ** 2)])
+    # Tukey's lambda approximation of the normal quantile, within 4e-3 of
+    # it at 2.5 % and 97.5 %: it only places the start
+    z = 4.91 * (level ** 0.14 - (1.0 - level) ** 0.14)
     lo = (mu - 8.0 * sd).min(axis=1)[mix]
     hi = (mu + 8.0 * sd).max(axis=1)[mix]
+    start = np.clip(mean[mix] + z * np.sqrt(var)[mix], lo, hi)
     return safeguarded_newton(f_slope, start, lo, hi, True).reshape(-1, n_probs)
 
 

@@ -59,7 +59,7 @@ class CsvTable:
     line_nums: tuple[int, ...]
 
     def column(self, name):
-        """The cells of the first column called ``name``."""
+        """The cells of the column called ``name``."""
         if name not in self.header:
             raise ParseError(f"{self.path}: missing column {name!r}")
         return self.columns[self.header.index(name)]
@@ -68,8 +68,9 @@ class CsvTable:
 def read_table(path):
     """Parse a CSV file with a header row into a `CsvTable`.
 
-    Every data row must have as many fields as the header.  A leading
-    UTF-8 byte-order mark, as spreadsheet exports write, is dropped.
+    Column names must be distinct, and every data row must have as many
+    fields as the header.  A leading UTF-8 byte-order mark, as spreadsheet
+    exports write, is dropped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -77,6 +78,9 @@ def read_table(path):
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
+        for k, name in enumerate(header):
+            if name in header[:k]:
+                raise ParseError(f"{path}: header repeats column {name!r}")
         rows, line_nums = [], []
         for row in reader:
             if not row:

@@ -330,7 +330,7 @@ class PCPrior:
     def quantile(self, p):
         """Inverse of `cdf`; scalar or array ``p`` strictly inside (0, 1)."""
         q = np.asarray(p, dtype=float)
-        if np.any(q <= 0) or np.any(q >= 1):
+        if not np.all((q > 0) & (q < 1)):      # NaN fails both
             raise DomainError("quantile levels must lie strictly in (0, 1)")
         target = -np.log1p(-q) / self.lam
         return self.distance.invert(target)
@@ -339,8 +339,11 @@ class PCPrior:
         """Draw ``count`` parameter values by inverting exponential distances."""
         if seed is None:
             raise DomainError("a seed is required; sampling is deterministic")
+        count = int(count)
+        if count < 0:
+            raise DomainError("the sample count must be nonnegative")
         rng = np.random.default_rng(seed)
-        e = rng.exponential(scale=1.0 / self.lam, size=int(count))
+        e = rng.exponential(scale=1.0 / self.lam, size=count)
         t = self.distance.invert_internal(e)
         return corr.internal_to_param(self.model, t)
 

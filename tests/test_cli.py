@@ -349,6 +349,28 @@ def test_fit_missing_file_is_data_error(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("header, extra", [
+    ("y,group,y", []),
+    ("y,group,x1,x1", ["--covariates", "x1"]),
+    ("y,group,x1,x1", []),
+])
+def test_fit_refuses_repeated_column_names(tmp_path, capsys, header, extra):
+    # y, the group and any covariate cells; each repeat copies its column
+    names = header.split(",")
+    rows = [[i % 3, i % 4] + [i * 7 % 5] * (len(names) - 2) for i in range(24)]
+    data = tmp_path / "dup.csv"
+    data.write_text("\n".join([header] + [",".join(map(str, r))
+                                          for r in rows]) + "\n")
+    capsys.readouterr()
+    code = main(["fit", "--family", "exchangeable", "--data", str(data),
+                 "--group-col", "group", "--out", str(tmp_path / "fit.json"),
+                 *extra])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"header repeats column '{names[-1]}'" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_fit_ou_needs_positions_or_unit_spacing(tmp_path, capsys):
     data = simulate_csv(tmp_path, family="ar1", rho=0.5, seed=2)
     code, _ = run(capsys, ["fit", "--family", "ou", "--data", data,

@@ -1,6 +1,5 @@
 """Evidence integration: likelihood paths, grids, summaries, Bayes factors."""
 
-import functools
 import tracemalloc
 import warnings
 
@@ -703,31 +702,37 @@ def test_mixture_quantile_two_components():
     assert_allclose(stats.norm(-3, 0.5).cdf(lo) * 0.5, 0.025, atol=1e-9)
 
 
-@functools.lru_cache(maxsize=None)
-def _mpmath_quantile(mu, sd, w, prob):
-    """Mixture quantile by 200 bisection steps at 40 significant digits.
+def _mpmath_quantile(mu, sd, w, prob, x):
+    """Mixture quantile and F/f there, by 40-digit Newton from ``x``.
 
-    Takes tuples, so each case is computed once per session.
+    Checks that F - prob changes sign across the root's 1e-30 (|x| + 1)
+    neighbourhood, so the root is the bracketed one.
     """
     with mpmath.workdps(40):
         mu, sd, w = ([mpmath.mpf(float(v)) for v in a] for a in (mu, sd, w))
         cdf = lambda x: sum(wk * mpmath.ncdf((x - mk) / sk)
                             for mk, sk, wk in zip(mu, sd, w))
-        lo = min(m - 8 * s for m, s in zip(mu, sd))
-        hi = max(m + 8 * s for m, s in zip(mu, sd))
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if cdf(mid) < prob:
-                lo = mid
-            else:
-                hi = mid
-        return float((lo + hi) / 2)
+        pdf = lambda x: sum(wk * mpmath.npdf((x - mk) / sk) / sk
+                            for mk, sk, wk in zip(mu, sd, w))
+        x = mpmath.mpf(float(x))
+        for _ in range(4):
+            x -= (cdf(x) - prob) / pdf(x)
+        h = mpmath.mpf("1e-30") * (abs(x) + 1)
+        assert cdf(x - h) < prob < cdf(x + h)
+        return float(x), float(cdf(x) / pdf(x))
 
 
 def _random_mixture(seed, k=30):
     rng = np.random.default_rng(seed)
     return (tuple(rng.normal(0.0, 2.0, k)), tuple(rng.uniform(0.05, 1.5, k)),
             tuple(rng.dirichlet(np.ones(k))))
+
+
+def _drawn_mixtures(count=25, k=30):
+    """``count`` mixtures drawn in a row from one generator."""
+    rng = np.random.default_rng(1)
+    return [(rng.normal(0.0, 2.0, k), rng.uniform(0.05, 1.5, k),
+             rng.dirichlet(np.ones(k))) for _ in range(count)]
 
 
 MIXTURES = [
@@ -753,14 +758,44 @@ def _counting_ndtr(monkeypatch):
 @pytest.mark.parametrize("mu, sd, w", MIXTURES)
 def test_mixture_quantile_matches_mpmath_in_few_cdf_evaluations(
         mu, sd, w, monkeypatch):
+    mu_, sd_, w_ = np.array(mu), np.array(sd), np.array(w)
     for prob in PROBS:
-        want = _mpmath_quantile(mu, sd, w, prob)
-        mu_, sd_, w_ = np.array(mu), np.array(sd), np.array(w)
         evals = _counting_ndtr(monkeypatch)
         got = _quantile(mu_, sd_, w_, prob)
         monkeypatch.undo()
+        want, _ = _mpmath_quantile(mu, sd, w, prob, got)
         assert abs(got - want) <= 4e-15 * max(abs(want), sd_.min()), prob
         assert len(evals) <= 12, prob
+
+
+def test_mixture_quantiles_meet_their_accuracy_contract(monkeypatch):
+    # (3 + n/2) eps F/f + 4e-16 max(|q|, min sd), derived in the docstring
+    eps = np.finfo(float).eps
+    for mu, sd, w in _drawn_mixtures():
+        for prob in PROBS:
+            evals = _counting_ndtr(monkeypatch)
+            got = _quantile(mu, sd, w, prob)
+            monkeypatch.undo()
+            want, cdf_over_pdf = _mpmath_quantile(mu, sd, w, prob, got)
+            bound = ((3 + mu.size / 2) * eps * cdf_over_pdf
+                     + 4e-16 * max(abs(want), sd.min()))
+            assert abs(got - want) <= bound, prob
+            assert len(evals) <= 12, prob
+
+
+@pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])
+def test_default_fit_takes_four_cdf_passes(family, monkeypatch):
+    # the fixture of tests/test_pinned.py: each beta quantile starts at its
+    # mixture's normal quantile, a few Newton steps from the root
+    from test_pinned import _design, _prior
+    design = _design()
+    data = simulate_dataset(SimConfig(design, OU, param=0.5,
+                                      beta=(1.0, 0.5), seed=11))
+    model, prior = _prior(family, design)
+    hyper = HyperPriors(prior, solve_psi(1.0 / 0.31, 0.01))
+    evals = _counting_ndtr(monkeypatch)
+    log_marginal_likelihood(data, model, hyper)
+    assert len(evals) <= 4
 
 
 def test_mixture_quantiles_of_stacked_mixtures_in_one_solve(monkeypatch):
@@ -778,7 +813,7 @@ def test_mixture_quantiles_of_stacked_mixtures_in_one_solve(monkeypatch):
     assert len(evals) <= 12
     for row, (m, s, v) in zip(got, MIXTURES):
         for q, prob in zip(row, PROBS):
-            want = _mpmath_quantile(m, s, v, prob)
+            want, _ = _mpmath_quantile(m, s, v, prob, q)
             assert abs(q - want) <= 4e-15 * max(abs(want), min(s)), prob
 
 

@@ -202,6 +202,17 @@ def test_parse_errors_name_row_and_column(tmp_path):
         io.read_dataset(ragged)
 
 
+@pytest.mark.parametrize("header", ["y,group,y", "y,group,x1,x1"])
+def test_repeated_column_name_is_refused(tmp_path, header):
+    # a second column of the same name would be silently ignored
+    name = header.rsplit(",", 1)[1]
+    path = write_csv(tmp_path / "a.csv",
+                     header + "\n" + ",".join(["1"] * header.count(",")
+                                               + ["2"]) + "\n")
+    with pytest.raises(ParseError, match=f"header repeats column '{name}'"):
+        io.read_table(path)
+
+
 # ----------------------------------------------------------------------
 # fits
 # ----------------------------------------------------------------------

@@ -344,8 +344,8 @@ def test_cdf_quantile_round_trip():
 
 def test_quantile_rejects_boundary_probabilities():
     prior = PCPrior.from_quantile(EXCH, balanced_design(2, 3), 0.5, 0.5)
-    for p in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(DomainError):
+    for p in (0.0, 1.0, -0.1, 1.1, np.nan, [0.5, np.nan]):
+        with pytest.raises(DomainError, match="strictly in"):
             prior.quantile(p)
 
 
@@ -408,6 +408,13 @@ def test_sample_requires_seed():
     prior = PCPrior.from_quantile(EXCH, balanced_design(2, 3), 0.5, 0.5)
     with pytest.raises(TypeError):
         prior.sample(10)
+
+
+def test_sample_refuses_a_negative_count():
+    prior = PCPrior.from_quantile(EXCH, balanced_design(2, 3), 0.5, 0.5)
+    with pytest.raises(DomainError, match="nonnegative"):
+        prior.sample(-1, seed=3)
+    assert prior.sample(0, seed=3).shape == (0,)
 
 
 # ----------------------------------------------------------------------
