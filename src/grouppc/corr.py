@@ -1,9 +1,10 @@
-"""Within-group correlation matrices and their log-determinants.
+"""Within-group correlations: matrices, log-determinants, quadratic forms.
 
+This is the one module that knows each family's correlation algebra.
 Everything here works group-wise: the full residual correlation matrix is
-block diagonal with one block per group, so log-determinants and their
-derivatives are sums over groups.  Each family has a closed form per
-block:
+block diagonal with one block per group, so log-determinants, their
+derivatives and the quadratic forms Z'R^-1 Z are sums over groups.  Each
+family has a closed form per block:
 
 * exchangeable: ``|R| = (1 + (m-1) rho) (1 - rho)^(m-1)``
 * AR1 (unit spacing): ``|R| = (1 - rho^2)^(m-1)``
@@ -16,7 +17,11 @@ special case under ``rho = exp(-phi)``.
 
 One private kernel returns log |R| and its derivative from one pass over
 the nodes; the public functions project it on the parameter scale, and
-`_internal_kernel` evaluates it on the internal scale.
+`_internal_kernel` evaluates it on the internal scale.  Its rho -> 0 limit
+gives the distance's base slope (`_base_slope`).  `_sufficient_stats`
+forms Z'R^-1 Z for every internal node from group means (exchangeable)
+or consecutive pairs (AR1, OU) without building R^-1, and
+`_unit_gap_correlation` reports the correlation one unit apart.
 
 A dense Cholesky fallback (`log_det_dense`, `dlogdet_finite_difference`)
 backs the same quantities for verification.
@@ -30,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .design import Family, GroupModel, GroupedDesign
+from .design import Dataset, Family, GroupModel, GroupedDesign
 from .errors import DomainError
 from .special import expit
 
@@ -243,6 +248,15 @@ def _log_det_slope(model: GroupModel, design: GroupedDesign, p, log1m_rho, j):
     return log_det, slope
 
 
+def _base_slope(model: GroupModel, design: GroupedDesign):
+    """Distance slope at rho = 0 from `_log_det_slope`'s limit; None for OU."""
+    if model.family is Family.OU:
+        return None
+    if model.family is Family.AR1:
+        return np.sqrt(design.gaps.size)
+    return np.sqrt(sum(c * m * (m - 1) / 2.0 for m, c in design.size_classes))
+
+
 def _param_kernel(model: GroupModel, design: GroupedDesign, param,
                   allow_degenerate: bool):
     """`_log_det_slope` at checked values (log|R| = -inf at rho 1, phi 0)."""
@@ -326,6 +340,13 @@ def internal_to_param(model: GroupModel, t):
     return _scalar_like(t, out)
 
 
+def _unit_gap_correlation(model: GroupModel, t):
+    """Correlation one position unit apart: rho, or exp(-phi) for OU."""
+    if model.family is Family.OU:
+        return np.exp(-np.exp(t))
+    return internal_to_param(model, t)
+
+
 def _internal_kernel(model: GroupModel, design: GroupedDesign, t):
     """(log |R|, slope) at internal coordinates ``t``, stable in the tails."""
     model.check_design(design)
@@ -335,3 +356,51 @@ def _internal_kernel(model: GroupModel, design: GroupedDesign, t):
     rho = expit(x)
     return _log_det_slope(model, design, rho, -np.logaddexp(0.0, x), rho)
 
+
+def _sufficient_stats(dataset: Dataset, model: GroupModel, s: NDArray):
+    """Z'QZ at unit precision, Z = [y, X], one q x q block per internal node.
+
+    Q = C^-1 is never formed.  The exchangeable block precision is
+    (1 - rho)^-1 [I - c_j 11'] with c_j = rho / (1 + (m_j - 1) rho); split
+    into group means mu_j and deviations D_j from them, Z_j'Q_j Z_j is
+    (1 + e^s) D_j'D_j + m_j mu_j mu_j' / (1 + (m_j - 1) rho), with
+    1 + e^s = 1 / (1 - rho) exactly; the mu_j mu_j' are summed per size
+    class first.  AR1 and OU are Markov chains: u'Qv sums u_0 v_0 over
+    first rows and (u_b - r u_a)(v_b - r v_a) / (1 - r^2) over pairs
+    (a, b), b in ``design.pair_rows``, with gap correlation r.  Writing
+    u_b - r u_a as (u_b - u_a) + (1 - r) u_a gives pair weights
+    1 / (1 - r^2), 1 / (1 + r) and (1 - r) / (1 + r), with 1 - r from
+    expit(-s) (AR1) or -expm1(-phi gap) (OU); neither cancels as r -> 1.
+    """
+    Z = np.column_stack([dataset.y, dataset.X])
+    q = Z.shape[1]
+    design = dataset.design
+    starts = design.offsets[:-1]
+    outer = lambda u, v: np.einsum("ga,gb->gab", u, v).reshape(len(u), q * q)
+    if model.family is Family.EXCHANGEABLE:
+        sizes = np.diff(design.offsets)
+        means = np.add.reduceat(Z, starts, axis=0) / sizes[:, None]
+        D = Z - np.repeat(means, sizes, axis=0)
+        m, count = np.array(design.size_classes).T
+        mu = means[np.argsort(sizes, kind="stable")]
+        P = np.add.reduceat(outer(mu, mu), np.cumsum(count) - count)
+        between = (m / (1.0 + (m - 1) * expit(s)[:, None])) @ P
+        return ((1.0 + np.exp(s))[:, None, None] * (D.T @ D)
+                + between.reshape(-1, q, q))
+    first = Z[starts]
+    b = design.pair_rows
+    D, A = Z[b] - Z[b - 1], Z[b - 1]
+    if model.family is Family.AR1:
+        # one gap correlation for every pair: sum the products first
+        r, one_m_r = expit(s)[:, None], expit(-s)[:, None]
+        DA = D.T @ A
+        pairs = [P.reshape(1, q * q) for P in (D.T @ D, DA + DA.T, A.T @ A)]
+    else:
+        pairs = [outer(D, D), outer(D, A) + outer(A, D), outer(A, A)]
+        log_r = -np.exp(s)[:, None] * design.gaps
+        one_m_r, r = -np.expm1(log_r), np.exp(log_r, out=log_r)
+    # w = 1 / (1 + r) in place: the OU weights are n_corr x n_gaps
+    w = np.reciprocal(np.add(r, 1.0, out=r), out=r)
+    W = ((w / one_m_r) @ pairs[0] + w @ pairs[1]
+         + (w * one_m_r) @ pairs[2])
+    return first.T @ first + W.reshape(-1, q, q)

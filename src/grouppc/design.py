@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -46,6 +47,14 @@ def parse_family(name: str | Family) -> Family:
         raise ConfigurationError(f"unknown correlation family {name!r}") from None
 
 
+def _whole(value, error, what: str) -> int:
+    """``value`` as an int when it is an integer type; else raise ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GroupedDesign:
     """Partition of observations into groups, with optional positions.
@@ -76,7 +85,8 @@ class GroupedDesign:
     def __post_init__(self):
         if len(self.group_sizes) == 0:
             raise ConfigurationError("a design needs at least one group")
-        sizes = tuple(int(m) for m in self.group_sizes)
+        sizes = tuple(_whole(m, ConfigurationError, "a group size")
+                      for m in self.group_sizes)
         if any(m < 1 for m in sizes):
             raise ConfigurationError("group sizes must be positive")
         object.__setattr__(self, "group_sizes", sizes)
@@ -199,6 +209,8 @@ class Dataset:
             raise DataError("y must be a one-dimensional vector")
         if X.ndim != 2 or X.shape[0] != y.size:
             raise DataError("X must be a matrix with one row per observation")
+        if X.shape[1] == 0:
+            raise DataError("X must hold at least the intercept column")
         if y.size != self.design.total_size:
             raise DataError(
                 f"{y.size} observations but the design describes "

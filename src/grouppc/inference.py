@@ -39,10 +39,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import corr
-from .design import Dataset, Family, GroupModel
+from .design import Dataset, GroupModel, _whole
 from .errors import DataError, DomainError, NumericError
 from .pcprior import PCPrior
-from .special import expit, ndtr, safeguarded_newton
+from .special import ndtr, safeguarded_newton
 
 __all__ = [
     "gumbel2_log_density",
@@ -140,6 +140,8 @@ class GridConfig:
     corr_bounds: tuple[float, float] = (-12.0, 12.0)
 
     def __post_init__(self):
+        _whole(self.n_tau, DomainError, "n_tau")
+        _whole(self.n_corr, DomainError, "n_corr")
         if self.n_tau < 2 or self.n_corr < 2:
             raise DomainError("grids need at least two nodes per axis")
         for lo, hi in (self.tau_bounds, self.corr_bounds):
@@ -164,63 +166,14 @@ class GridConfig:
 # Gaussian log likelihood, block-wise and dense
 # ----------------------------------------------------------------------
 
-def _sufficient_stats(dataset: Dataset, model: GroupModel, s: NDArray):
-    """Z'QZ at unit precision, Z = [y, X], one q x q block per internal node.
-
-    Q = C^-1 is never formed.  The exchangeable block precision is
-    (1 - rho)^-1 [I - c_j 11'] with c_j = rho / (1 + (m_j - 1) rho); split
-    into group means mu_j and deviations D_j from them, Z_j'Q_j Z_j is
-    (1 + e^s) D_j'D_j + m_j mu_j mu_j' / (1 + (m_j - 1) rho), with
-    1 + e^s = 1 / (1 - rho) exactly; the mu_j mu_j' are summed per size
-    class first.  AR1 and OU are Markov chains: u'Qv sums u_0 v_0 over
-    first rows and (u_b - r u_a)(v_b - r v_a) / (1 - r^2) over pairs
-    (a, b), b in ``design.pair_rows``, with gap correlation r.  Writing
-    u_b - r u_a as (u_b - u_a) + (1 - r) u_a gives pair weights
-    1 / (1 - r^2), 1 / (1 + r) and (1 - r) / (1 + r), with 1 - r from
-    expit(-s) (AR1) or -expm1(-phi gap) (OU); neither cancels as r -> 1.
-    """
-    Z = np.column_stack([dataset.y, dataset.X])
-    q = Z.shape[1]
-    design = dataset.design
-    starts = design.offsets[:-1]
-    outer = lambda u, v: np.einsum("ga,gb->gab", u, v).reshape(len(u), q * q)
-    if model.family is Family.EXCHANGEABLE:
-        sizes = np.diff(design.offsets)
-        means = np.add.reduceat(Z, starts, axis=0) / sizes[:, None]
-        D = Z - np.repeat(means, sizes, axis=0)
-        m, count = np.array(design.size_classes).T
-        mu = means[np.argsort(sizes, kind="stable")]
-        P = np.add.reduceat(outer(mu, mu), np.cumsum(count) - count)
-        between = (m / (1.0 + (m - 1) * expit(s)[:, None])) @ P
-        return ((1.0 + np.exp(s))[:, None, None] * (D.T @ D)
-                + between.reshape(-1, q, q))
-    first = Z[starts]
-    b = design.pair_rows
-    D, A = Z[b] - Z[b - 1], Z[b - 1]
-    if model.family is Family.AR1:
-        # one gap correlation for every pair: sum the products first
-        r, one_m_r = expit(s)[:, None], expit(-s)[:, None]
-        DA = D.T @ A
-        pairs = [P.reshape(1, q * q) for P in (D.T @ D, DA + DA.T, A.T @ A)]
-    else:
-        pairs = [outer(D, D), outer(D, A) + outer(A, D), outer(A, A)]
-        log_r = -np.exp(s)[:, None] * design.gaps
-        one_m_r, r = -np.expm1(log_r), np.exp(log_r, out=log_r)
-    # w = 1 / (1 + r) in place: the OU weights are n_corr x n_gaps
-    w = np.reciprocal(np.add(r, 1.0, out=r), out=r)
-    W = ((w / one_m_r) @ pairs[0] + w @ pairs[1]
-         + (w * one_m_r) @ pairs[2])
-    return first.T @ first + W.reshape(-1, q, q)
-
-
 def _woodbury(dataset: Dataset, model: GroupModel, s: NDArray,
               log_tau: NDArray, beta_prec: float, logdetC: NDArray):
     """Likelihood on the (log tau, internal correlation) tensor grid.
 
     Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') indexed [log tau, s]
     and per node the eigenvalues lam, eigenvectors V and c = V'X'Qy of
-    X'QX.  With the statistics W = Z'QZ of `_sufficient_stats`, one `eigh`
-    per node gives X'QX = V diag(lam) V', so the capacitance
+    X'QX.  With the statistics W = Z'QZ of `corr._sufficient_stats`, one
+    `eigh` per node gives X'QX = V diag(lam) V', so the capacitance
     B = beta_prec I + tau X'QX is V diag(d) V' with d = beta_prec + tau lam.
     The determinant lemma and the Woodbury identity then need only
     sum(log d), b'B^-1 b = tau^2 sum(c^2 / d) and log|C| at the nodes
@@ -230,7 +183,7 @@ def _woodbury(dataset: Dataset, model: GroupModel, s: NDArray,
     positive and finite raises `NumericError`.
     """
     M, p = dataset.n_obs, dataset.n_coef
-    W = _sufficient_stats(dataset, model, s)
+    W = corr._sufficient_stats(dataset, model, s)
     lam, V = np.linalg.eigh(W[:, 1:, 1:])
     c = np.einsum("kji,kj->ki", V, W[:, 1:, 0])
     tau = np.exp(log_tau)[:, None]
@@ -326,16 +279,21 @@ def posterior_summaries(values, weights,
     Quantiles interpolate the midpoint cumulative distribution of the
     (normalized) weights after sorting by value; a point mass therefore
     returns its location for every quantile.  Returns the mean followed
-    by one quantile per entry of ``probs``.
+    by one quantile per entry of ``probs``.  Values and weights must be
+    finite, the weights nonnegative with a positive total.
     """
     v = np.asarray(values, dtype=float).ravel()
     w = np.asarray(weights, dtype=float).ravel()
     if v.size != w.size or v.size == 0:
         raise ValueError("values and weights must be equal-length, nonempty")
+    if not (np.isfinite(v).all() and np.isfinite(w).all()):
+        raise ValueError("values and weights must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     keep = w > 0
     v, w = v[keep], w[keep]
+    if v.size == 0:
+        raise ValueError("weights must have a positive total")
     w = w / w.sum()
     order = np.argsort(v)
     v, w = v[order], w[order]
@@ -343,6 +301,19 @@ def posterior_summaries(values, weights,
     cum = np.cumsum(w) - 0.5 * w
     qs = np.interp(probs, cum, v)
     return (mean, *(float(q) for q in qs))
+
+
+def _summary(values, weights) -> dict:
+    """`posterior_summaries` as a fit's {mean, q025, q975} entry.
+
+    A fit's weights are finite and normalised, so a refusal can only come
+    from values that overflowed; it raises `NumericError`.
+    """
+    try:
+        mean, lo, hi = posterior_summaries(values, weights)
+    except ValueError as exc:
+        raise NumericError(f"posterior summary refused: {exc}") from exc
+    return {"mean": mean, "q025": lo, "q975": hi}
 
 
 def _mixture_quantiles(mu: NDArray, sd: NDArray, w: NDArray,
@@ -453,9 +424,15 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
         raise DomainError(
             "the correlation prior was built for a different design")
     p = dataset.n_coef
-    XtX = dataset.X.T @ dataset.X
-    if np.linalg.matrix_rank(XtX) < p:
-        raise DataError("the covariate matrix is rank deficient")
+    if np.linalg.matrix_rank(dataset.X.T @ dataset.X) < p:
+        if np.linalg.matrix_rank(dataset.X) < p:
+            raise DataError("the covariate matrix is rank deficient")
+        # the likelihood works from X'X, whose condition is X's squared
+        cond = np.linalg.cond(dataset.X)
+        raise DataError(
+            "the covariate matrix is rank deficient in X'X: X has full rank "
+            f"but condition number {cond:.1e}, which X'X squares past double "
+            "precision; rescale or drop nearly collinear covariates")
 
     t_nodes = grid.axis("tau")          # log tau
     s_nodes = grid.axis("corr")         # internal correlation coordinate
@@ -496,20 +473,15 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     }
 
     # correlation summary on the reporting scale
-    mass_s = mass.sum(axis=0)
-    if model.family is Family.OU:
-        report = np.exp(-np.exp(s_nodes))
-    else:
-        report = corr.internal_to_param(model, s_nodes)
-    rho_mean, rho_lo, rho_hi = posterior_summaries(report, mass_s)
-    rho_summary = {"mean": rho_mean, "q025": rho_lo, "q975": rho_hi}
+    rho_summary = _summary(corr._unit_gap_correlation(model, s_nodes),
+                           mass.sum(axis=0))
 
-    # sigma^2 = e^-t only where tau has mass: e^-t overflows below t = -709
+    # sigma^2 = e^-t only where tau has mass: e^-t overflows below t = -709,
+    # which `_summary` refuses
     mass_t = mass.sum(axis=1)
     held = mass_t > 0
-    s2_mean, s2_lo, s2_hi = posterior_summaries(np.exp(-t_nodes[held]),
-                                                mass_t[held])
-    sigma2_summary = {"mean": s2_mean, "q025": s2_lo, "q975": s2_hi}
+    with np.errstate(over="ignore"):
+        sigma2_summary = _summary(np.exp(-t_nodes[held]), mass_t[held])
 
     flat_w = mass.ravel()
     active = np.flatnonzero(flat_w > 1e-15)

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import corr
-from .design import Family, GroupModel, GroupedDesign, parse_family
+from .design import Family, GroupModel, GroupedDesign, _whole, parse_family
 from .errors import DomainError, NumericError
 from .special import safeguarded_newton
 
@@ -112,13 +112,7 @@ class DistanceFunction:
         self.design = design
         #: True when d grows with the internal coordinate (rho families)
         self.increasing = model.family is not Family.OU
-        if model.family is Family.EXCHANGEABLE:
-            self._base_slope = np.sqrt(
-                sum(c * m * (m - 1) / 2.0 for m, c in design.size_classes))
-        elif model.family is Family.AR1:
-            self._base_slope = np.sqrt(design.gaps.size)
-        else:
-            self._base_slope = None
+        self._base_slope = corr._base_slope(model, design)
         if self.increasing:
             self._internal_lo, self._internal_hi = -745.0, corr.RHO_INTERNAL_MAX
         else:
@@ -339,7 +333,7 @@ class PCPrior:
         """Draw ``count`` parameter values by inverting exponential distances."""
         if seed is None:
             raise DomainError("a seed is required; sampling is deterministic")
-        count = int(count)
+        count = _whole(count, DomainError, "the sample count")
         if count < 0:
             raise DomainError("the sample count must be nonnegative")
         rng = np.random.default_rng(seed)
@@ -425,6 +419,7 @@ def density_grid(prior: PCPrior, grid_size: int) -> PriorGrid:
     whose parameter value is still strictly inside the domain (the prior
     tail can outrun floating point well before it runs out of mass).
     """
+    grid_size = _whole(grid_size, DomainError, "the grid size")
     if grid_size < 2:
         raise DomainError("a grid needs at least two points")
     lam = prior.lam
@@ -437,14 +432,14 @@ def density_grid(prior: PCPrior, grid_size: int) -> PriorGrid:
         t_hi = min(t_hi, corr.RHO_INTERNAL_MAX)
         ulp = np.finfo(float).eps / 2
         for _ in range(4):
-            step = (t_hi - t_lo) / (int(grid_size) - 1)
+            step = (t_hi - t_lo) / (grid_size - 1)
             cap = np.log(step / ulp)
             if t_hi <= cap:
                 break
             t_hi = cap
     else:
         t_lo = max(t_lo, corr.PHI_INTERNAL_MIN)
-    t = np.linspace(t_lo, t_hi, int(grid_size))
+    t = np.linspace(t_lo, t_hi, grid_size)
     param = corr.internal_to_param(prior.model, t)
     dist, dlogdet = prior.distance._param_scale(param)
     density = np.exp(prior._log_density(dist, dlogdet,

@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from grouppc import (
     ConfigurationError,
+    DataError,
+    Dataset,
     DomainError,
     Family,
     GroupModel,
@@ -138,6 +140,22 @@ def test_design_size_classes_count_each_size():
     assert d.total_size == 13 and type(d.total_size) is int
     assert "size_classes" not in repr(d)
     assert d == GroupedDesign(group_sizes=d.group_sizes)
+
+
+def test_design_refuses_group_sizes_that_are_not_integers():
+    # int() would truncate 2.5 to a group of 2
+    for size in (2.5, 3.0, np.float64(3.0), "3"):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            GroupedDesign(group_sizes=(size, 3))
+    d = GroupedDesign(group_sizes=(np.int64(2), np.int32(3), 4))
+    assert d.group_sizes == (2, 3, 4)
+    assert all(type(m) is int for m in d.group_sizes)
+
+
+def test_dataset_refuses_x_without_columns():
+    with pytest.raises(DataError, match="at least the intercept"):
+        Dataset(y=np.zeros(3), X=np.ones((3, 0)),
+                design=balanced_design(1, 3), column_names=())
 
 
 # ----------------------------------------------------------------------

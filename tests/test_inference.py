@@ -41,12 +41,11 @@ from grouppc import (
     simulate_dataset,
     solve_psi,
 )
-from grouppc import inference
-from grouppc.corr import _internal_kernel
+from grouppc import corr, inference
+from grouppc.corr import _internal_kernel, _sufficient_stats
 from grouppc.inference import (
     _beta_moments,
     _mixture_quantiles,
-    _sufficient_stats,
     _woodbury,
 )
 
@@ -407,13 +406,13 @@ def test_fit_refuses_indefinite_capacitance(monkeypatch):
     ds = reference_dataset()
     prior = PCPrior.from_quantile(EXCH, ds.design, 0.5, 0.5)
     hyper = HyperPriors(corr_prior=prior, psi=solve_psi(1 / 0.31, 0.01))
-    real = inference._sufficient_stats
+    real = corr._sufficient_stats
 
     def flipped(*args):
         W = real(*args)
         W[:, -1, -1] *= -1.0
         return W
-    monkeypatch.setattr(inference, "_sufficient_stats", flipped)
+    monkeypatch.setattr(corr, "_sufficient_stats", flipped)
     with pytest.raises(NumericError, match="not positive definite"):
         log_marginal_likelihood(ds, EXCH, hyper)
     with pytest.raises(NumericError, match="not positive definite"):
@@ -546,6 +545,20 @@ def test_log_mlik_validations():
         log_marginal_likelihood(bad, EXCH, toy_hyper(bad))
 
 
+def test_log_mlik_names_rank_loss_of_full_rank_ill_conditioned_x():
+    # X has rank 2 but condition 2e8, so X'X (condition 5e16) has rank 1;
+    # the refusal stays and says why, next to a truly deficient X
+    z = np.random.default_rng(0).standard_normal(20)
+    design = balanced_design(5, 4)
+    for x1, cause in ((1.0 + 1e-8 * z, r"condition number 2\.4e\+08"),
+                      (np.ones(20), "rank deficient$")):
+        ds = Dataset(y=z, X=np.column_stack([np.ones(20), x1]),
+                     design=design, column_names=("intercept", "x1"))
+        with pytest.raises(DataError, match="rank deficient") as err:
+            log_marginal_likelihood(ds, EXCH, toy_hyper(ds))
+        assert err.match(cause)
+
+
 def test_log_mlik_refuses_prior_for_another_design():
     # the fit takes log|R| for the likelihood and the prior from one pass,
     # which is right only when the prior describes the dataset's design
@@ -644,6 +657,14 @@ def test_grid_config_validations():
     assert_allclose(w.sum(), 4.0)
 
 
+@pytest.mark.parametrize("field", ["n_tau", "n_corr"])
+def test_grid_config_refuses_node_counts_that_are_not_integers(field):
+    # such a count constructed, then failed in `axis` with a TypeError
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        GridConfig(**{field: 20.5})
+    assert GridConfig(**{field: np.int64(5)}).axis(field[2:]).size == 5
+
+
 @pytest.mark.parametrize("bounds", [(12.0, -12.0), (0.0, 0.0),
                                     (np.nan, 12.0), (-12.0, np.nan),
                                     (-np.inf, 12.0), (-12.0, np.inf)])
@@ -669,6 +690,34 @@ def test_posterior_summaries_two_points():
                                        np.array([0.5, 0.5]))
     assert_allclose(mean, 0.5)
     assert lo == 0.0 and hi == 1.0
+
+
+@pytest.mark.parametrize("values, weights", [
+    ([1.0, 2.0], [np.nan, 1.0]), ([1.0, 2.0], [np.inf, 1.0]),
+    ([np.nan, 2.0], [1.0, 1.0]), ([np.inf, 2.0], [0.0, 1.0]),
+])
+def test_posterior_summaries_refuse_non_finite_input(values, weights):
+    # a NaN weight was dropped by w > 0, and an infinite one gave NaNs
+    with pytest.raises(ValueError, match="must be finite"):
+        posterior_summaries(values, weights)
+
+
+def test_posterior_summaries_refuse_a_zero_total():
+    with pytest.raises(ValueError, match="positive total"):
+        posterior_summaries([1.0, 2.0], [0.0, 0.0])
+
+
+def test_log_mlik_refuses_sigma2_overflow_as_numeric_error():
+    # with a tiny psi the precision posterior is flat down to log tau of
+    # about 2 log psi, so nodes below -709, where sigma^2 = e^-t overflows,
+    # hold mass; the summary was a mean of inf
+    ds = Dataset(y=np.array([0.3, -0.2]), X=np.ones((2, 1)),
+                 design=balanced_design(1, 2))
+    prior = PCPrior.from_quantile(EXCH, ds.design, 0.5, 0.5)
+    hyper = HyperPriors(corr_prior=prior, psi=1e-300)
+    with pytest.raises(NumericError, match="must be finite"):
+        log_marginal_likelihood(ds, EXCH, hyper,
+                                GridConfig(tau_bounds=(-1000.0, 12.0)))
 
 
 def test_posterior_summaries_match_exponential_quantiles():

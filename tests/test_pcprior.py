@@ -417,6 +417,18 @@ def test_sample_refuses_a_negative_count():
     assert prior.sample(0, seed=3).shape == (0,)
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, np.float64(2.0)])
+def test_sample_and_density_grid_refuse_counts_that_are_not_integers(count):
+    # int() would truncate 2.5 to 2 draws or rows
+    prior = PCPrior.from_quantile(EXCH, balanced_design(2, 3), 0.5, 0.5)
+    with pytest.raises(DomainError, match="the sample count must be an"):
+        prior.sample(count, seed=3)
+    with pytest.raises(DomainError, match="the grid size must be an"):
+        density_grid(prior, count + 2)
+    assert prior.sample(np.int64(2), seed=3).shape == (2,)
+    assert len(density_grid(prior, np.int64(4))) == 4
+
+
 # ----------------------------------------------------------------------
 # density_grid
 # ----------------------------------------------------------------------
