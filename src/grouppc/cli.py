@@ -24,7 +24,8 @@ import sys
 import numpy as np
 
 from . import io
-from .design import Family, GroupModel, GroupedDesign, balanced_design, parse_family
+from .design import (Dataset, Family, GroupModel, GroupedDesign,
+                     balanced_design, parse_family)
 from .errors import (
     ConfigurationError,
     DataError,
@@ -98,11 +99,14 @@ def _fit_models(args, specs):
 
     The file is parsed once, and every fit shares one X: the `--covariates`
     columns, or else every column that is not y and that no spec claims
-    as a grouping factor or coordinate.  A bare FAMILY spec falls back to
+    as a grouping factor or coordinate.  y and X are converted once, after
+    the first spec's design, and each distinct (group, pos) grouping
+    builds one design and one `Dataset`.  A bare FAMILY spec falls back to
     the flag/sniffed columns; an explicit @GROUPCOL uses positions only
     when :POSCOL is given.  The first model's design scales the
     correlation prior and every fit takes that rate.  Returns
-    (grouping, fit) pairs in spec order; an error names its spec.
+    (grouping, fit) pairs in spec order; an error names the first spec
+    that hits it.
     """
     table = io.read_table(args.data)
     default_group, default_pos = _sniff_columns(table, args)
@@ -117,14 +121,22 @@ def _fit_models(args, specs):
             raise DataError(f"column {name!r} is the response, a grouping "
                             "factor or a coordinate, not a covariate")
     psi = solve_psi(args.sigma_u, args.sigma_alpha)
-    fits, lam = [], None
+    fits, lam, numbers, datasets = [], None, None, {}
     for text, family, group_col, pos_col in specs:
         model = GroupModel(family, assume_unit_spacing=args.unit_spacing)
         if group_col is None:
             pos_col = default_pos
         group_col = group_col or default_group
         try:
-            dataset = io.table_dataset(table, covariates, group_col, pos_col)
+            if (group_col, pos_col) not in datasets:
+                design, order = io.table_design(table, group_col, pos_col)
+                if numbers is None:
+                    numbers = io.table_numbers(table, covariates)
+                y, X = numbers
+                datasets[group_col, pos_col] = Dataset(
+                    y=y[order], X=X[order], design=design,
+                    column_names=("intercept", *covariates))
+            dataset = datasets[group_col, pos_col]
             if lam is None:
                 u, a = _quantile_statement(args, model)
                 lam = PCPrior.from_quantile(model, dataset.design, u, a).lam

@@ -23,6 +23,7 @@ from .pcprior import PriorGrid
 __all__ = [
     "read_table",
     "table_design",
+    "table_numbers",
     "table_dataset",
     "read_dataset",
     "write_dataset",
@@ -150,21 +151,26 @@ def table_design(table, group_column="group", pos_column=None):
     return design, np.array(order, dtype=np.intp)
 
 
+def table_numbers(table, covariate_names=()):
+    """y and X = [1, covariates] of a parsed table, in file order.
+
+    Only y and the named covariate columns are converted to numbers.
+    """
+    y, *covs = _float_columns(table, ["y", *covariate_names])
+    return np.array(y), np.column_stack([np.ones(len(y)), *covs])
+
+
 def table_dataset(table, covariate_names=(), group_column="group",
                   pos_column=None):
     """Build a `Dataset` from a parsed table; see `read_dataset`.
 
-    Only the columns the model uses are converted to numbers.
+    The design comes first, so its errors precede those of the numbers.
     """
     covariate_names = tuple(covariate_names)
     design, order = table_design(table, group_column, pos_column)
-    y, *covs = _float_columns(table, ["y", *covariate_names])
-    return Dataset(
-        y=np.array(y)[order],
-        X=np.column_stack([np.ones(order.size), *covs])[order],
-        design=design,
-        column_names=("intercept",) + covariate_names,
-    )
+    y, X = table_numbers(table, covariate_names)
+    return Dataset(y=y[order], X=X[order], design=design,
+                   column_names=("intercept",) + covariate_names)
 
 
 def read_dataset(path, covariate_names=(), group_column="group",

@@ -176,41 +176,50 @@ class DistanceFunction:
         return float(out) if np.ndim(t) == 0 else out
 
     def _inversion_table(self):
-        """(log d, t) at fixed nodes over the whole bracket, by rising log d.
+        """(log d, t, dt / dlog d) at fixed nodes over the bracket, by rising d.
 
         The nodes are uniform in asinh t, so they are densest around t = 0
         and still reach both ends of the bracket in `_TABLE_NODES` points.
-        Where d underflows to 0 the table holds log d = -inf.
+        One kernel call gives d and the slope -2 d^2 / (log|R|)'.  Where d
+        underflows to 0 the table holds log d = -inf.
         """
         if self._table is None:
             lo, hi = self._internal_lo, self._internal_hi
             t = np.sinh(np.linspace(np.arcsinh(lo), np.arcsinh(hi),
                                     _TABLE_NODES))
             t[0], t[-1] = lo, hi
-            with np.errstate(divide="ignore"):
-                log_d = np.log(self.value_internal(t))
-            self._table = (log_d, t) if self.increasing else (log_d[::-1],
-                                                              t[::-1])
+            d, g = self._internal_scale(t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                table = (np.log(d), t, -2.0 * d * d / g)
+            self._table = tuple(c if self.increasing else c[::-1]
+                                for c in table)
         return self._table
 
     def invert_internal(self, target):
         """Internal coordinates where the distance equals ``target``.
 
-        Each target starts from linear interpolation of t in log d between
-        the two table nodes around it, which also bracket its root.  From
-        there `special.safeguarded_newton` solves log d(t) = log target,
-        with slope d log d / dt = -(log|R|)' / (2 d^2) from the same kernel
-        call as d (one closed-form pass per step); at d = 0 the slope is
-        not finite and the step bisects.  A target is met when its
-        distance residual is at most 1e-12 (relative below a target of 1,
-        so tiny targets are not met at their start).  Targets beyond what
-        the parameter can resolve in double precision clamp to the
-        representable extreme.
+        Each target starts at the cubic Hermite interpolant of t in log d
+        (Fritsch & Carlson 1980) between the two table nodes around it,
+        which also bracket its root: with w the target's position in the
+        bracket's log d span, D = t_b - t_a and m the node slopes times
+        that span, the start is
+        t_a + w D + w (1 - w) ((1 - w) (m_a - D) - w (m_b - D)).
+        Where that point is not finite (w or a slope is not, as at a d = 0
+        node or a zero kernel slope) or leaves the bracket, the start is
+        linear interpolation, t_a + w D, or the bracket's midpoint when w
+        is not finite.  From there `special.safeguarded_newton` solves
+        log d(t) = log target, with slope d log d / dt = -(log|R|)' / (2 d^2)
+        from the same kernel call as d (one closed-form pass per step); at
+        d = 0 the slope is not finite and the step bisects.  A target is
+        met when its distance residual is at most 1e-12 (relative below a
+        target of 1, so tiny targets are not met at their start).  Targets
+        beyond what the parameter can resolve in double precision clamp to
+        the representable extreme.
         """
         tgt = np.atleast_1d(np.asarray(target, dtype=float))
         if np.any(tgt <= 0) or np.any(~np.isfinite(tgt)):
             raise DomainError("target distance must be positive and finite")
-        log_d, nodes = self._inversion_table()
+        log_d, nodes, slope = self._inversion_table()
         # log_d[k - 1] < log target <= log_d[k]; k at an end means clamp
         k = np.searchsorted(log_d, np.log(tgt))
         out = nodes[np.minimum(k, nodes.size - 1)]
@@ -218,9 +227,15 @@ class DistanceFunction:
         x, k = tgt[todo], k[todo]
         log_x, tol = np.log(x), _INVERT_TOL * np.minimum(1.0, x)
         t_a, t_b = nodes[k - 1], nodes[k]
-        with np.errstate(invalid="ignore"):
-            w = (log_x - log_d[k - 1]) / (log_d[k] - log_d[k - 1])
-        t = np.where(np.isfinite(w), t_a + w * (t_b - t_a), 0.5 * (t_a + t_b))
+        lo, hi = np.minimum(t_a, t_b), np.maximum(t_a, t_b)
+        with np.errstate(invalid="ignore", over="ignore"):
+            step = log_d[k] - log_d[k - 1]
+            w, delta = (log_x - log_d[k - 1]) / step, t_b - t_a
+            m_a, m_b = slope[k - 1] * step, slope[k] * step
+            t = t_a + w * delta + w * (1 - w) * ((1 - w) * (m_a - delta)
+                                                 - w * (m_b - delta))
+        linear = np.where(np.isfinite(w), t_a + w * delta, 0.5 * (t_a + t_b))
+        t = np.where((lo <= t) & (t <= hi), t, linear)     # False for NaN
 
         def f_slope(idx, t):
             d, g = self._internal_scale(t)
@@ -228,8 +243,7 @@ class DistanceFunction:
                 return (np.log(d) - log_x[idx], -g / (2.0 * d * d),
                         np.abs(d - x[idx]) <= tol[idx])
 
-        out[todo] = safeguarded_newton(f_slope, t, np.minimum(t_a, t_b),
-                                       np.maximum(t_a, t_b), self.increasing)
+        out[todo] = safeguarded_newton(f_slope, t, lo, hi, self.increasing)
         return float(out[0]) if np.ndim(target) == 0 else out
 
     def invert(self, target):

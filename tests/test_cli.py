@@ -601,6 +601,50 @@ def test_compare_opens_the_data_file_once(tmp_path, capsys, monkeypatch):
     assert opened == ["r"]
 
 
+def test_compare_converts_each_column_once(tmp_path, capsys, monkeypatch):
+    # four models on three distinct groupings: y and x1 become numbers
+    # once, pos once for its design, and each grouping builds one design
+    data = str(multi_grouping_csv(tmp_path))
+    converted, designs = [], []
+    float_columns, table_design = io._float_columns, io.table_design
+
+    def counting_columns(table, names):
+        converted.extend(names)
+        return float_columns(table, names)
+
+    def counting_design(table, group_column="group", pos_column=None):
+        designs.append((group_column, pos_column))
+        return table_design(table, group_column, pos_column)
+
+    monkeypatch.setattr(io, "_float_columns", counting_columns)
+    monkeypatch.setattr(io, "table_design", counting_design)
+    code, _ = run(capsys, ["compare", "--data", data,
+                           "--model", "exchangeable@campaign",
+                           "--model", "exchangeable@transect",
+                           "--model", "ar1@transect",
+                           "--model", "ou@transect:pos",
+                           "--out-dir", str(tmp_path / "cmp")])
+    assert code == 0
+    assert len(list((tmp_path / "cmp").iterdir())) == 4
+    assert converted == ["y", "x1", "pos"]
+    assert designs == [("campaign", None), ("transect", None),
+                       ("transect", "pos")]
+
+
+def test_compare_number_error_names_the_first_model(tmp_path, capsys):
+    # the first spec's design comes before the numbers, so a bad cell is
+    # reported against the first model, and a later model's design error
+    # is never reached
+    data = tmp_path / "bad.csv"
+    data.write_text("y,group,pos,x1\n1,a,0,0.5\n2,a,1,oops\n3,b,0,0.1\n"
+                    "4,b,1,0.2\n")
+    code = main(["compare", "--data", str(data), "--model", "exchangeable",
+                 "--model", "ar1@nosuch", "--out-dir", str(tmp_path / "cmp")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "model 'exchangeable'" in err and "'oops'" in err
+
+
 def test_compare_table_sorted_by_evidence(tmp_path, capsys):
     data = simulate_csv(tmp_path, rho=0.6, seed=3)
     code, out = run(capsys, ["compare", "--data", data,

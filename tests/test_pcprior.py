@@ -213,6 +213,66 @@ def test_invert_internal_is_monotone_inverse(design, model, quarter_decades):
     assert np.all(np.abs(t - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
+@pytest.mark.parametrize("model", [EXCH, AR1, OU], ids=lambda m: m.family.value)
+def test_invert_internal_where_the_hermite_start_falls_back(model):
+    # the table's slope is not finite at its d = 0 nodes: OU at large phi,
+    # and the rho families next to the base, where the kernel's slope is 0
+    # too.  Targets in the bracket above such a node, and below it, start
+    # from linear interpolation or the midpoint
+    dist = DistanceFunction(model, unbalanced_design())
+    log_d, nodes, slope = dist._inversion_table()
+    k = np.flatnonzero(np.isfinite(log_d))[0]      # first node with d > 0
+    assert log_d[k - 1] == -np.inf and not np.isfinite(slope[k - 1])
+    target = np.exp(log_d[k]) * 10.0 ** -np.arange(0.25, 170.0, 0.25)
+    target = target[target > 1e-300]
+    t = dist.invert_internal(target)
+    sign = 1.0 if dist.increasing else -1.0
+    assert np.all(sign * np.diff(t) <= 0)
+    # where log|R| = -d^2 is a normal double every target is met; below,
+    # d moves in steps wider than the tolerance, and the answer is the
+    # bisection's, down to where d underflows to 0
+    normal = target > np.sqrt(np.finfo(float).tiny)
+    assert np.all(np.abs(dist.value_internal(t[normal]) - target[normal])
+                  <= 1e-12 * target[normal])
+    want = bisect_internal(dist, target)
+    assert np.all(np.abs(t - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert dist.value_internal(t[-1]) < 1e-160
+    # beyond the far end of the table every target clamps to it
+    far = nodes[-1]
+    beyond = dist.value_internal(far) * np.array([1.0 + 1e-9, 2.0, 1e300])
+    assert np.all(dist.invert_internal(beyond) == far)
+
+
+def field_transect_design(seed=1, n_transects=200):
+    """Transects of 1-19 rows (sizes fixed, order shuffled), U(0.4, 1.6) gaps.
+
+    The 200-transect field design of the benchmark's prior-tables workload.
+    """
+    rng = np.random.default_rng([seed, 1])
+    sizes = rng.permutation(np.rint(np.linspace(1, 19, n_transects)).astype(int))
+    positions = [np.concatenate([[0.0], np.cumsum(rng.uniform(0.4, 1.6, m - 1))])
+                 for m in sizes]
+    return GroupedDesign(group_sizes=tuple(int(m) for m in sizes),
+                         positions=tuple(tuple(p) for p in positions))
+
+
+def test_ou_transect_elicitation_within_its_pass_budget(kernel_calls):
+    # each target starts at the cubic Hermite point of its table bracket, so
+    # 500 draws take 3 kernel passes (4 from a linear start) and 99 quantile
+    # levels about 2.2 nodes each (3.3 from a linear start)
+    prior = PCPrior.from_quantile(OU, field_transect_design(),
+                                  icc_to_param(OU, 0.5), 0.5)
+    prior.distance.invert_internal(1.0)   # builds the starting table
+    for seed in (1, 2, 3):
+        kernel_calls.clear()
+        prior.sample(500, seed)
+        assert len(kernel_calls) <= 3
+        assert sum(c.size for c in kernel_calls) <= 1200
+    kernel_calls.clear()
+    prior.quantile(np.arange(1, 100) / 100.0)
+    assert sum(c.size for c in kernel_calls) <= 250
+
+
 # ----------------------------------------------------------------------
 # solve_lambda
 # ----------------------------------------------------------------------
