@@ -202,19 +202,24 @@ def _ou_gap_sums(design: GroupedDesign, phi):
     three float work arrays and a mask made once per call and reused by
     every block, so memory stays bounded, and each node's sums run over
     its own contiguous row: the same whatever its block or the shape of
-    ``phi`` (a 0-d ``phi`` gives NumPy scalars).
+    ``phi`` (a 0-d ``phi`` gives NumPy scalars).  A node whose e^-x
+    underflows to 0 at its smallest gap has only zero terms; its sums are
+    the +0.0 its row would give, without the walk (underflow is numpy's
+    slow path).
     """
     two_gaps = 2.0 * design.gaps
     flat = np.ravel(phi)
-    rows = max(1, min(flat.size, _OU_BLOCK // max(two_gaps.size, 1)))
+    log_det, ratio = np.zeros(flat.shape), np.zeros(flat.shape)
+    live = (np.flatnonzero(np.exp(-flat * two_gaps.min()) != 0.0)
+            if two_gaps.size else np.arange(0))
+    rows = max(1, min(live.size, _OU_BLOCK // max(two_gaps.size, 1)))
     shape = (rows, two_gaps.size)
     work = (np.empty(shape), np.empty(shape), np.empty(shape),
             np.empty(shape, dtype=bool))
-    log_det, ratio = np.empty(flat.shape), np.empty(flat.shape)
-    for a in range(0, flat.size, rows):
-        n = min(rows, flat.size - a)
-        np.multiply(flat[a:a + n, None], two_gaps, out=work[0][:n])
-        log_det[a:a + n], ratio[a:a + n] = _ou_terms(*(w[:n] for w in work))
+    for a in range(0, live.size, rows):
+        at = live[a:a + rows]
+        np.multiply(flat[at][:, None], two_gaps, out=work[0][:at.size])
+        log_det[at], ratio[at] = _ou_terms(*(w[:at.size] for w in work))
     return log_det.reshape(np.shape(phi))[()], ratio.reshape(np.shape(phi))[()]
 
 

@@ -60,6 +60,9 @@ __all__ = [
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+#: the standard normal density at 1, where |z| phi(z) peaks (at 0 it is
+#: _INV_SQRT_2PI, where |z^2 - 1| phi(z) peaks)
+_PHI_1 = _INV_SQRT_2PI * np.exp(-0.5)
 
 
 # ----------------------------------------------------------------------
@@ -167,46 +170,56 @@ class GridConfig:
 # ----------------------------------------------------------------------
 
 def _woodbury(dataset: Dataset, model: GroupModel, s: NDArray,
-              log_tau: NDArray, beta_prec: float, logdetC: NDArray):
+              log_tau: NDArray, beta_prec: float, logdetC: NDArray,
+              log_t=0.0, log_s=0.0):
     """Likelihood on the (log tau, internal correlation) tensor grid.
 
-    Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') indexed [log tau, s]
-    and per node the eigenvalues lam, eigenvectors V and c = V'X'Qy of
-    X'QX.  With the statistics W = Z'QZ of `corr._sufficient_stats`, one
-    `eigh` per node gives X'QX = V diag(lam) V', so the capacitance
+    Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') + log_t + log_s
+    indexed [log tau, s] (the optional per-tau and per-node log factors
+    are the evidence's priors and quadrature weights), and per node the
+    eigenvalues lam, eigenvectors V and c = V'X'Qy of X'QX.  With the
+    statistics W = Z'QZ of `corr._sufficient_stats`, one `eigh` per node
+    gives X'QX = V diag(lam) V', so the capacitance
     B = beta_prec I + tau X'QX is V diag(d) V' with d = beta_prec + tau lam.
     The determinant lemma and the Woodbury identity then need only
     sum(log d), b'B^-1 b = tau^2 sum(c^2 / d) and log|C| at the nodes
     (``logdetC``, from the caller's closed-form pass).  Both sums take p
     passes over (log tau, s) planes, one per coefficient k with its plane
-    d_k, so no array grows with the grid size times p.  A d_k that is not
-    positive and finite raises `NumericError`.
+    d_k, so no array grows with the grid size times p; every term that
+    depends on tau alone or on the node alone is folded into one row or
+    column vector and added to the plane once.  A d_k that is not positive
+    and finite raises `NumericError`: d_k is monotone in tau at every
+    node, so the rows of the smallest and largest tau hold its extremes.
     """
     M, p = dataset.n_obs, dataset.n_coef
     W = corr._sufficient_stats(dataset, model, s)
     lam, V = np.linalg.eigh(W[:, 1:, 1:])
     c = np.einsum("kji,kj->ki", V, W[:, 1:, 0])
     tau = np.exp(log_tau)[:, None]
+    ends = [log_tau.argmin(), log_tau.argmax()]
     shape = (log_tau.size, s.size)
     d, term = np.empty(shape), np.empty(shape)
-    sum_log_d, sum_q = np.zeros(shape), np.zeros(shape)
+    sum_log_d, quad = np.zeros(shape), np.zeros(shape)
     for k in range(p):
         np.multiply(tau, lam[:, k], out=d)
         d += beta_prec
-        if not (d.min() > 0 and d.max() < np.inf):
+        if not (d[ends].min() > 0 and d[ends].max() < np.inf):
             raise NumericError("capacitance is not positive definite")
-        sum_log_d += np.log(d, out=term)
-        sum_q += np.divide(c[:, k] * c[:, k], d, out=term)
-    # -0.5 (M log 2pi + logdet + tau W_yy - tau^2 sum_q), logdet being
-    # -M log tau + log|C| - p log beta_prec + sum_log_d
-    loglik = np.add(-M * log_tau[:, None], logdetC)
-    loglik -= p * np.log(beta_prec)
-    loglik += sum_log_d
-    loglik += M * _LOG_2PI
-    loglik += np.multiply(tau, W[:, 0, 0], out=term)
-    loglik -= np.multiply(tau * tau, sum_q, out=sum_q)
-    loglik *= -0.5
-    return loglik, lam, (V, c)
+        quad += np.divide(c[:, k] * c[:, k], d, out=term)
+        sum_log_d += np.log(d, out=d)
+    # -0.5 (M log 2pi + logdet + tau W_yy - tau^2 sum(c^2 / d)), logdet
+    # being -M log tau + log|C| - p log beta_prec + sum_log_d: the terms
+    # in tau alone go to one row vector, those in the node alone to one
+    # column vector
+    rows = 0.5 * (M * log_tau - M * _LOG_2PI + p * np.log(beta_prec)) + log_t
+    cols = log_s - 0.5 * logdetC
+    quad *= tau * tau
+    quad -= np.multiply(tau, W[:, 0, 0], out=d)
+    quad -= sum_log_d
+    quad *= 0.5
+    quad += rows[:, None]
+    quad += cols
+    return quad, lam, (V, c)
 
 
 def _beta_moments(V: NDArray, lam: NDArray, c: NDArray, tau: NDArray,
@@ -318,18 +331,31 @@ def _summary(values, weights) -> dict:
 
 def _mixture_quantiles(mu: NDArray, sd: NDArray, w: NDArray,
                        probs: tuple[float, ...]) -> NDArray:
-    """Quantiles of Gaussian mixtures by one safeguarded Newton on their CDFs.
+    """Quantiles of Gaussian mixtures by one safeguarded Halley iteration.
 
     Row k of ``mu`` and ``sd`` holds the components of mixture k, weighted
     by ``w`` (one row shared by every mixture, or one row each); returns
     one row of quantiles at ``probs`` per mixture.  Each quantile starts at
     the quantile of the normal with its mixture's mean and variance
     (sum w (sd^2 + (mu - mean)^2)), clipped into the bracket of +-8 sd
-    around every component, and steps by (F(q) - prob) / F'(q), with
-    F' = sum w phi(z) / sd, all quantiles in one `safeguarded_newton` (one
-    `ndtr` call per step).  Each start, CDF and slope comes from 1-D dot
-    products ``w @ row``, so a quantile does not depend on which others
-    are solved with it.  Met once the step is below 4e-16 (|q| + min sd).
+    around every component, and takes Halley steps (Gander 1985)
+    s = f / (F' - f F'' / (2 F')), f = F(q) - prob, with F' = sum w phi(z)
+    / sd and F'' = -sum w z phi(z) / sd^2.  `safeguarded_newton` takes that
+    denominator as its slope, so its bracket and bisection still apply,
+    and all quantiles share one `ndtr` call per step.  Each start, CDF and
+    slope comes from 1-D dot products ``w @ row``, so a quantile does not
+    depend on which others are solved with it.
+
+    Met test.  With h = f / F' the Newton step, Taylor's theorem gives
+    F(q - s) - prob = s^2 h F''(q)^2 / (4 F'(q)) - s^3 F'''(xi) / 6 for
+    some xi between q and q - s.  Each component's |z| phi(z) is at most
+    phi(1) and its |z^2 - 1| phi(z) at most phi(0), so with m = min sd,
+    |F''| <= phi(1) / m^2, |F'''| <= phi(0) / m^3, and F' >= L =
+    F'(q) - r phi(1) / m^2 within r of q.  The residual after the step is
+    therefore at most E = s^2 |h| F''(q)^2 / (4 F'(q)) + |s|^3 phi(0) /
+    (6 m^3), and if E <= L tol with r = |s| + tol, the root lies within
+    tol of q - s.  A quantile is met there with tol = 2e-16 max(|q|, m),
+    and its step is kept.
 
     Accuracy: with n components and eps = 2^-52, each quantile q is within
 
@@ -339,9 +365,14 @@ def _mixture_quantiles(mu: NDArray, sd: NDArray, w: NDArray,
     computed CDF carries a relative error of at most 3 eps from `erfc`
     (3 ulp per term, as tests/test_special.py checks) plus n eps / 2 from
     rounding the n products and their sum, and a relative error delta in
-    F moves its root by delta F / f.  The second is the met test's scale.
+    F moves its root by delta F / f.  The second holds tol, the half ulp
+    of rounding q - s, and the step's own rounding: the slopes carry a
+    relative error of about (n/2 + 4) eps, and a met step is below
+    (6 m^2 tol)^(1/3) <= 1.1e-5 max(|q|, m) (E <= F'(q) tol <= phi(0)
+    tol / m), so it adds under 1e-16 max(|q|, m) for n up to 75,000.
     """
     w = np.broadcast_to(w, mu.shape)
+    w_over_sd = w / sd
     n_probs = len(probs)
     mix = np.repeat(np.arange(mu.shape[0]), n_probs)
     level = np.tile(np.asarray(probs, dtype=float), mu.shape[0])
@@ -354,9 +385,22 @@ def _mixture_quantiles(mu: NDArray, sd: NDArray, w: NDArray,
         f = np.array([w[k] @ row for k, row in zip(m, ndtr(z))]) - level[idx]
         slope = np.array([w[k] @ row for k, row in zip(m, dens)])
         slope *= _INV_SQRT_2PI
-        with np.errstate(divide="ignore", invalid="ignore"):
-            met = np.abs(f / slope) <= 4e-16 * (np.abs(q) + min_sd[m])
-        return f, slope, met
+        curve = np.array([w_over_sd[k] @ row for k, row in zip(m, z * dens)])
+        curve *= -_INV_SQRT_2PI
+        low = min_sd[m]
+        tol = 2e-16 * np.maximum(np.abs(q), low)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            h = f / slope
+            halley = slope - 0.5 * h * curve
+            # a correction that is not finite leaves Newton's slope, so
+            # the step bisects rather than stalls at a zero step
+            halley = np.where(np.isfinite(halley), halley, slope)
+            s = np.abs(f / halley)
+            bound = (s * s * np.abs(h) * curve * curve / (4.0 * slope)
+                     + s ** 3 * _INV_SQRT_2PI / (6.0 * low ** 3))
+            lower = np.maximum(slope - (s + tol) * _PHI_1 / low ** 2, 0.0)
+            met = bound <= lower * tol      # f = 0 is met whatever L
+        return f, halley, met
 
     mean = np.array([wk @ row for wk, row in zip(w, mu)])
     var = np.array([wk @ row for wk, row in
@@ -447,24 +491,25 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
 
     n_t, n_s = t_nodes.size, s_nodes.size
     log_cells, lam, (V, c) = _woodbury(dataset, model, s_nodes, t_nodes,
-                                       hyper.beta_prec, kernel[0])
+                                       hyper.beta_prec, kernel[0], log_t,
+                                       log_s)
 
     # one exponentiation relative to the largest cell, in the likelihood's
     # buffer; a NaN or +inf cell makes the maximum non-finite, and so does
-    # a grid with no mass
-    log_cells += log_t[:, None]
-    log_cells += log_s[None, :]
+    # a grid with no mass.  Only the marginals are normalised.
     top = log_cells.max()
     if not np.isfinite(top):
         raise NumericError("non-finite evidence integrand")
     log_cells -= top
     mass = np.exp(log_cells, out=log_cells)
-    total = mass.sum()
+    mass_t, mass_s = mass.sum(axis=1), mass.sum(axis=0)
+    total = mass_t.sum()
     log_mlik = float(top + np.log(total))
-    mass /= total
+    mass_t /= total
+    mass_s /= total
 
-    boundary = (mass[0, :].sum() + mass[-1, :].sum()
-                + mass[1:-1, 0].sum() + mass[1:-1, -1].sum())
+    boundary = (mass_t[0] + mass_t[-1]
+                + (mass[1:-1, 0].sum() + mass[1:-1, -1].sum()) / total)
     diagnostics = {
         "n_tau": n_t,
         "n_corr": n_s,
@@ -473,18 +518,16 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     }
 
     # correlation summary on the reporting scale
-    rho_summary = _summary(corr._unit_gap_correlation(model, s_nodes),
-                           mass.sum(axis=0))
+    rho_summary = _summary(corr._unit_gap_correlation(model, s_nodes), mass_s)
 
     # sigma^2 = e^-t only where tau has mass: e^-t overflows below t = -709,
     # which `_summary` refuses
-    mass_t = mass.sum(axis=1)
     held = mass_t > 0
     with np.errstate(over="ignore"):
         sigma2_summary = _summary(np.exp(-t_nodes[held]), mass_t[held])
 
     flat_w = mass.ravel()
-    active = np.flatnonzero(flat_w > 1e-15)
+    active = np.flatnonzero(flat_w > 1e-15 * total)
     t_idx, k_idx = np.divmod(active, n_s)
     beta_mean, beta_var = _beta_moments(V[k_idx], lam[k_idx], c[k_idx],
                                         np.exp(t_nodes[t_idx]),

@@ -55,9 +55,11 @@ def safeguarded_newton(f_slope, x, lo, hi, rising):
     """Roots of monotone equations f_k(x) = 0, each bracketed by [lo, hi].
 
     Every unknown steps by Newton, x - f / f', when that lands strictly
-    inside its bracket, and bisects otherwise (a slope that is zero,
+    inside its bracket and is at most half its previous move (the bracket's
+    width before the first), and bisects otherwise (a slope that is zero,
     infinite or NaN therefore bisects), as in the safeguarded Newton
-    "rtsafe" of Numerical Recipes (section 9.4).  Each evaluation shrinks
+    "rtsafe" of Numerical Recipes (section 9.4): the slow-step rule keeps
+    Newton from creeping across a plateau of f.  Each evaluation shrinks
     the bracket to the side where f changes sign; ``rising`` says f
     increases with x.  ``f_slope(idx, x)`` returns f, f' and a "met" mask
     at the iterates ``x`` of the unknowns ``idx`` still open; only those
@@ -69,21 +71,25 @@ def safeguarded_newton(f_slope, x, lo, hi, rising):
     x, lo, hi = (np.array(a, dtype=float) for a in (x, lo, hi))
     out = np.empty_like(x)
     todo = np.arange(x.size)
+    moved = hi - lo
     for _ in range(_NEWTON_STEPS):
         if todo.size == 0:
             return out
         f, slope, met = f_slope(todo, x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_newton = x - f / slope
+            step = f / slope
+            x_newton = x - step
         above = f < 0 if rising else f > 0      # the root lies above x
         lo = np.where(above, x, lo)
         hi = np.where(above, hi, x)
         inside = (lo < x_newton) & (x_newton < hi)
-        x_next = np.where(inside, x_newton, 0.5 * (lo + hi))
+        fast = inside & (np.abs(step) <= 0.5 * moved)
+        x_next = np.where(fast, x_newton, 0.5 * (lo + hi))
         done = met | (np.nextafter(lo, hi) >= hi) | (x_next == x)
         final = np.where(met, np.where(inside, x_newton, x), x_next)
         out[todo[done]] = final[done]
         keep = ~done
+        moved = np.abs(x_next - x)[keep]
         todo, x, lo, hi = todo[keep], x_next[keep], lo[keep], hi[keep]
     if todo.size:
         raise NumericError(f"{todo.size} root(s) not converged in "

@@ -26,6 +26,7 @@ from grouppc import (
 from grouppc.corr import (
     _internal_kernel,
     _ou_gap_sums,
+    _ou_terms,
     dlogdet_finite_difference,
     log_det_dense,
 )
@@ -535,3 +536,22 @@ def test_ou_gap_sums_hold_no_block_of_all_nodes():
     finally:
         tracemalloc.stop()
     assert peak <= 2e6
+
+
+def test_ou_gap_sums_fill_rows_whose_terms_all_underflow():
+    # on a 30 x 20 design with U(0.7, 1.3) gaps, about a quarter of the
+    # default grid's nodes have e^-x = 0 at every gap; their sums skip the
+    # walk and still equal the walk's, bit for bit and sign of zero too
+    rng = np.random.default_rng(7)
+    design = GroupedDesign(group_sizes=(20,) * 30, positions=tuple(
+        tuple(np.cumsum(rng.uniform(0.7, 1.3, 20)).tolist())
+        for _ in range(30)))
+    phi = np.append(np.exp(np.linspace(-12.0, 12.0, 201)), np.inf)
+    dead = np.exp(-phi * (2.0 * design.gaps).min()) == 0.0
+    assert 40 <= dead.sum() < phi.size
+    x = np.multiply.outer(phi, 2.0 * design.gaps)
+    walked = _ou_terms(x, np.empty_like(x), np.empty_like(x),
+                       np.empty(x.shape, dtype=bool))
+    for got, want in zip(_ou_gap_sums(design, phi), walked):
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[dead]).any() and not got[dead].any()

@@ -419,6 +419,31 @@ def test_fit_refuses_indefinite_capacitance(monkeypatch):
         gaussian_loglik(ds, EXCH, 0.3, 1e4)
 
 
+@pytest.mark.parametrize("last", [-1e-9, 1e305])
+def test_capacitance_refused_where_only_the_largest_tau_fails(last, monkeypatch):
+    # a coefficient decoupled from the others with X'QX entry ``last``:
+    # d = beta_prec + tau last is positive and finite at small tau, and
+    # non-positive or infinite only at the largest tau, wherever that node
+    # lies in the order of the tau nodes
+    ds = reference_dataset()
+    real = corr._sufficient_stats
+
+    def decoupled(*args):
+        W = real(*args)
+        W[:, -1, :] = W[:, :, -1] = 0.0
+        W[:, -1, -1] = last
+        return W
+    monkeypatch.setattr(corr, "_sufficient_stats", decoupled)
+    s = np.linspace(-3.0, 3.0, 5)
+    logdetC = _internal_kernel(EXCH, ds.design, s)[0]
+    with np.errstate(over="ignore"):      # tau last overflows to inf
+        _woodbury(ds, EXCH, s, np.linspace(-12.0, 0.0, 7), 1e-6, logdetC)
+        for log_tau in (np.linspace(-12.0, 12.0, 7),
+                        np.array([0.0, 12.0, -12.0, 4.0])):
+            with pytest.raises(NumericError, match="not positive definite"):
+                _woodbury(ds, EXCH, s, log_tau, 1e-6, logdetC)
+
+
 @pytest.mark.parametrize("method", ["blockwise", "dense"])
 def test_loglik_rejects_bad_parameters(method):
     ds = reference_dataset()
@@ -832,10 +857,31 @@ def test_mixture_quantiles_meet_their_accuracy_contract(monkeypatch):
             assert len(evals) <= 12, prob
 
 
+def test_curvature_constants_bound_the_drawn_mixtures():
+    # the met test's |F''| <= phi(1) / m^2 and |F'''| <= phi(0) / m^3, with
+    # m the least sd, rest on |z| phi(z) <= phi(1), |z^2 - 1| phi(z) <= phi(0)
+    z = np.linspace(-10.0, 10.0, 200_001)
+    phi = stats.norm.pdf(z)
+    assert np.max(np.abs(z) * phi) <= inference._PHI_1
+    assert np.max(np.abs(z * z - 1.0) * phi) <= inference._INV_SQRT_2PI
+    assert_allclose(inference._PHI_1, stats.norm.pdf(1.0), rtol=1e-15)
+    assert_allclose(inference._INV_SQRT_2PI, stats.norm.pdf(0.0), rtol=1e-15)
+    for mu, sd, w in _drawn_mixtures():
+        m = sd.min()
+        q = np.linspace((mu - 8.0 * sd).min(), (mu + 8.0 * sd).max(), 20_001)
+        z = (q[:, None] - mu) / sd
+        dens = stats.norm.pdf(z)
+        second = -(w * z * dens / sd ** 2).sum(axis=1)
+        third = (w * (z * z - 1.0) * dens / sd ** 3).sum(axis=1)
+        assert np.max(np.abs(second)) <= inference._PHI_1 / m ** 2
+        assert np.max(np.abs(third)) <= inference._INV_SQRT_2PI / m ** 3
+
+
 @pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])
-def test_default_fit_takes_four_cdf_passes(family, monkeypatch):
+def test_default_fit_takes_two_cdf_passes(family, monkeypatch):
     # the fixture of tests/test_pinned.py: each beta quantile starts at its
-    # mixture's normal quantile, a few Newton steps from the root
+    # mixture's normal quantile, one Halley step from the root, and the
+    # second pass meets it
     from test_pinned import _design, _prior
     design = _design()
     data = simulate_dataset(SimConfig(design, OU, param=0.5,
@@ -844,7 +890,7 @@ def test_default_fit_takes_four_cdf_passes(family, monkeypatch):
     hyper = HyperPriors(prior, solve_psi(1.0 / 0.31, 0.01))
     evals = _counting_ndtr(monkeypatch)
     log_marginal_likelihood(data, model, hyper)
-    assert len(evals) <= 4
+    assert len(evals) <= 2
 
 
 def test_mixture_quantiles_of_stacked_mixtures_in_one_solve(monkeypatch):

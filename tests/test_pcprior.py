@@ -402,6 +402,21 @@ def test_cdf_quantile_round_trip():
         assert_allclose(tight.cdf(tight.quantile(p)), p, atol=1e-10)
 
 
+@pytest.mark.parametrize("model", [EXCH, AR1, OU])
+def test_quantiles_converge_where_the_distance_is_a_step_function(model):
+    # below about 1e-150 the prior's quantiles lie where -log|R| is
+    # subnormal and d(t) is flat between steps: Newton steps that land
+    # inside the bracket can creep across such a plateau until 200 steps
+    # run out, and bisecting a step larger than half the last move ends it
+    design = balanced_design(6, 50, unit_positions=model is OU)
+    prior = PCPrior.from_quantile(model, design, icc_to_param(model, 0.5),
+                                  0.5)
+    q = prior.quantile(np.logspace(-162.0, -150.0, 2001))
+    assert np.all(np.isfinite(q)) and np.all(q > 0)
+    steps = np.diff(q)
+    assert np.all(steps >= 0) or np.all(steps <= 0)
+
+
 def test_quantile_rejects_boundary_probabilities():
     prior = PCPrior.from_quantile(EXCH, balanced_design(2, 3), 0.5, 0.5)
     for p in (0.0, 1.0, -0.1, 1.1, np.nan, [0.5, np.nan]):

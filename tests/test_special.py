@@ -94,6 +94,20 @@ def test_safeguarded_newton_bisects_without_a_slope():
     assert abs(x[0] - 0.3) <= np.spacing(0.3)
 
 
+def test_safeguarded_newton_bisects_when_newton_creeps():
+    # a slope 1e5 times too steep lands every Newton step inside the
+    # bracket, a hundred-thousandth of the way to the root; a step larger
+    # than half the previous move bisects instead
+    calls = []
+
+    def f_slope(idx, x):
+        calls.append(idx.size)
+        return x - 0.3, np.full_like(x, 1e5), np.zeros(x.shape, dtype=bool)
+    x = special.safeguarded_newton(f_slope, [0.9], [0.0], [1.0], True)
+    assert abs(x[0] - 0.3) <= np.spacing(0.3)
+    assert len(calls) <= 120
+
+
 def test_safeguarded_newton_raises_when_not_converged():
     # the root at 1e-300 is about a thousand bisections from [-1, 1], and
     # the unknown is never met
