@@ -21,7 +21,8 @@ the nodes; the public functions project it on the parameter scale, and
 gives the distance's base slope (`_base_slope`).  `_sufficient_stats`
 forms Z'R^-1 Z for every internal node from group means (exchangeable)
 or consecutive pairs (AR1, OU) without building R^-1, and
-`_unit_gap_correlation` reports the correlation one unit apart.
+`_unit_gap_correlation` reports the correlation one unit apart.  A fit
+takes both from `_kernel_and_stats`, for OU from one walk over the gaps.
 
 A dense Cholesky fallback (`log_det_dense`, `dlogdet_finite_difference`)
 backs the same quantities for verification.
@@ -31,6 +32,8 @@ broadcast over the parameter.  All functions are pure.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from numpy.typing import NDArray
@@ -174,19 +177,40 @@ def _corr_block(model: GroupModel, design: GroupedDesign,
 #: elements per OU block of nodes x gaps (bounds its memory; at least a node)
 _OU_BLOCK = 1 << 15
 
+_workspace = threading.local()
 
-def _ou_terms(x, e, one_m_e, small):
+
+def _work(name: str, shape, dtype=float) -> NDArray:
+    """This thread's work array ``name`` as ``shape``, kept across calls
+    (it grows to the largest request); never returned to a caller."""
+    size = int(np.prod(shape))
+    buf = getattr(_workspace, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_workspace, name, buf)
+    return buf[:size].reshape(shape)
+
+
+def _ou_terms(x, e, one_m_e, small, weights=None):
     """Row sums of log(1 - e^-x) and x / (e^x - 1), for x >= 0.
 
     Both share e^-x and 1 - e^-x = -expm1(-x): the log is log(1 - e^-x)
     below x = log 2 and log1p(-e^-x) above, accurate at both ends.  The
     ratio x e^-x / (1 - e^-x) takes its limits 1 at x = 0 by fmin (0/0)
     and 0 at inf from x capped at 1e308.  Overwrites all four arrays.
+    ``weights`` (rows x 3 x gaps x 1) get the Markov pair weights at gap
+    correlation r = e^(-x/2) from e = r^2 and 1 - e before they are
+    overwritten: 1 / (1 - e), 1 / (1 + r), (1 - e) / (1 + r)^2.
     """
     np.minimum(x, 1e308, out=x)
     np.less(x, np.log(2.0), out=small)
     np.exp(np.negative(x, out=one_m_e), out=e)
     np.negative(np.expm1(one_m_e, out=one_m_e), out=one_m_e)
+    if weights is not None:
+        w0, w1, w2 = (weights[:, k, :, 0] for k in range(3))
+        np.reciprocal(np.add(np.sqrt(e, out=w1), 1.0, out=w1), out=w1)
+        np.reciprocal(one_m_e, out=w0)
+        np.multiply(np.multiply(w1, w1, out=w2), one_m_e, out=w2)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(np.multiply(x, e, out=x), one_m_e, out=x)
         np.fmin(x, 1.0, out=x)
@@ -195,35 +219,52 @@ def _ou_terms(x, e, one_m_e, small):
     return e.sum(axis=-1), x.sum(axis=-1)
 
 
-def _ou_gap_sums(design: GroupedDesign, phi):
+def _ou_gap_sums(design: GroupedDesign, phi, pairs=None):
     """`_ou_terms` over all gaps at x = 2 gap phi, one row of gaps per node.
 
     The nodes x gaps rows are built `_OU_BLOCK` elements at a time into
-    three float work arrays and a mask made once per call and reused by
-    every block, so memory stays bounded, and each node's sums run over
-    its own contiguous row: the same whatever its block or the shape of
-    ``phi`` (a 0-d ``phi`` gives NumPy scalars).  A node whose e^-x
-    underflows to 0 at its smallest gap has only zero terms; its sums are
-    the +0.0 its row would give, without the walk (underflow is numpy's
-    slow path).
+    this thread's `_work` arrays, so memory stays bounded, and each node's
+    sums run over its own contiguous row: the same whatever its block or
+    the shape of ``phi`` (a 0-d ``phi`` gives NumPy scalars).  A node
+    whose e^-x underflows to 0 at its smallest gap has only zero terms;
+    its sums are the +0.0 its row would give, without the walk (underflow
+    is numpy's slow path).  With (3, k, n_gaps) ``pairs`` it also returns
+    sum_gaps w_i pairs_i per node, by matrix-vector products (a matrix
+    product's rows depend on the block) summed apart (stacked, they round
+    several times worse); one skipped node, all weights 1, serves all.
     """
     two_gaps = 2.0 * design.gaps
     flat = np.ravel(phi)
     log_det, ratio = np.zeros(flat.shape), np.zeros(flat.shape)
-    live = (np.flatnonzero(np.exp(-flat * two_gaps.min()) != 0.0)
-            if two_gaps.size else np.arange(0))
+    skip = (np.exp(-flat * two_gaps.min()) == 0.0 if two_gaps.size
+            else np.ones(flat.shape, dtype=bool))
+    live = np.flatnonzero(~skip)
+    if pairs is not None:
+        stats = np.empty((flat.size, pairs.shape[1]))
+        live = np.append(live, np.flatnonzero(skip)[:1])
     rows = max(1, min(live.size, _OU_BLOCK // max(two_gaps.size, 1)))
     shape = (rows, two_gaps.size)
-    work = (np.empty(shape), np.empty(shape), np.empty(shape),
-            np.empty(shape, dtype=bool))
+    work = [_work("ou_x", shape), _work("ou_e", shape),
+            _work("ou_1me", shape), _work("ou_small", shape, bool)]
+    if pairs is not None:
+        work.append(_work("ou_weights", (rows, 3, two_gaps.size, 1)))
     for a in range(0, live.size, rows):
         at = live[a:a + rows]
-        np.multiply(flat[at][:, None], two_gaps, out=work[0][:at.size])
-        log_det[at], ratio[at] = _ou_terms(*(w[:at.size] for w in work))
-    return log_det.reshape(np.shape(phi))[()], ratio.reshape(np.shape(phi))[()]
+        block = [v[:at.size] for v in work]
+        np.multiply(flat[at][:, None], two_gaps, out=block[0])
+        log_det[at], ratio[at] = _ou_terms(*block)
+        if pairs is not None:
+            w = block[4]
+            stats[at] = sum(pairs[i] @ w[:, i] for i in range(3))[..., 0]
+    sums = log_det.reshape(np.shape(phi))[()], ratio.reshape(np.shape(phi))[()]
+    if pairs is not None:
+        stats[skip] = stats[skip.argmax()]
+        return (*sums, stats)
+    return sums
 
 
-def _log_det_slope(model: GroupModel, design: GroupedDesign, p, log1m_rho, j):
+def _log_det_slope(model: GroupModel, design: GroupedDesign, p, log1m_rho, j,
+                   pairs=None):
     """(log |R|, d log |R| / d c) over groups at rho or phi, from one pass.
 
     The rho families write log |R| as sums of log1p(x) - x terms, all <= 0:
@@ -233,10 +274,11 @@ def _log_det_slope(model: GroupModel, design: GroupedDesign, p, log1m_rho, j):
     point as rho -> 0, where log|R| is O(rho^2).  The derivative is a sum
     of -m (m - 1) rho j / (1 + (m - 1) rho) per exchangeable block,
     -2 rho j / (1 + rho) per AR1 pair or j x / (e^x - 1) per OU gap.
+    OU ``pairs`` add the walk's weighted pair sums as a third output.
     """
     if model.family is Family.OU:
-        log_det, ratio = _ou_gap_sums(design, p)
-        return log_det, j * ratio
+        log_det, ratio, *stats = _ou_gap_sums(design, p, pairs)
+        return (log_det, j * ratio, *stats)
     log1m_plus = _log1pmx(-p, log1m_rho)
     if model.family is Family.AR1:
         k = design.gaps.size
@@ -375,37 +417,61 @@ def _sufficient_stats(dataset: Dataset, model: GroupModel, s: NDArray):
     (a, b), b in ``design.pair_rows``, with gap correlation r.  Writing
     u_b - r u_a as (u_b - u_a) + (1 - r) u_a gives pair weights
     1 / (1 - r^2), 1 / (1 + r) and (1 - r) / (1 + r), with 1 - r from
-    expit(-s) (AR1) or -expm1(-phi gap) (OU); neither cancels as r -> 1.
+    expit(-s) (AR1) or -expm1(-2 phi gap) / (1 + r) (OU, in the gap walk
+    of `_kernel_and_stats`); neither cancels as r -> 1.
     """
-    Z = np.column_stack([dataset.y, dataset.X])
-    q = Z.shape[1]
+    if model.family is Family.OU:
+        return _kernel_and_stats(dataset, model, s)[1]
     design = dataset.design
-    starts = design.offsets[:-1]
-    outer = lambda u, v: np.einsum("ga,gb->gab", u, v).reshape(len(u), q * q)
+    q = dataset.n_coef + 1
     if model.family is Family.EXCHANGEABLE:
-        sizes = np.diff(design.offsets)
+        Z = np.column_stack([dataset.y, dataset.X])
+        starts, sizes = design.offsets[:-1], np.diff(design.offsets)
         means = np.add.reduceat(Z, starts, axis=0) / sizes[:, None]
         D = Z - np.repeat(means, sizes, axis=0)
         m, count = np.array(design.size_classes).T
         mu = means[np.argsort(sizes, kind="stable")]
-        P = np.add.reduceat(outer(mu, mu), np.cumsum(count) - count)
+        outer = np.einsum("ga,gb->gab", mu, mu).reshape(len(mu), q * q)
+        P = np.add.reduceat(outer, np.cumsum(count) - count)
         between = (m / (1.0 + (m - 1) * expit(s)[:, None])) @ P
         return ((1.0 + np.exp(s))[:, None, None] * (D.T @ D)
                 + between.reshape(-1, q, q))
-    first = Z[starts]
-    b = design.pair_rows
-    D, A = Z[b] - Z[b - 1], Z[b - 1]
-    if model.family is Family.AR1:
-        # one gap correlation for every pair: sum the products first
-        r, one_m_r = expit(s)[:, None], expit(-s)[:, None]
-        DA = D.T @ A
-        pairs = [P.reshape(1, q * q) for P in (D.T @ D, DA + DA.T, A.T @ A)]
-    else:
-        pairs = [outer(D, D), outer(D, A) + outer(A, D), outer(A, A)]
-        log_r = -np.exp(s)[:, None] * design.gaps
-        one_m_r, r = -np.expm1(log_r), np.exp(log_r, out=log_r)
-    # w = 1 / (1 + r) in place: the OU weights are n_corr x n_gaps
+    # one gap correlation for every pair: sum the products first
+    first, D, A = _markov_rows(dataset)
+    r, one_m_r = expit(s)[:, None], expit(-s)[:, None]
+    DA = D.T @ A
+    pairs = [P.reshape(1, q * q) for P in (D.T @ D, DA + DA.T, A.T @ A)]
     w = np.reciprocal(np.add(r, 1.0, out=r), out=r)
     W = ((w / one_m_r) @ pairs[0] + w @ pairs[1]
          + (w * one_m_r) @ pairs[2])
     return first.T @ first + W.reshape(-1, q, q)
+
+
+def _markov_rows(dataset: Dataset):
+    """Z = [y, X] at first rows, and over the within-group pairs (a, b)
+    as differences D = Z_b - Z_a and earlier rows A = Z_a."""
+    Z = np.column_stack([dataset.y, dataset.X])
+    b = dataset.design.pair_rows
+    return Z[dataset.design.offsets[:-1]], Z[b] - Z[b - 1], Z[b - 1]
+
+
+def _kernel_and_stats(dataset: Dataset, model: GroupModel, s: NDArray):
+    """(`_internal_kernel`, `_sufficient_stats`) at internal nodes ``s``.
+
+    OU takes all three from one `_log_det_slope` walk, fed the upper
+    triangles of the pair products D D', D A' + A D' and A A'.
+    """
+    if model.family is not Family.OU:
+        return (_internal_kernel(model, dataset.design, s),
+                _sufficient_stats(dataset, model, s))
+    model.check_design(dataset.design)
+    first, D, A = _markov_rows(dataset)
+    q = first.shape[1]
+    a, b = np.triu_indices(q)
+    D, A = D.T, A.T
+    pairs = np.stack([D[a] * D[b], D[a] * A[b] + A[a] * D[b], A[a] * A[b]])
+    log_det, slope, upper = _log_det_slope(model, dataset.design, np.exp(s),
+                                           None, 1.0, pairs)
+    W = np.empty((len(upper), q, q))
+    W[:, a, b] = W[:, b, a] = upper
+    return (log_det, slope), first.T @ first + W

@@ -194,17 +194,20 @@ class Dataset:
     """Stacked observations ordered by group, with fixed-effect covariates.
 
     ``X`` always carries the intercept as its first column of ones;
-    ``column_names`` names the columns of ``X``.
+    ``column_names`` names the columns of ``X``; ``y`` and ``X`` are held
+    as read-only copies.
     """
 
     y: NDArray
     X: NDArray
     design: GroupedDesign
     column_names: tuple[str, ...] = field(default=("intercept",))
+    _digest: str | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        X = np.asarray(self.X, dtype=float)
+        y = np.array(self.y, dtype=float)
+        X = np.array(self.X, dtype=float)
         if y.ndim != 1:
             raise DataError("y must be a one-dimensional vector")
         if X.ndim != 2 or X.shape[0] != y.size:
@@ -222,8 +225,9 @@ class Dataset:
             raise DataError("the first column of X must be the intercept (all ones)")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
             raise DataError("y and X must be finite")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "X", X)
+        for name, value in (("y", y), ("X", X)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "column_names", tuple(self.column_names))
 
     @property
@@ -240,11 +244,12 @@ class Dataset:
         Deliberately excludes the grouping and the row order: evidence
         comparisons are valid across different grouping factors of the
         same observations, and regrouping permutes the rows.  Rows are
-        brought into a canonical order before hashing.
+        brought into a canonical order before hashing, once per dataset.
         """
-        keys = tuple(self.X[:, k] for k in range(self.X.shape[1] - 1, -1, -1))
-        order = np.lexsort(keys + (self.y,))
-        h = hashlib.sha256()
-        h.update(self.y[order].tobytes())
-        h.update(self.X[order].tobytes())
-        return h.hexdigest()
+        if self._digest is None:
+            order = np.lexsort(tuple(self.X.T[::-1]) + (self.y,))
+            h = hashlib.sha256()
+            h.update(self.y[order].tobytes())
+            h.update(self.X[order].tobytes())
+            object.__setattr__(self, "_digest", h.hexdigest())
+        return self._digest

@@ -12,7 +12,8 @@ Conditional on (tau, param) the marginal covariance of y is
 
 whose likelihood is evaluated through the Woodbury identity from the
 q x q sufficient statistics Z'C^-1 Z of Z = [y, X], built from group
-sums and consecutive-pair products for every correlation node at once.
+sums and consecutive-pair products for every correlation node at once,
+in the same `corr` pass that gives log |C| and its slope.
 One eigendecomposition of X'C^-1 X per correlation node diagonalises
 the p x p capacitance at every precision at once, and the likelihood
 then takes one pass per coefficient over (log tau, correlation) planes,
@@ -171,15 +172,15 @@ class GridConfig:
 
 def _woodbury(dataset: Dataset, model: GroupModel, s: NDArray,
               log_tau: NDArray, beta_prec: float, logdetC: NDArray,
-              log_t=0.0, log_s=0.0):
+              log_t=0.0, log_s=0.0, W=None):
     """Likelihood on the (log tau, internal correlation) tensor grid.
 
     Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') + log_t + log_s
     indexed [log tau, s] (the optional per-tau and per-node log factors
     are the evidence's priors and quadrature weights), and per node the
     eigenvalues lam, eigenvectors V and c = V'X'Qy of X'QX.  With the
-    statistics W = Z'QZ of `corr._sufficient_stats`, one `eigh` per node
-    gives X'QX = V diag(lam) V', so the capacitance
+    statistics W = Z'QZ (the caller's, else `corr._sufficient_stats`'),
+    one `eigh` per node gives X'QX = V diag(lam) V', so the capacitance
     B = beta_prec I + tau X'QX is V diag(d) V' with d = beta_prec + tau lam.
     The determinant lemma and the Woodbury identity then need only
     sum(log d), b'B^-1 b = tau^2 sum(c^2 / d) and log|C| at the nodes
@@ -187,19 +188,23 @@ def _woodbury(dataset: Dataset, model: GroupModel, s: NDArray,
     passes over (log tau, s) planes, one per coefficient k with its plane
     d_k, so no array grows with the grid size times p; every term that
     depends on tau alone or on the node alone is folded into one row or
-    column vector and added to the plane once.  A d_k that is not positive
-    and finite raises `NumericError`: d_k is monotone in tau at every
-    node, so the rows of the smallest and largest tau hold its extremes.
+    column vector and added to the plane once; the other planes are
+    `corr._work` arrays.  A d_k that is not positive and finite raises
+    `NumericError`: d_k is monotone in tau at every node, so the rows of
+    the smallest and largest tau hold its extremes.
     """
     M, p = dataset.n_obs, dataset.n_coef
-    W = corr._sufficient_stats(dataset, model, s)
+    if W is None:
+        W = corr._sufficient_stats(dataset, model, s)
     lam, V = np.linalg.eigh(W[:, 1:, 1:])
     c = np.einsum("kji,kj->ki", V, W[:, 1:, 0])
     tau = np.exp(log_tau)[:, None]
     ends = [log_tau.argmin(), log_tau.argmax()]
     shape = (log_tau.size, s.size)
-    d, term = np.empty(shape), np.empty(shape)
-    sum_log_d, quad = np.zeros(shape), np.zeros(shape)
+    d, term, sum_log_d = (corr._work(name, shape)
+                          for name in ("d", "term", "sum_log_d"))
+    sum_log_d.fill(0.0)
+    quad = np.zeros(shape)
     for k in range(p):
         np.multiply(tau, lam[:, k], out=d)
         d += beta_prec
@@ -275,9 +280,9 @@ def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
     model.check_design(dataset.design)
     p = corr._check_param(model, param, allow_degenerate=False)
     s = np.atleast_1d(corr.param_to_internal(model, p))
-    logdetC = corr._internal_kernel(model, dataset.design, s)[0]
+    (logdetC, _), W = corr._kernel_and_stats(dataset, model, s)
     loglik, _, _ = _woodbury(dataset, model, s, np.log([tau]), beta_prec,
-                             logdetC)
+                             logdetC, W=W)
     return float(loglik[0, 0])
 
 
@@ -482,17 +487,17 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     s_nodes = grid.axis("corr")         # internal correlation coordinate
 
     # log prior factors on the internal scales (Jacobians included) with
-    # the trapezoid log weights; one closed-form pass gives log|C| to the
-    # likelihood and d, d' to the prior
+    # the trapezoid log weights; one closed-form pass gives log|C| and the
+    # statistics Z'C^-1 Z to the likelihood and d, d' to the prior
     log_t = _gumbel2_log_tau(t_nodes, hyper.psi) + np.log(grid.weights("tau"))
-    kernel = corr._internal_kernel(model, dataset.design, s_nodes)
+    kernel, W = corr._kernel_and_stats(dataset, model, s_nodes)
     log_s = (prior._log_density(*prior.distance._from_kernel(kernel, s_nodes),
                                 0.0, s_nodes) + np.log(grid.weights("corr")))
 
     n_t, n_s = t_nodes.size, s_nodes.size
     log_cells, lam, (V, c) = _woodbury(dataset, model, s_nodes, t_nodes,
                                        hyper.beta_prec, kernel[0], log_t,
-                                       log_s)
+                                       log_s, W)
 
     # one exponentiation relative to the largest cell, in the likelihood's
     # buffer; a NaN or +inf cell makes the maximum non-finite, and so does

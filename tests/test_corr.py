@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -25,8 +26,10 @@ from grouppc import (
 )
 from grouppc.corr import (
     _internal_kernel,
+    _kernel_and_stats,
     _ou_gap_sums,
     _ou_terms,
+    _sufficient_stats,
     dlogdet_finite_difference,
     log_det_dense,
 )
@@ -460,6 +463,94 @@ def test_ou_closed_forms_are_chunk_invariant(chunk, monkeypatch):
                    log_det(ou, design, phi[i]),
                    dlogdet_dparam(ou, design, phi[i]))
             assert one == tuple(a[i] for a in whole)
+
+
+def _ragged_ou_dataset(seed, n_groups=25, p=3):
+    """OU data on groups of 1-12 rows, two singletons first, gaps
+    U(0.2, 2.5), X with the intercept and p - 1 covariates."""
+    rng = np.random.default_rng(seed)
+    sizes = (1, 1) + tuple(int(v) for v in rng.integers(1, 13, n_groups - 2))
+    design = GroupedDesign(group_sizes=sizes, positions=tuple(
+        tuple(np.cumsum(rng.uniform(0.2, 2.5, m)).tolist()) for m in sizes))
+    M = design.total_size
+    X = np.column_stack([np.ones(M), rng.standard_normal((M, p - 1))])
+    return Dataset(y=rng.standard_normal(M) * 2.1 + 1.0, X=X, design=design,
+                   column_names=("intercept",) + tuple(
+                       f"x{k}" for k in range(1, p)))
+
+
+def test_ou_stats_equal_dense_precision_per_node():
+    # Z'R^-1 Z from the gap walk against dense per-group inverses of
+    # corr_matrix's R, over nodes from strong correlation to underflowed
+    # gap correlations.  The oracle takes R's entries in 30 digits: R
+    # rounded to doubles is itself off by up to 4e-12 of the largest
+    # entry at s = -12, as conditioned as R is there
+    ou = GroupModel(Family.OU)
+    s = np.linspace(-12.0, 12.0, 17)
+    for seed in (1, 2):
+        ds = _ragged_ou_dataset(seed, n_groups=10)
+        phi = np.exp(s)
+        assert (np.exp(-phi * (2.0 * ds.design.gaps).min()) == 0.0).sum() >= 3
+        Z = np.column_stack([ds.y, ds.X])
+        (log_det_s, slope), W = _kernel_and_stats(ds, ou, s)
+        assert_array_equal(log_det_s, _internal_kernel(ou, ds.design, s)[0])
+        assert_array_equal(slope, _internal_kernel(ou, ds.design, s)[1])
+        assert_array_equal(W, _sufficient_stats(ds, ou, s))
+        for k, p in enumerate(phi):
+            with mpmath.workdps(30):
+                p_mp, want = mpmath.mpf(p), mpmath.zeros(Z.shape[1])
+                for j, rows in enumerate(ds.design.group_slices()):
+                    pos = [mpmath.mpf(v) for v in ds.design.positions[j]]
+                    R = mpmath.matrix([[mpmath.exp(-p_mp * abs(a - b))
+                                        for b in pos] for a in pos])
+                    assert_allclose(corr_matrix(ou, ds.design, j, p),
+                                    np.array(R.tolist(), dtype=float),
+                                    rtol=1e-12, atol=1e-300)
+                    Zj = mpmath.matrix(Z[rows].tolist())
+                    want += Zj.T * mpmath.inverse(R) * Zj
+                want = np.array(want.tolist(), dtype=float)
+            err = np.abs(W[k] - want).max()
+            assert err <= 1e-12 * np.abs(want).max(), (s[k], err)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_ou_stats_are_chunk_invariant(chunk, monkeypatch):
+    # each node's Z'QZ comes from its own matrix-vector products, so it is
+    # the same, bit for bit, whatever the block it was walked in, and a
+    # single node gives its row of a batch
+    ds = _ragged_ou_dataset(3)
+    ou = GroupModel(Family.OU)
+    rng = np.random.default_rng(12)
+    for n in (1, chunk, chunk + 1, 3 * chunk + 1, 40):
+        s = np.append(rng.uniform(-12.0, 12.0, n - 1), 11.0)
+        (_, _), whole = _kernel_and_stats(ds, ou, s)
+        monkeypatch.setattr("grouppc.corr._OU_BLOCK",
+                            chunk * ds.design.gaps.size)
+        (_, _), parts = _kernel_and_stats(ds, ou, s)
+        monkeypatch.undo()
+        assert whole.tobytes() == parts.tobytes()
+        for i in range(n):
+            one = _kernel_and_stats(ds, ou, s[i:i + 1])[1]
+            assert one.tobytes() == whole[i:i + 1].tobytes()
+
+
+def test_ou_stats_of_underflowed_nodes_equal_their_walk():
+    # nodes whose gap correlations all underflow share one walked row of
+    # Z'QZ: bit for bit what each one's own walk gives, and Z'Z, as R = I
+    ds = _ragged_ou_dataset(4)
+    ou = GroupModel(Family.OU)
+    s = np.linspace(-12.0, 12.0, 201)
+    dead = np.exp(-np.exp(s) * (2.0 * ds.design.gaps).min()) == 0.0
+    assert 20 <= dead.sum() < s.size
+    (log_det_s, slope), W = _kernel_and_stats(ds, ou, s)
+    for sums in (log_det_s, slope):
+        assert not sums[dead].any() and not np.signbit(sums[dead]).any()
+    for k in np.flatnonzero(dead):
+        alone = _kernel_and_stats(ds, ou, s[k:k + 1])[1]
+        assert alone.tobytes() == W[k:k + 1].tobytes()
+    Z = np.column_stack([ds.y, ds.X])
+    assert_allclose(W[dead], np.broadcast_to(Z.T @ Z, W[dead].shape),
+                    rtol=1e-14)
 
 
 def _ou_reference_terms(x):

@@ -1,7 +1,13 @@
 """Evidence integration: likelihood paths, grids, summaries, Bayes factors."""
 
+import dataclasses
+import hashlib
+import json
+import sys
 import tracemalloc
+import types
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -41,7 +47,7 @@ from grouppc import (
     simulate_dataset,
     solve_psi,
 )
-from grouppc import corr, inference
+from grouppc import corr, design, inference
 from grouppc.corr import _internal_kernel, _sufficient_stats
 from grouppc.inference import (
     _beta_moments,
@@ -982,6 +988,103 @@ def test_fingerprint_invariant_to_regrouping():
     ds_c = Dataset(y=y + 1e-12, X=X, design=d_a,
                    column_names=("intercept", "x1"))
     assert ds_a.fingerprint() != ds_c.fingerprint()
+
+
+def test_fingerprint_hashes_once_per_dataset(monkeypatch):
+    # the digest is taken on the first call and kept, outside the
+    # dataset's repr, equality and hash; y and X are read-only copies, so
+    # the data cannot change under it
+    rng = np.random.default_rng(10)
+    y, X = rng.standard_normal(12), np.ones((12, 1))
+    ds = Dataset(y=y, X=X, design=GroupedDesign(group_sizes=(4, 8)))
+    calls = []
+
+    def sha256(*args):
+        calls.append(args)
+        return hashlib.sha256(*args)
+    monkeypatch.setattr(design, "hashlib",
+                        types.SimpleNamespace(sha256=sha256))
+    first = ds.fingerprint()
+    assert ds.fingerprint() == first and len(calls) == 1
+    monkeypatch.undo()
+    assert first not in repr(ds)
+    kept = [f for f in dataclasses.fields(ds) if not (f.compare and f.repr)]
+    assert [f.name for f in kept] == ["_digest"]
+    for arr in (ds.y, ds.X):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    y[0] += 1.0
+    assert ds.y[0] != y[0]
+    assert Dataset(y=ds.y, X=X, design=ds.design).fingerprint() == first
+
+
+def _study_fit(family, seed):
+    """(dataset, model, hyper) of a 30 x 20 study fit, U(0.7, 1.3) gaps."""
+    rng = np.random.default_rng(seed)
+    design = GroupedDesign(group_sizes=(20,) * 30, positions=tuple(
+        tuple(np.cumsum(rng.uniform(0.7, 1.3, 20)).tolist())
+        for _ in range(30)))
+    model = GroupModel(family)
+    data = simulate_dataset(SimConfig(
+        design=design, model=model, param=0.7 if family == "ou" else 0.5,
+        beta=(1.0, 0.5), seed=seed))
+    prior = PCPrior.from_quantile(model, design, icc_to_param(model, 0.5),
+                                  0.5)
+    return data, model, HyperPriors(corr_prior=prior,
+                                    psi=solve_psi(1 / 0.31, 0.01))
+
+
+@pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])
+def test_warm_fit_takes_its_work_arrays_from_the_workspace(family):
+    # a repeat default fit reuses this thread's work arrays: the gap
+    # walk's blocks and the likelihood's planes are not allocated again
+    args = _study_fit(family, 4)
+    log_marginal_likelihood(*args)
+    tracemalloc.start()
+    try:
+        log_marginal_likelihood(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75e6
+
+
+def test_concurrent_fits_equal_serial_fits():
+    # each thread has its own workspace: fits of different datasets and
+    # families running at once, more threads than cores and switching
+    # often, give the serial fits' output, byte for byte
+    jobs = [_study_fit(family, seed) for family, seed
+            in (("ou", 5), ("exchangeable", 6), ("ar1", 7), ("ou", 8))]
+    serial = [json.dumps(log_marginal_likelihood(*a).to_json_dict())
+              for a in jobs]
+
+    def repeat(args):
+        return [json.dumps(log_marginal_likelihood(*args).to_json_dict())
+                for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(repeat, args) for args in jobs]
+            together = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == [[one] * 3 for one in serial]
+
+
+@pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])
+def test_no_returned_array_aliases_the_workspace(family):
+    ds, model, _ = _study_fit(family, 9)
+    grid = GridConfig(n_tau=31, n_corr=41)
+    s, log_tau = grid.axis("corr"), grid.axis("tau")
+    (log_det, slope), W = corr._kernel_and_stats(ds, model, s)
+    loglik, lam, (V, c) = _woodbury(ds, model, s, log_tau, 1e-6, log_det,
+                                    0.0, 0.0, W)
+    outputs = [log_det, slope, W, loglik, lam, V, c]
+    buffers = list(vars(corr._workspace).values())
+    assert len(buffers) >= 3
+    for out in outputs:
+        assert not any(np.shares_memory(out, buf) for buf in buffers)
 
 
 def test_to_json_dict_has_exactly_documented_keys():
