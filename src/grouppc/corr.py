@@ -22,7 +22,14 @@ gives the distance's base slope (`_base_slope`).  `_sufficient_stats`
 forms Z'R^-1 Z for every internal node from group means (exchangeable)
 or consecutive pairs (AR1, OU) without building R^-1, and
 `_unit_gap_correlation` reports the correlation one unit apart.  A fit
-takes both from `_kernel_and_stats`, for OU from one walk over the gaps.
+takes both from `_kernel_and_stats`, for OU from one kernel pass.
+
+OU sums run over gaps at x = 2 gap phi in two regimes, split per node by
+its largest x.  Where that is at most 1, each per-gap term is a
+Bernoulli-number series in x (Abramowitz & Stegun 23.1.1, radius 2 pi),
+so the sums over gaps come from twelve terms over a few gap power
+moments (`_ou_series_sums`), with the terms left out below 1.5e-20 per
+gap; every other node walks all its gaps (`_ou_gap_sums`).
 
 A dense Cholesky fallback (`log_det_dense`, `dlogdet_finite_difference`)
 backs the same quantities for verification.
@@ -33,6 +40,7 @@ broadcast over the parameter.  All functions are pure.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -183,7 +191,7 @@ _workspace = threading.local()
 def _work(name: str, shape, dtype=float) -> NDArray:
     """This thread's work array ``name`` as ``shape``, kept across calls
     (it grows to the largest request); never returned to a caller."""
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     buf = getattr(_workspace, name, None)
     if buf is None or buf.size < size:
         buf = np.empty(size, dtype)
@@ -221,6 +229,9 @@ def _ou_terms(x, e, one_m_e, small, weights=None):
 
 def _ou_gap_sums(design: GroupedDesign, phi, pairs=None):
     """`_ou_terms` over all gaps at x = 2 gap phi, one row of gaps per node.
+
+    This is the walk for the nodes whose largest x exceeds 1 (`_ou_sums`
+    takes the others from series); it holds for any x >= 0.
 
     The nodes x gaps rows are built `_OU_BLOCK` elements at a time into
     this thread's `_work` arrays, so memory stays bounded, and each node's
@@ -263,6 +274,105 @@ def _ou_gap_sums(design: GroupedDesign, phi, pairs=None):
     return sums
 
 
+# Taylor coefficients in x, n = 1 .. 12: b_n = B_2n / (2n)! of
+# x / (e^x - 1) = 1 - x/2 + sum b_n x^2n (Abramowitz & Stegun 23.1.1),
+# a_n = b_n / (2n) of log(1 - e^-x) - log x + x/2, and c_n = 4 (1 - 4^-n) b_n
+# of tanh(x/4).  For 0 <= x <= 1 the terms left out sum to below 1.4e-22
+# (a), 3.7e-21 (b) and 1.5e-20 (c).
+_OU_B = (0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+         -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+         1.3382536530684679e-11, -3.3896802963225827e-13,
+         8.586062056277845e-15, -2.174868698558062e-16,
+         5.5090028283602295e-18, -1.3954464685812522e-19)
+_OU_A = (0.041666666666666664, -0.00034722222222222224,
+         5.5114638447971785e-06, -1.033399470899471e-07, 2.08767569878681e-09,
+         -4.403491782239578e-11, 9.55895466477477e-13,
+         -2.1185501852016142e-14, 4.770034475709914e-16,
+         -1.087434349279031e-17, 2.5040921947091955e-19,
+         -5.814360285755218e-21)
+_OU_C = (0.25, -0.005208333333333333, 0.00013020833333333333,
+         -3.2939608134920636e-06, 8.342547811948854e-08,
+         -2.1131600212817663e-09, 5.352687890190603e-11,
+         -1.3558514295623808e-12, 3.434411721220158e-14,
+         -8.69946649776657e-16, 2.2036006059646413e-17,
+         -5.581785541624645e-19)
+
+
+def _horner(coefs, y):
+    """sum_n coefs[n] y^n, n from 0, with rows of coefs broadcast on ``y``."""
+    acc = coefs[-1]
+    for c in coefs[-2::-1]:
+        acc = acc * y + c
+    return acc
+
+
+def _ou_series_sums(design: GroupedDesign, x_max, pairs=None):
+    """`_ou_gap_sums` at nodes whose largest x = 2 gap phi is ``x_max`` <= 1.
+
+    With G gaps, u = gap / max gap <= 1 and S_k = sum u^k, both sums are
+    series in x_max whose coefficients are design moments:
+    sum log(1 - e^-x) = G log x_max + sum log u - x_max S_1 / 2
+    + sum_n a_n x_max^2n S_2n and sum x / (e^x - 1) = G - x_max S_1 / 2
+    + sum_n b_n x_max^2n S_2n, so a node costs O(12), not O(G).  With
+    ``pairs`` the pair weights at r = e^(-x/2) are 1 / (1 - r^2) =
+    1/x + 1/2 + sum b_n x^(2n-1), 1 / (1 + r) = 1/2 + tanh(x/4) / 2 and
+    (1 - r) / (1 + r) = tanh(x/4) = sum c_n x^(2n-1), so Z'QZ takes the
+    moments sum u^k pairs over gaps for k = -1, 0, 1, 3, .., 23 from one
+    matrix product per call.  Every node's outputs are elementwise in its
+    own x_max: the same alone and in any batch.
+    """
+    top = design.gaps.max()
+    u = design.gaps / top
+    odd = _work("ou_powers", (len(_OU_B) + 2, u.size))   # u^-1, 1, u, u^3..
+    np.divide(top, design.gaps, out=odd[0])
+    odd[1], odd[2] = 1.0, u
+    u2 = u * u
+    for k in range(3, odd.shape[0]):
+        np.multiply(odd[k - 1], u2, out=odd[k])
+    even = odd[2:] @ u                                   # S_2, S_4, .., S_24
+    half_s1 = 0.5 * u.sum()
+    y = x_max * x_max
+    with np.errstate(divide="ignore", invalid="ignore"):   # x_max = 0
+        # the small terms first, then the one that dominates
+        log_det = u.size * np.log(x_max) + (
+            np.log(u).sum() - x_max * half_s1
+            + y * _horner(np.multiply(_OU_A, even), y))
+        ratio = u.size + (y * _horner(np.multiply(_OU_B, even), y)
+                          - x_max * half_s1)
+        if pairs is None:
+            return log_det, ratio
+        moments = (odd @ pairs.reshape(-1, u.size).T).reshape(
+            odd.shape[0], 3, -1)
+        b, c = np.array(_OU_B)[:, None], np.array(_OU_C)[:, None]
+        series = (b * moments[2:, 0] + 0.5 * c * moments[2:, 1]
+                  + c * moments[2:, 2])
+        x = x_max[:, None]
+        stats = moments[0, 0] / x + (0.5 * (moments[1, 0] + moments[1, 1])
+                                     + x * _horner(series, x * x))
+    return log_det, ratio, stats
+
+
+def _ou_sums(design: GroupedDesign, phi, pairs=None):
+    """`_ou_gap_sums` as output, from `_ou_series_sums` at the nodes whose
+    largest x = 2 gap phi is at most 1 and from the walk at the others."""
+    flat = np.ravel(phi)
+    if design.gaps.size:
+        x_max = flat * (2.0 * design.gaps.max())
+        series = x_max <= 1.0
+    if not design.gaps.size or not series.any():
+        return _ou_gap_sums(design, phi, pairs)
+    walk = np.flatnonzero(~series)
+    out = [np.empty(flat.shape), np.empty(flat.shape)]
+    if pairs is not None:
+        out.append(np.empty((flat.size, pairs.shape[1])))
+    for o, v in zip(out, _ou_series_sums(design, x_max[series], pairs)):
+        o[series] = v
+    if walk.size:
+        for o, v in zip(out, _ou_gap_sums(design, flat[walk], pairs)):
+            o[walk] = v
+    return (*(o.reshape(np.shape(phi))[()] for o in out[:2]), *out[2:])
+
+
 def _log_det_slope(model: GroupModel, design: GroupedDesign, p, log1m_rho, j,
                    pairs=None):
     """(log |R|, d log |R| / d c) over groups at rho or phi, from one pass.
@@ -274,10 +384,13 @@ def _log_det_slope(model: GroupModel, design: GroupedDesign, p, log1m_rho, j,
     point as rho -> 0, where log|R| is O(rho^2).  The derivative is a sum
     of -m (m - 1) rho j / (1 + (m - 1) rho) per exchangeable block,
     -2 rho j / (1 + rho) per AR1 pair or j x / (e^x - 1) per OU gap.
-    OU ``pairs`` add the walk's weighted pair sums as a third output.
+    The OU sums come from `_ou_sums`: series in x at the nodes whose
+    largest x = 2 gap phi is at most 1 (truncated below 1.5e-20 per gap),
+    the gap walk at the others.  OU ``pairs`` add the weighted pair sums
+    as a third output.
     """
     if model.family is Family.OU:
-        log_det, ratio, *stats = _ou_gap_sums(design, p, pairs)
+        log_det, ratio, *stats = _ou_sums(design, p, pairs)
         return (log_det, j * ratio, *stats)
     log1m_plus = _log1pmx(-p, log1m_rho)
     if model.family is Family.AR1:
@@ -418,7 +531,8 @@ def _sufficient_stats(dataset: Dataset, model: GroupModel, s: NDArray):
     u_b - r u_a as (u_b - u_a) + (1 - r) u_a gives pair weights
     1 / (1 - r^2), 1 / (1 + r) and (1 - r) / (1 + r), with 1 - r from
     expit(-s) (AR1) or -expm1(-2 phi gap) / (1 + r) (OU, in the gap walk
-    of `_kernel_and_stats`); neither cancels as r -> 1.
+    of `_kernel_and_stats`, or series in x = 2 phi gap at small x);
+    neither cancels as r -> 1.
     """
     if model.family is Family.OU:
         return _kernel_and_stats(dataset, model, s)[1]
@@ -458,7 +572,7 @@ def _markov_rows(dataset: Dataset):
 def _kernel_and_stats(dataset: Dataset, model: GroupModel, s: NDArray):
     """(`_internal_kernel`, `_sufficient_stats`) at internal nodes ``s``.
 
-    OU takes all three from one `_log_det_slope` walk, fed the upper
+    OU takes all three from one `_log_det_slope` pass, fed the upper
     triangles of the pair products D D', D A' + A D' and A A'.
     """
     if model.family is not Family.OU:

@@ -27,6 +27,11 @@ from grouppc import (
 from grouppc.corr import (
     _internal_kernel,
     _kernel_and_stats,
+    _log_det_slope,
+    _markov_rows,
+    _OU_A,
+    _OU_B,
+    _OU_C,
     _ou_gap_sums,
     _ou_terms,
     _sufficient_stats,
@@ -646,3 +651,157 @@ def test_ou_gap_sums_fill_rows_whose_terms_all_underflow():
     for got, want in zip(_ou_gap_sums(design, phi), walked):
         assert got.tobytes() == want.tobytes()
         assert not np.signbit(got[dead]).any() and not got[dead].any()
+
+
+# ----------------------------------------------------------------------
+# OU series regime: nodes whose largest x = 2 gap phi is at most 1
+# ----------------------------------------------------------------------
+
+def _transect_design(rng):
+    """200 transects of 1-19 rows with U(0.4, 1.6) gaps: 1,800 gaps."""
+    sizes = rng.permutation(np.rint(np.linspace(1, 19, 200)).astype(int))
+    return GroupedDesign(group_sizes=tuple(int(m) for m in sizes),
+                         positions=tuple(
+        tuple(np.cumsum(rng.uniform(0.4, 1.6, m)).tolist()) for m in sizes))
+
+
+def _spread_design(rng):
+    """40 groups of 2-11 rows with gaps 10^U(-3, 3): u = gap / max gap
+    reaches about 1e-6, so u^-1 is about 1e6 and u^24 about 1e-144."""
+    sizes = tuple(int(v) for v in rng.integers(2, 12, 40))
+    return GroupedDesign(group_sizes=sizes, positions=tuple(
+        tuple(np.cumsum(10.0 ** rng.uniform(-3.0, 3.0, m)).tolist())
+        for m in sizes))
+
+
+def _on_design(design, seed):
+    """Intercept-and-slope data on ``design``."""
+    rng = np.random.default_rng(seed)
+    M = design.total_size
+    return Dataset(y=rng.standard_normal(M) * 1.7 + 0.5,
+                   X=np.column_stack([np.ones(M), rng.standard_normal(M)]),
+                   design=design, column_names=("intercept", "x1"))
+
+
+def _ou_mp_reference(ds, phi):
+    """(sum log(1 - e^-x), sum |.|, sum x / (e^x - 1), sum |.|, Z'QZ) at
+    x = 2 gap phi, the terms and pair weights in 40 digits.  Z'QZ sums the
+    Markov pair terms with math.fsum, the weights rounded to doubles: good
+    to a few ulps of its largest entry."""
+    first, D, A = _markov_rows(ds)
+    with mpmath.workdps(40):
+        logs, ratios, weights = [], [], []
+        for gap in ds.design.gaps:
+            x = 2 * mpmath.mpf(phi) * mpmath.mpf(gap)
+            e, r = mpmath.exp(-x), mpmath.exp(-x / 2)
+            logs.append(mpmath.log(1 - e))
+            ratios.append(x * e / (1 - e))
+            weights.append((1 / (1 - e), 1 / (1 + r), (1 - r) / (1 + r)))
+        sums = [float(f(v)) for v in (logs, ratios)
+                for f in (mpmath.fsum, lambda v: mpmath.fsum(map(abs, v)))]
+    w = np.array(weights, dtype=float)
+    q = first.shape[1]
+    W = np.empty((q, q))
+    for a in range(q):
+        for b in range(q):
+            W[a, b] = math.fsum(np.concatenate([
+                first[:, a] * first[:, b], w[:, 0] * D[:, a] * D[:, b],
+                w[:, 1] * (D[:, a] * A[:, b] + A[:, a] * D[:, b]),
+                w[:, 2] * A[:, a] * A[:, b]]))
+    return (*sums, W)
+
+
+def test_ou_series_coefficients_are_rounded_bernoulli_terms():
+    # b_n = B_2n / (2n)!, a_n = b_n / (2n), c_n = 4 (1 - 4^-n) b_n, each
+    # the double nearest its exact value
+    with mpmath.workdps(40):
+        for n, (a, b, c) in enumerate(zip(_OU_A, _OU_B, _OU_C), start=1):
+            exact = mpmath.bernoulli(2 * n) / mpmath.factorial(2 * n)
+            assert b == float(exact)
+            assert a == float(exact / (2 * n))
+            assert c == float(4 * (1 - mpmath.mpf(4) ** -n) * exact)
+
+
+@pytest.mark.parametrize("make", [_transect_design, _spread_design])
+def test_ou_series_nodes_match_a_40_digit_reference(make):
+    # every node here has x <= 1 at all gaps, so log|R|, its slope and
+    # Z'QZ come from the series over gap power moments
+    design = make(np.random.default_rng(8))
+    ds = _on_design(design, 3)
+    ou = GroupModel(Family.OU)
+    t = np.linspace(-40.0, -math.log(2.0 * design.gaps.max()) - 1e-9, 6)
+    assert np.all(np.exp(t) * 2.0 * design.gaps.max() <= 1.0)
+    (log_det_t, slope_t), W = _kernel_and_stats(ds, ou, t)
+    for k, phi in enumerate(np.exp(t)):
+        log_det_ref, log_scale, ratio_ref, ratio_scale, W_ref = (
+            _ou_mp_reference(ds, phi))
+        assert abs(log_det_t[k] - log_det_ref) <= 1e-14 * log_scale
+        assert abs(slope_t[k] - ratio_ref) <= 1e-14 * ratio_scale
+        assert np.all(np.isfinite(W[k]))
+        assert (np.abs(W[k] - W_ref).max()
+                <= 1e-12 * np.abs(W_ref).max()), (t[k], W[k], W_ref)
+
+
+def test_ou_series_and_walk_agree_at_the_switch():
+    # at the last phi with x_max <= 1 and the first beyond it, the kernel
+    # agrees with the walk called directly on the same phi
+    rng = np.random.default_rng(9)
+    design = _transect_design(rng)
+    ds = _on_design(design, 4)
+    ou = GroupModel(Family.OU)
+    first, D, A = _markov_rows(ds)
+    a, b = np.triu_indices(first.shape[1])
+    pairs = np.stack([D.T[a] * D.T[b], D.T[a] * A.T[b] + A.T[a] * D.T[b],
+                      A.T[a] * A.T[b]])
+    two_max = 2.0 * design.gaps.max()
+    below = 1.0 / two_max
+    while below * two_max > 1.0:
+        below = np.nextafter(below, 0.0)
+    above = np.nextafter(below, np.inf)
+    assert below * two_max <= 1.0 < above * two_max
+    for phi in (below, above):
+        log_det_p, ratio, upper = _log_det_slope(ou, design, np.array([phi]),
+                                                 None, 1.0, pairs)
+        walked = _ou_gap_sums(design, np.array([phi]), pairs)
+        x = 2.0 * design.gaps * phi
+        for got, want, terms in zip((log_det_p, ratio), walked,
+                                    _ou_reference_terms(x)):
+            assert abs(got[0] - want[0]) <= 1e-14 * np.abs(terms).sum()
+        assert (np.abs(upper - walked[2]).max()
+                <= 1e-14 * np.abs(walked[2]).max())
+        if phi == above:
+            for got, want in zip((log_det_p, ratio, upper), walked):
+                assert got.tobytes() == want.tobytes()
+    # phi = 0 is a series node: log|R| = -inf and every slope term is 1,
+    # alone or beside other nodes
+    log_det_0, ratio_0 = _log_det_slope(ou, design, 0.0, None, 1.0)
+    assert log_det_0 == -np.inf and ratio_0 == design.gaps.size
+    batch = _log_det_slope(ou, design, np.array([0.0, below, above, 3.0]),
+                           None, 1.0)
+    assert (batch[0][0], batch[1][0]) == (log_det_0, ratio_0)
+    no_gaps = GroupedDesign(group_sizes=(1, 1), positions=((0.0,), (1.0,)))
+    assert _log_det_slope(ou, no_gaps, 0.0, None, 1.0) == (0.0, 0.0)
+
+
+def test_ou_series_nodes_are_not_walked(monkeypatch):
+    # the walk sees only the nodes with x_max > 1, and none when there
+    # are none
+    design = _transect_design(np.random.default_rng(10))
+    ou = GroupModel(Family.OU)
+    walked = []
+    walk = _ou_gap_sums
+
+    def counted(design, phi, pairs=None):
+        walked.append(np.array(phi, dtype=float))
+        return walk(design, phi, pairs)
+
+    monkeypatch.setattr("grouppc.corr._ou_gap_sums", counted)
+    t = np.linspace(-12.0, 12.0, 201)
+    series = np.exp(t) * 2.0 * design.gaps.max() <= 1.0
+    assert 90 <= series.sum() < t.size
+    _internal_kernel(ou, design, t)
+    assert len(walked) == 1
+    assert_array_equal(walked[0], np.exp(t)[~series])
+    walked.clear()
+    _kernel_and_stats(_on_design(design, 5), ou, t[series])
+    assert not walked
