@@ -18,11 +18,12 @@ special case under ``rho = exp(-phi)``.
 One private kernel returns log |R| and its derivative from one pass over
 the nodes; the public functions project it on the parameter scale, and
 `_internal_kernel` evaluates it on the internal scale.  Its rho -> 0 limit
-gives the distance's base slope (`_base_slope`).  `_sufficient_stats`
-forms Z'R^-1 Z for every internal node from group means (exchangeable)
-or consecutive pairs (AR1, OU) without building R^-1, and
-`_unit_gap_correlation` reports the correlation one unit apart.  A fit
-takes both from `_kernel_and_stats`, for OU from one kernel pass.
+gives the distance's base slope (`_base_slope`).  `_kernel_and_stats`,
+the one source of the statistics, returns that internal kernel with
+Z'R^-1 Z for every internal node, formed from group means (exchangeable)
+or consecutive pairs (AR1, OU) without building R^-1; for OU the kernel
+pass forms both.  `_unit_gap_correlation` reports the correlation one
+unit apart.
 
 OU sums run over gaps at x = 2 gap phi in two regimes, split per node by
 its largest x.  Where that is at most 1, each per-gap term is a
@@ -507,58 +508,19 @@ def _unit_gap_correlation(model: GroupModel, t):
     return internal_to_param(model, t)
 
 
-def _internal_kernel(model: GroupModel, design: GroupedDesign, t):
-    """(log |R|, slope) at internal coordinates ``t``, stable in the tails."""
+def _internal_kernel(model: GroupModel, design: GroupedDesign, t,
+                     pairs=None):
+    """(log |R|, slope) at internal coordinates ``t``, stable in the tails.
+
+    OU ``pairs`` pass through to `_log_det_slope`, which adds their
+    weighted sums as a third output.
+    """
     model.check_design(design)
     x = np.asarray(t, dtype=float)
     if model.family is Family.OU:
-        return _log_det_slope(model, design, np.exp(x), None, 1.0)
+        return _log_det_slope(model, design, np.exp(x), None, 1.0, pairs)
     rho = expit(x)
     return _log_det_slope(model, design, rho, -np.logaddexp(0.0, x), rho)
-
-
-def _sufficient_stats(dataset: Dataset, model: GroupModel, s: NDArray):
-    """Z'QZ at unit precision, Z = [y, X], one q x q block per internal node.
-
-    Q = C^-1 is never formed.  The exchangeable block precision is
-    (1 - rho)^-1 [I - c_j 11'] with c_j = rho / (1 + (m_j - 1) rho); split
-    into group means mu_j and deviations D_j from them, Z_j'Q_j Z_j is
-    (1 + e^s) D_j'D_j + m_j mu_j mu_j' / (1 + (m_j - 1) rho), with
-    1 + e^s = 1 / (1 - rho) exactly; the mu_j mu_j' are summed per size
-    class first.  AR1 and OU are Markov chains: u'Qv sums u_0 v_0 over
-    first rows and (u_b - r u_a)(v_b - r v_a) / (1 - r^2) over pairs
-    (a, b), b in ``design.pair_rows``, with gap correlation r.  Writing
-    u_b - r u_a as (u_b - u_a) + (1 - r) u_a gives pair weights
-    1 / (1 - r^2), 1 / (1 + r) and (1 - r) / (1 + r), with 1 - r from
-    expit(-s) (AR1) or -expm1(-2 phi gap) / (1 + r) (OU, in the gap walk
-    of `_kernel_and_stats`, or series in x = 2 phi gap at small x);
-    neither cancels as r -> 1.
-    """
-    if model.family is Family.OU:
-        return _kernel_and_stats(dataset, model, s)[1]
-    design = dataset.design
-    q = dataset.n_coef + 1
-    if model.family is Family.EXCHANGEABLE:
-        Z = np.column_stack([dataset.y, dataset.X])
-        starts, sizes = design.offsets[:-1], np.diff(design.offsets)
-        means = np.add.reduceat(Z, starts, axis=0) / sizes[:, None]
-        D = Z - np.repeat(means, sizes, axis=0)
-        m, count = np.array(design.size_classes).T
-        mu = means[np.argsort(sizes, kind="stable")]
-        outer = np.einsum("ga,gb->gab", mu, mu).reshape(len(mu), q * q)
-        P = np.add.reduceat(outer, np.cumsum(count) - count)
-        between = (m / (1.0 + (m - 1) * expit(s)[:, None])) @ P
-        return ((1.0 + np.exp(s))[:, None, None] * (D.T @ D)
-                + between.reshape(-1, q, q))
-    # one gap correlation for every pair: sum the products first
-    first, D, A = _markov_rows(dataset)
-    r, one_m_r = expit(s)[:, None], expit(-s)[:, None]
-    DA = D.T @ A
-    pairs = [P.reshape(1, q * q) for P in (D.T @ D, DA + DA.T, A.T @ A)]
-    w = np.reciprocal(np.add(r, 1.0, out=r), out=r)
-    W = ((w / one_m_r) @ pairs[0] + w @ pairs[1]
-         + (w * one_m_r) @ pairs[2])
-    return first.T @ first + W.reshape(-1, q, q)
 
 
 def _markov_rows(dataset: Dataset):
@@ -570,22 +532,55 @@ def _markov_rows(dataset: Dataset):
 
 
 def _kernel_and_stats(dataset: Dataset, model: GroupModel, s: NDArray):
-    """(`_internal_kernel`, `_sufficient_stats`) at internal nodes ``s``.
+    """(`_internal_kernel`, Z'QZ) at internal nodes ``s``: the one source
+    of the statistics Z'QZ at unit precision, Z = [y, X], one q x q block
+    per node.
 
-    OU takes all three from one `_log_det_slope` pass, fed the upper
-    triangles of the pair products D D', D A' + A D' and A A'.
+    Q = C^-1 is never formed.  The exchangeable block precision is
+    (1 - rho)^-1 [I - c_j 11'] with c_j = rho / (1 + (m_j - 1) rho); split
+    into group means mu_j and deviations D_j from them, Z_j'Q_j Z_j is
+    (1 + e^s) D_j'D_j + m_j mu_j mu_j' / (1 + (m_j - 1) rho), with
+    1 + e^s = 1 / (1 - rho) exactly; the mu_j mu_j' are summed per size
+    class first.  AR1 and OU are Markov chains: u'Qv sums u_0 v_0 over
+    first rows and (u_b - r u_a)(v_b - r v_a) / (1 - r^2) over pairs
+    (a, b), b in ``design.pair_rows``, with gap correlation r.  Writing
+    u_b - r u_a as (u_b - u_a) + (1 - r) u_a gives pair weights
+    1 / (1 - r^2), 1 / (1 + r) and (1 - r) / (1 + r), with 1 - r from
+    expit(-s) (AR1) or -expm1(-2 phi gap) / (1 + r) (OU); neither cancels
+    as r -> 1.  OU takes all three outputs from one `_internal_kernel`
+    pass, fed the upper triangles of the pair products D D', D A' + A D'
+    and A A': the gap walk, or series in x = 2 phi gap at small x.
     """
+    design = dataset.design
+    q = dataset.n_coef + 1
     if model.family is not Family.OU:
-        return (_internal_kernel(model, dataset.design, s),
-                _sufficient_stats(dataset, model, s))
-    model.check_design(dataset.design)
+        kernel = _internal_kernel(model, design, s)
+    if model.family is Family.EXCHANGEABLE:
+        Z = np.column_stack([dataset.y, dataset.X])
+        starts, sizes = design.offsets[:-1], np.diff(design.offsets)
+        means = np.add.reduceat(Z, starts, axis=0) / sizes[:, None]
+        D = Z - np.repeat(means, sizes, axis=0)
+        m, count = np.array(design.size_classes).T
+        mu = means[np.argsort(sizes, kind="stable")]
+        outer = np.einsum("ga,gb->gab", mu, mu).reshape(len(mu), q * q)
+        P = np.add.reduceat(outer, np.cumsum(count) - count)
+        between = (m / (1.0 + (m - 1) * expit(s)[:, None])) @ P
+        return kernel, ((1.0 + np.exp(s))[:, None, None] * (D.T @ D)
+                        + between.reshape(-1, q, q))
     first, D, A = _markov_rows(dataset)
-    q = first.shape[1]
+    if model.family is Family.AR1:
+        # one gap correlation for every pair: sum the products first
+        r, one_m_r = expit(s)[:, None], expit(-s)[:, None]
+        DA = D.T @ A
+        pairs = [P.reshape(1, q * q) for P in (D.T @ D, DA + DA.T, A.T @ A)]
+        w = np.reciprocal(np.add(r, 1.0, out=r), out=r)
+        W = ((w / one_m_r) @ pairs[0] + w @ pairs[1]
+             + (w * one_m_r) @ pairs[2])
+        return kernel, first.T @ first + W.reshape(-1, q, q)
     a, b = np.triu_indices(q)
     D, A = D.T, A.T
     pairs = np.stack([D[a] * D[b], D[a] * A[b] + A[a] * D[b], A[a] * A[b]])
-    log_det, slope, upper = _log_det_slope(model, dataset.design, np.exp(s),
-                                           None, 1.0, pairs)
+    log_det, slope, upper = _internal_kernel(model, design, s, pairs)
     W = np.empty((len(upper), q, q))
     W[:, a, b] = W[:, b, a] = upper
     return (log_det, slope), first.T @ first + W

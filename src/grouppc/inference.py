@@ -84,7 +84,7 @@ def gumbel2_log_density(tau, psi: float):
     if not 0.0 < psi < np.inf:
         raise DomainError("psi must be positive and finite")
     t = np.asarray(tau, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):                 # NaN fails too
         raise DomainError("tau must be positive")
     out = _gumbel2_log_tau(np.log(t), psi) - np.log(t)
     return float(out) if np.ndim(tau) == 0 else out
@@ -170,16 +170,15 @@ class GridConfig:
 # Gaussian log likelihood, block-wise and dense
 # ----------------------------------------------------------------------
 
-def _woodbury(dataset: Dataset, model: GroupModel, s: NDArray,
-              log_tau: NDArray, beta_prec: float, logdetC: NDArray,
-              log_t=0.0, log_s=0.0, W=None):
+def _woodbury(dataset: Dataset, W: NDArray, log_tau: NDArray,
+              beta_prec: float, logdetC: NDArray, log_t=0.0, log_s=0.0):
     """Likelihood on the (log tau, internal correlation) tensor grid.
 
     Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') + log_t + log_s
     indexed [log tau, s] (the optional per-tau and per-node log factors
     are the evidence's priors and quadrature weights), and per node the
     eigenvalues lam, eigenvectors V and c = V'X'Qy of X'QX.  With the
-    statistics W = Z'QZ (the caller's, else `corr._sufficient_stats`'),
+    statistics W = Z'QZ at the nodes (from `corr._kernel_and_stats`),
     one `eigh` per node gives X'QX = V diag(lam) V', so the capacitance
     B = beta_prec I + tau X'QX is V diag(d) V' with d = beta_prec + tau lam.
     The determinant lemma and the Woodbury identity then need only
@@ -194,13 +193,11 @@ def _woodbury(dataset: Dataset, model: GroupModel, s: NDArray,
     the smallest and largest tau hold its extremes.
     """
     M, p = dataset.n_obs, dataset.n_coef
-    if W is None:
-        W = corr._sufficient_stats(dataset, model, s)
     lam, V = np.linalg.eigh(W[:, 1:, 1:])
     c = np.einsum("kji,kj->ki", V, W[:, 1:, 0])
     tau = np.exp(log_tau)[:, None]
     ends = [log_tau.argmin(), log_tau.argmax()]
-    shape = (log_tau.size, s.size)
+    shape = (log_tau.size, len(W))
     d, term, sum_log_d = (corr._work(name, shape)
                           for name in ("d", "term", "sum_log_d"))
     sum_log_d.fill(0.0)
@@ -255,11 +252,11 @@ def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
     ``method="dense"`` builds the full covariance and factorizes it.  Both
     must agree to high accuracy.
     """
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    if beta_prec <= 0:
+    if not 0.0 < tau < np.inf:
+        raise DomainError("tau must be positive and finite")
+    if not 0.0 < beta_prec < np.inf:
         raise DomainError("the evidence needs a proper fixed-effects prior "
-                          "(beta_prec > 0)")
+                          "(beta_prec positive and finite)")
     if method == "dense":
         M = dataset.n_obs
         blocks = [corr.corr_matrix(model, dataset.design, j, param)
@@ -281,8 +278,7 @@ def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
     p = corr._check_param(model, param, allow_degenerate=False)
     s = np.atleast_1d(corr.param_to_internal(model, p))
     (logdetC, _), W = corr._kernel_and_stats(dataset, model, s)
-    loglik, _, _ = _woodbury(dataset, model, s, np.log([tau]), beta_prec,
-                             logdetC, W=W)
+    loglik, _, _ = _woodbury(dataset, W, np.log([tau]), beta_prec, logdetC)
     return float(loglik[0, 0])
 
 
@@ -495,9 +491,8 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
                                 0.0, s_nodes) + np.log(grid.weights("corr")))
 
     n_t, n_s = t_nodes.size, s_nodes.size
-    log_cells, lam, (V, c) = _woodbury(dataset, model, s_nodes, t_nodes,
-                                       hyper.beta_prec, kernel[0], log_t,
-                                       log_s, W)
+    log_cells, lam, (V, c) = _woodbury(dataset, W, t_nodes, hyper.beta_prec,
+                                       kernel[0], log_t, log_s)
 
     # one exponentiation relative to the largest cell, in the likelihood's
     # buffer; a NaN or +inf cell makes the maximum non-finite, and so does
@@ -566,6 +561,8 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
 def evidence_category(log_bf: float) -> str:
     """Kass-Raftery strength-of-evidence label for |log BF| (natural log)."""
     x = abs(log_bf)
+    if x != x:
+        raise DomainError("the log Bayes factor is NaN")
     if x < 1.0:
         return "not worth more than a bare mention"
     if x < 3.0:

@@ -352,8 +352,7 @@ class PCPrior:
             raise DomainError("the sample count must be nonnegative")
         rng = np.random.default_rng(seed)
         e = rng.exponential(scale=1.0 / self.lam, size=count)
-        t = self.distance.invert_internal(e)
-        return corr.internal_to_param(self.model, t)
+        return self.distance.invert(e)
 
     # -- internal scale (used by quadrature) ------------------------------
 

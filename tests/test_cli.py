@@ -400,13 +400,13 @@ def test_fit_all_singleton_groups_is_degenerate_scaling(tmp_path, capsys):
 def test_fit_refuses_indefinite_capacitance(tmp_path, capsys, monkeypatch):
     # one flipped diagonal entry makes X'QX indefinite at every node
     data = simulate_csv(tmp_path, n=8, m=5, seed=21)
-    real = corr._sufficient_stats
+    real = corr._kernel_and_stats
 
     def flipped(*args):
-        W = real(*args)
+        kernel, W = real(*args)
         W[:, -1, -1] *= -1.0
-        return W
-    monkeypatch.setattr(corr, "_sufficient_stats", flipped)
+        return kernel, W
+    monkeypatch.setattr(corr, "_kernel_and_stats", flipped)
     capsys.readouterr()
     code = main(["fit", "--family", "exchangeable", "--data", data,
                  "--out", str(tmp_path / "fit.json")])

@@ -48,7 +48,7 @@ from grouppc import (
     solve_psi,
 )
 from grouppc import corr, design, inference
-from grouppc.corr import _internal_kernel, _sufficient_stats
+from grouppc.corr import _kernel_and_stats
 from grouppc.inference import (
     _beta_moments,
     _mixture_quantiles,
@@ -147,6 +147,10 @@ def test_hyper_priors_reject_non_finite_scales():
             HyperPriors(corr_prior=prior, psi=psi)
         with pytest.raises(DomainError, match="psi"):
             gumbel2_log_density(1.0, psi)
+    for tau in (0.0, np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(DomainError, match="tau"):
+            gumbel2_log_density(tau, 1.0)
+    assert gumbel2_log_density(np.inf, 1.0) == -np.inf
     for beta_prec in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(DomainError, match="beta_prec"):
             HyperPriors(corr_prior=prior, psi=1.0, beta_prec=beta_prec)
@@ -218,8 +222,8 @@ def test_loglik_blockwise_equals_dense(ds, model, u, s_other, log_tau):
         model, np.array([s_other, param_to_internal(model, param), -s_other]))
     s = param_to_internal(model, params)
     log_taus = np.array([log_tau, 0.0])
-    grid, _, _ = _woodbury(ds, model, s, log_taus, 1e-3,
-                           _internal_kernel(model, ds.design, s)[0])
+    (logdetC, _), W = _kernel_and_stats(ds, model, s)
+    grid, _, _ = _woodbury(ds, W, log_taus, 1e-3, logdetC)
     for k, p_k in enumerate(params):
         for i, t_i in enumerate(log_taus):
             one = gaussian_loglik(ds, model, p_k, float(np.exp(t_i)),
@@ -239,12 +243,12 @@ def test_beta_moments_equal_dense_solve(ds, model, s, log_tau):
     # oracle: B = beta_prec I + tau X'QX built and solved cell by cell
     s, tau = np.array(s), np.exp(log_tau)
     p = ds.n_coef
-    _, lam, (V, c) = _woodbury(ds, model, s, np.log(tau), 1e-3,
-                               _internal_kernel(model, ds.design, s)[0])
+    (logdetC, _), W = _kernel_and_stats(ds, model, s)
+    _, lam, (V, c) = _woodbury(ds, W, np.log(tau), 1e-3, logdetC)
     t_idx, k_idx = np.divmod(np.arange(tau.size * s.size), s.size)
     mean, var = _beta_moments(V[k_idx], lam[k_idx], c[k_idx], tau[t_idx],
                               1e-3)
-    W = _sufficient_stats(ds, model, s)[k_idx]
+    W = W[k_idx]
     B = 1e-3 * np.eye(p) + tau[t_idx, None, None] * W[:, 1:, 1:]
     b = tau[t_idx, None] * W[:, 1:, 0]
     assert_allclose(mean, np.linalg.solve(B, b[..., None])[..., 0],
@@ -275,13 +279,13 @@ def test_exchangeable_stats_by_size_class_equal_per_group_sums():
         want += ((1.0 + np.exp(s))[:, None, None] * (D.T @ D)
                  + (m / (1.0 + (m - 1) * rho))[:, None, None]
                  * np.outer(mu, mu))
-    got = _sufficient_stats(ds, EXCH, s)
+    got = _kernel_and_stats(ds, EXCH, s)[1]
     err = np.abs(got - want).max(axis=(1, 2))
     assert np.all(err <= 1e-13 * np.abs(want).max(axis=(1, 2)))
     many = np.linspace(-12.0, 12.0, 4001)
     tracemalloc.start()
     try:
-        _sufficient_stats(ds, EXCH, many)
+        _kernel_and_stats(ds, EXCH, many)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -301,9 +305,8 @@ def test_woodbury_matches_per_cell_capacitance(model, make_dataset):
     M, p = ds.n_obs, ds.n_coef
     s = np.linspace(-12.0, 12.0, 41)
     log_tau = np.linspace(-12.0, 12.0, 31)
-    logdetC = _internal_kernel(model, ds.design, s)[0]
-    loglik, lam, (V, c) = _woodbury(ds, model, s, log_tau, 1e-6, logdetC)
-    W = _sufficient_stats(ds, model, s)
+    (logdetC, _), W = _kernel_and_stats(ds, model, s)
+    loglik, lam, (V, c) = _woodbury(ds, W, log_tau, 1e-6, logdetC)
     tau = np.exp(log_tau)
     B = 1e-6 * np.eye(p) + tau[:, None, None, None] * W[:, 1:, 1:]
     b = tau[:, None, None] * W[:, 1:, 0]
@@ -412,13 +415,13 @@ def test_fit_refuses_indefinite_capacitance(monkeypatch):
     ds = reference_dataset()
     prior = PCPrior.from_quantile(EXCH, ds.design, 0.5, 0.5)
     hyper = HyperPriors(corr_prior=prior, psi=solve_psi(1 / 0.31, 0.01))
-    real = corr._sufficient_stats
+    real = corr._kernel_and_stats
 
     def flipped(*args):
-        W = real(*args)
+        kernel, W = real(*args)
         W[:, -1, -1] *= -1.0
-        return W
-    monkeypatch.setattr(corr, "_sufficient_stats", flipped)
+        return kernel, W
+    monkeypatch.setattr(corr, "_kernel_and_stats", flipped)
     with pytest.raises(NumericError, match="not positive definite"):
         log_marginal_likelihood(ds, EXCH, hyper)
     with pytest.raises(NumericError, match="not positive definite"):
@@ -426,28 +429,22 @@ def test_fit_refuses_indefinite_capacitance(monkeypatch):
 
 
 @pytest.mark.parametrize("last", [-1e-9, 1e305])
-def test_capacitance_refused_where_only_the_largest_tau_fails(last, monkeypatch):
+def test_capacitance_refused_where_only_the_largest_tau_fails(last):
     # a coefficient decoupled from the others with X'QX entry ``last``:
     # d = beta_prec + tau last is positive and finite at small tau, and
     # non-positive or infinite only at the largest tau, wherever that node
     # lies in the order of the tau nodes
     ds = reference_dataset()
-    real = corr._sufficient_stats
-
-    def decoupled(*args):
-        W = real(*args)
-        W[:, -1, :] = W[:, :, -1] = 0.0
-        W[:, -1, -1] = last
-        return W
-    monkeypatch.setattr(corr, "_sufficient_stats", decoupled)
     s = np.linspace(-3.0, 3.0, 5)
-    logdetC = _internal_kernel(EXCH, ds.design, s)[0]
+    (logdetC, _), W = _kernel_and_stats(ds, EXCH, s)
+    W[:, -1, :] = W[:, :, -1] = 0.0
+    W[:, -1, -1] = last
     with np.errstate(over="ignore"):      # tau last overflows to inf
-        _woodbury(ds, EXCH, s, np.linspace(-12.0, 0.0, 7), 1e-6, logdetC)
+        _woodbury(ds, W, np.linspace(-12.0, 0.0, 7), 1e-6, logdetC)
         for log_tau in (np.linspace(-12.0, 12.0, 7),
                         np.array([0.0, 12.0, -12.0, 4.0])):
             with pytest.raises(NumericError, match="not positive definite"):
-                _woodbury(ds, EXCH, s, log_tau, 1e-6, logdetC)
+                _woodbury(ds, W, log_tau, 1e-6, logdetC)
 
 
 @pytest.mark.parametrize("method", ["blockwise", "dense"])
@@ -458,6 +455,11 @@ def test_loglik_rejects_bad_parameters(method):
                          (OU, 0.0), (OU, -1.0), (OU, np.nan)]:
         with pytest.raises(DomainError):
             gaussian_loglik(ds, model, param, 2.0, method=method)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DomainError, match="tau"):
+            gaussian_loglik(ds, AR1, 0.5, bad, method=method)
+        with pytest.raises(DomainError, match="beta_prec"):
+            gaussian_loglik(ds, AR1, 0.5, 2.0, beta_prec=bad, method=method)
     unplaced = Dataset(y=ds.y, X=ds.X, column_names=ds.column_names,
                        design=GroupedDesign(group_sizes=ds.design.group_sizes))
     with pytest.raises(ConfigurationError):
@@ -943,6 +945,8 @@ def test_evidence_categories():
     assert evidence_category(4.0) == "strong"
     assert evidence_category(9.0) == "very strong"
     assert evidence_category(-9.0) == "very strong"
+    with pytest.raises(DomainError):
+        evidence_category(np.nan)
 
 
 def test_bayes_factor_requires_same_data():
@@ -1078,8 +1082,7 @@ def test_no_returned_array_aliases_the_workspace(family):
     grid = GridConfig(n_tau=31, n_corr=41)
     s, log_tau = grid.axis("corr"), grid.axis("tau")
     (log_det, slope), W = corr._kernel_and_stats(ds, model, s)
-    loglik, lam, (V, c) = _woodbury(ds, model, s, log_tau, 1e-6, log_det,
-                                    0.0, 0.0, W)
+    loglik, lam, (V, c) = _woodbury(ds, W, log_tau, 1e-6, log_det)
     outputs = [log_det, slope, W, loglik, lam, V, c]
     buffers = list(vars(corr._workspace).values())
     assert len(buffers) >= 3
