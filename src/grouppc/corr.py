@@ -400,13 +400,32 @@ def _log_det_slope(model: GroupModel, design: GroupedDesign, p, log1m_rho, j,
         if k == 0:
             return np.zeros(np.shape(p)), slope
         return k * (_log1pmx(p) + log1m_plus), slope
-    log_det = slope = np.zeros(np.shape(p))
-    for m, c in design.size_classes:
-        if m > 1:
-            log_det = log_det + c * (_log1pmx((m - 1) * p)
-                                     + (m - 1) * log1m_plus)
-            slope = slope - c * m * (m - 1) * p * j / (1.0 + (m - 1) * p)
-    return log_det, slope
+    if np.ndim(p) == 0:   # floats, a class at a time: far cheaper than arrays
+        log_det = slope = 0.0
+        for m1, c, w in design._pair_classes[..., 0].T.tolist():
+            t, d = _exchangeable_terms(m1, c, w, p, j, log1m_plus)
+            log_det, slope = log_det + t, slope - d
+        return log_det, slope
+    # (classes x nodes) blocks of an eighth of `_OU_BLOCK` elements (their
+    # temporaries are fresh arrays), summed over classes in the float path's
+    # order by accumulate (a reduce over one node would sum pairwise)
+    m1, count, weight = design._pair_classes
+    flat, j, l = p.ravel(), j.ravel(), log1m_plus.ravel()
+    log_det, slope = np.zeros(flat.size), np.zeros(flat.size)
+    step = max(1, _OU_BLOCK // (8 * max(len(m1), 1)))
+    for a in range(0, flat.size if len(m1) else 0, step):
+        b = slice(a, a + step)
+        t, d = _exchangeable_terms(m1, count, weight, flat[b], j[b], l[b])
+        log_det[b] = np.add.accumulate(t, out=t)[-1]
+        slope[b] -= np.add.accumulate(d, out=d)[-1]
+    return log_det.reshape(p.shape), slope.reshape(p.shape)
+
+
+def _exchangeable_terms(m1, c, w, p, j, log1m_plus):
+    """Per-class log|R| and -slope terms at m1 = m - 1, c groups of size m
+    and w = c m (m - 1): one class on floats, or classes x nodes rows."""
+    x = m1 * p
+    return c * (_log1pmx(x) + m1 * log1m_plus), w * p * j / (1.0 + x)
 
 
 def _base_slope(model: GroupModel, design: GroupedDesign):

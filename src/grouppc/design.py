@@ -72,7 +72,8 @@ class GroupedDesign:
     stacked observations, then the total size; ``pair_rows``, the later
     row of each consecutive pair within a group; ``gaps``, the position
     differences at those rows (unit gaps without positions);
-    ``size_classes``, (size, number of groups) int pairs by size.
+    ``size_classes``, (size, number of groups) int pairs by size, and
+    ``_pair_classes``, float rows m - 1, count, count m (m - 1) for m > 1.
     """
 
     group_sizes: tuple[int, ...]
@@ -81,6 +82,7 @@ class GroupedDesign:
     pair_rows: NDArray = field(init=False, repr=False, compare=False)
     gaps: NDArray = field(init=False, repr=False, compare=False)
     size_classes: tuple = field(init=False, repr=False, compare=False)
+    _pair_classes: NDArray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.group_sizes) == 0:
@@ -116,13 +118,15 @@ class GroupedDesign:
                 raise ConfigurationError(
                     f"positions in group {j} must be strictly increasing"
                 )
-        for name, value in (("offsets", offsets), ("pair_rows", pair_rows),
-                            ("gaps", gaps)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
         distinct, counts = np.unique(sizes, return_counts=True)
         object.__setattr__(self, "size_classes",
                            tuple(zip(distinct.tolist(), counts.tolist())))
+        m, c = (v[distinct > 1, None] * 1.0 for v in (distinct, counts))
+        for name, value in (("offsets", offsets), ("pair_rows", pair_rows),
+                            ("gaps", gaps), ("_pair_classes", np.stack(
+                                [m - 1.0, c, c * m * (m - 1.0)]))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_groups(self) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -211,23 +212,27 @@ def write_dataset(dataset, path, group_labels=None):
     design = dataset.design
     if group_labels is None:
         group_labels = [str(j + 1) for j in range(design.n_groups)]
-    has_pos = design.positions is not None
-    covariates = list(dataset.column_names[1:])
+    columns = [dataset.y.tolist(), *dataset.X[:, 1:].T.tolist()]
+    header = ["y", "group", *dataset.column_names[1:]]
+    if design.positions is not None:
+        columns.insert(1, [x for p in design.positions for x in p])
+        header.insert(2, "pos")
+    rows = list(zip(*columns))
+    # the csv module renders each group's row format once (writerow returns
+    # what write returns: the line); it quotes a field for the terminator's
+    # characters only, so a row with a carriage return is quoted in full
+    plain, quoted = (csv.writer(SimpleNamespace(write=str), quoting=q,
+                                lineterminator="\n")
+                     for q in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        # the csv module quotes a field for the line terminator's characters
-        # only, so a row with a carriage return in a name is quoted in full
-        plain = csv.writer(fh, lineterminator="\n")
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        header = ["y", "group"] + (["pos"] if has_pos else []) + covariates
-        (quoted if any("\r" in c for c in header) else plain).writerow(header)
+        fh.write((quoted if any("\r" in c for c in header) else plain)
+                 .writerow(header))
         for j, s in enumerate(design.group_slices()):
-            writer = quoted if "\r" in group_labels[j] else plain
-            for i in range(s.start, s.stop):
-                row = ["%.17g" % dataset.y[i], group_labels[j]]
-                if has_pos:
-                    row.append("%.17g" % design.positions[j][i - s.start])
-                row.extend("%.17g" % v for v in dataset.X[i, 1:])
-                writer.writerow(row)
+            label = group_labels[j]
+            fmt = (quoted if "\r" in label else plain).writerow(
+                ["%.17g", label.replace("%", "%%")]
+                + ["%.17g"] * (len(columns) - 1))
+            fh.writelines(map(fmt.__mod__, rows[s]))
 
 
 def write_fit(fit, path):
@@ -253,10 +258,10 @@ def read_fit(path):
 def write_grid(grid, path):
     """Write a prior grid as CSV with header param,distance,density,cdf."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GRID_HEADER)
-        for row in zip(grid.param, grid.distance, grid.density, grid.cdf):
-            writer.writerow(["%.17g" % v for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(GRID_HEADER)
+        # no %.17g field needs quoting, so these are csv.writer's bytes
+        fh.writelines(map("%.17g,%.17g,%.17g,%.17g\n".__mod__, zip(
+            *(np.asarray(getattr(grid, c)).tolist() for c in GRID_HEADER))))
 
 
 def read_grid(path):

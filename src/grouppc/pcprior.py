@@ -25,6 +25,7 @@ no boundary singularities; see `DistanceFunction`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -461,17 +462,25 @@ def density_grid(prior: PCPrior, grid_size: int) -> PriorGrid:
     return PriorGrid(param=param, distance=dist, density=density, cdf=cdf)
 
 
+@cache
+def _gauss_legendre():
+    """The read-only `_GAUSS_NODES`-point Gauss-Legendre rule on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def normalization_mass(prior: PCPrior) -> float:
     """Total prior mass, integrating the transformed density.
 
     The bulk is integrated on the internal scale by a fixed
-    `_GAUSS_NODES`-point Gauss-Legendre rule on each interval between
-    seven distance-quantile knots, with every node in one density
-    evaluation; the mass beyond the outermost knots is added analytically
-    from the exponential distance distribution evaluated exactly at those
-    knots, which stays correct even where the knots were clamped to the
-    floating-point range of the parameter.  A correctly implemented
-    change of variables returns 1.
+    `_GAUSS_NODES`-point Gauss-Legendre rule (built once per process, on
+    first use) on each interval between seven distance-quantile knots,
+    with every node in one density evaluation; the mass beyond the
+    outermost knots is added analytically from the exponential distance
+    distribution evaluated exactly at those knots, which stays correct
+    even where the knots were clamped to the floating-point range of the
+    parameter.  A correctly implemented change of variables returns 1.
     """
     dist = prior.distance
     lam = prior.lam
@@ -480,7 +489,7 @@ def normalization_mass(prior: PCPrior) -> float:
     # the mass outside the knots: below the smaller end-knot distance and
     # above the larger (which end is which depends on the family)
     d_lo, d_hi = np.sort(dist.value_internal(knots[[0, -1]]))
-    x, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    x, w = _gauss_legendre()
     half = 0.5 * np.diff(knots)[:, None]
     nodes = 0.5 * (knots[:-1] + knots[1:])[:, None] + half * x
     bulk = np.exp(prior.log_density_internal(nodes.ravel()))

@@ -27,6 +27,7 @@ from grouppc import (
 from grouppc.corr import (
     _internal_kernel,
     _kernel_and_stats,
+    _log1pmx,
     _log_det_slope,
     _markov_rows,
     _OU_A,
@@ -34,6 +35,7 @@ from grouppc.corr import (
     _OU_C,
     _ou_gap_sums,
     _ou_terms,
+    _param_kernel,
     dlogdet_finite_difference,
     log_det_dense,
 )
@@ -483,6 +485,60 @@ def test_ou_closed_forms_are_chunk_invariant(chunk, monkeypatch):
                    log_det(ou, design, phi[i]),
                    dlogdet_dparam(ou, design, phi[i]))
             assert one == tuple(a[i] for a in whole)
+
+
+def _exchangeable_loop(design, p, log1m_rho, j):
+    """Oracle: the exchangeable kernel summed class by class in a loop."""
+    log1m_plus = _log1pmx(-p, log1m_rho)
+    log_det = slope = np.zeros(np.shape(p))
+    for m, c in design.size_classes:
+        if m > 1:
+            log_det = log_det + c * (_log1pmx((m - 1) * p)
+                                     + (m - 1) * log1m_plus)
+            slope = slope - c * m * (m - 1) * p * j / (1.0 + (m - 1) * p)
+    return log_det, slope
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 5, None])
+def test_exchangeable_kernel_equals_a_per_class_loop(nodes, monkeypatch):
+    # one (classes x nodes) pass, a block of nodes at a time, gives the
+    # class-by-class loop's sums bit for bit: at every block size (a
+    # block of one node included), for scalar and array rho, on both
+    # scales, down to rho = 1e-300 and up to rho = 1 (log|R| = -inf)
+    if nodes is not None:   # _OU_BLOCK / (8 x 18 classes) nodes a block
+        monkeypatch.setattr("grouppc.corr._OU_BLOCK", 8 * 18 * nodes)
+    rng = np.random.default_rng(24)
+    sizes = rng.permutation(np.rint(np.linspace(1, 19, 60)).astype(int))
+    ragged = GroupedDesign(group_sizes=tuple(sizes.tolist()))
+    assert len(ragged.size_classes) == 19
+    rho = np.array([0.0, 1e-300, 1e-9, 0.5, 0.99, 1.0 - 2.0 ** -53, 1.0])
+    t = np.array([-745.0, -40.0, -1e-3, 0.0, 3.0, 36.7])
+    for design in (ragged, balanced_design(4, 7), GroupedDesign((1, 1, 1))):
+        for p in [*rho, *map(float, rho), rho, rho.reshape(1, -1, 1)]:
+            with np.errstate(divide="ignore"):
+                want = _exchangeable_loop(design, p, np.log1p(-p),
+                                          np.reciprocal(1.0 - p))
+                got = _param_kernel(EXCH, design, p, True)
+            for a, b in zip(got, want):
+                assert np.shape(a) == np.shape(p)
+                assert_array_equal(_bits(a), _bits(b))
+        for x in [*t, t, t.reshape(2, 3)]:
+            r = internal_to_param(EXCH, x)
+            want = _exchangeable_loop(design, r, -np.logaddexp(0.0, x), r)
+            for a, b in zip(_internal_kernel(EXCH, design, x), want):
+                assert np.shape(a) == np.shape(x)
+                assert_array_equal(_bits(a), _bits(b))
+    assert log_det(EXCH, ragged, 1.0) == -np.inf
+    assert_array_equal(log_det(EXCH, ragged, rho)[-1:], [-np.inf])
+    singletons = GroupedDesign((1, 1, 1))
+    for p in (1.0, rho, rho.reshape(7, 1)):
+        for a in _param_kernel(EXCH, singletons, p, True):
+            assert np.shape(a) == np.shape(p)
+            assert_array_equal(_bits(a), _bits(np.zeros(np.shape(p))))
 
 
 def _ragged_ou_dataset(seed, n_groups=25, p=3):

@@ -1,5 +1,6 @@
 """File formats: exact round trips and parse errors that name the cell."""
 
+import csv
 import json
 import os
 import tempfile
@@ -272,3 +273,77 @@ def test_read_grid_rejects_wrong_header(tmp_path):
     path = write_csv(tmp_path / "g.csv", "rho,density\n0.1,1\n")
     with pytest.raises(ParseError, match="header"):
         io.read_grid(path)
+
+
+# ----------------------------------------------------------------------
+# bytes against a csv.writer oracle
+# ----------------------------------------------------------------------
+
+#: awkward doubles: signed zero, the smallest subnormal, a value %.17g
+#: writes in exponent form, the largest double, infinity and NaN
+AWKWARD = (-0.0, 5e-324, 1e-05, 1.7976931348623157e308, np.inf, np.nan)
+
+
+def _csv_grid(grid, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(io.GRID_HEADER)
+        for row in zip(grid.param, grid.distance, grid.density, grid.cdf):
+            writer.writerow(["%.17g" % v for v in row])
+
+
+def _csv_dataset(dataset, path, group_labels):
+    design = dataset.design
+    has_pos = design.positions is not None
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        plain = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        header = (["y", "group"] + (["pos"] if has_pos else [])
+                  + list(dataset.column_names[1:]))
+        (quoted if any("\r" in c for c in header) else plain).writerow(header)
+        for j, s in enumerate(design.group_slices()):
+            writer = quoted if "\r" in group_labels[j] else plain
+            for i in range(s.start, s.stop):
+                row = ["%.17g" % dataset.y[i], group_labels[j]]
+                if has_pos:
+                    row.append("%.17g" % design.positions[j][i - s.start])
+                row.extend("%.17g" % v for v in dataset.X[i, 1:])
+                writer.writerow(row)
+
+
+def test_grid_bytes_equal_csv_writer_on_awkward_values(tmp_path):
+    values = np.array(AWKWARD + tuple(-v for v in AWKWARD[1:4]))
+    grid = PriorGrid(param=values, distance=values[::-1].copy(),
+                     density=np.roll(values, 3), cdf=np.roll(values, 5))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    io.write_grid(grid, got)
+    _csv_grid(grid, want)
+    assert got.read_bytes() == want.read_bytes()
+    back = io.read_grid(got)
+    for name in ("param", "distance", "density", "cdf"):
+        assert np.array_equal(_bits(getattr(back, name)),
+                              _bits(getattr(grid, name)))
+
+
+@pytest.mark.parametrize("with_pos", [False, True])
+def test_dataset_bytes_equal_csv_writer_on_awkward_labels(tmp_path, with_pos):
+    finite = np.array(AWKWARD[:4] + tuple(-v for v in AWKWARD[1:4]))
+    labels = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "ünï ≠ 100%", ""]
+    sizes = (1, 2, 1, 1, 1, 1)
+    design = GroupedDesign(group_sizes=sizes, positions=(
+        (-0.0,), (5e-324, 1e-05), (1.7976931348623157e308,), (-1.5,),
+        (2.5,), (0.0,)) if with_pos else None)
+    ds = Dataset(y=finite, X=np.column_stack([np.ones(7), finite[::-1]]),
+                 design=design, column_names=("intercept", "x,1"))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    io.write_dataset(ds, got, group_labels=labels)
+    _csv_dataset(ds, want, labels)
+    assert got.read_bytes() == want.read_bytes()
+    back = io.read_dataset(got, covariate_names=("x,1",),
+                           pos_column="pos" if with_pos else None)
+    assert np.array_equal(_bits(back.y), _bits(ds.y))
+    assert np.array_equal(_bits(back.X), _bits(ds.X))
+    assert back.design == design
+    if with_pos:
+        assert [_bits(p).tolist() for p in back.design.positions] == \
+            [_bits(p).tolist() for p in design.positions]

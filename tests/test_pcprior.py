@@ -26,7 +26,7 @@ from grouppc import (
     normalization_mass,
     solve_lambda,
 )
-from grouppc import corr
+from grouppc import corr, pcprior
 
 EXCH = GroupModel(Family.EXCHANGEABLE)
 AR1 = GroupModel(Family.AR1)
@@ -360,6 +360,30 @@ def test_normalization_across_designs_and_scalings():
         prior = PCPrior.from_quantile(
             model, design, icc_to_param(model, 0.3), 0.5)
         assert_allclose(normalization_mass(prior), 1.0, atol=1e-6)
+
+
+def test_normalization_builds_its_gauss_rule_once(monkeypatch):
+    # the 64-point rule is built on first use, not per call, is read-only
+    # and equals a freshly built rule; repeated masses agree bit for bit
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    pcprior._gauss_legendre.cache_clear()
+    prior = PCPrior.from_quantile(EXCH, balanced_design(6, 50), 0.5, 0.5)
+    x, w = leggauss(pcprior._GAUSS_NODES)
+    masses = [normalization_mass(prior) for _ in range(3)]
+    assert calls == [pcprior._GAUSS_NODES]
+    cached = pcprior._gauss_legendre()
+    assert np.array_equal(cached[0], x) and np.array_equal(cached[1], w)
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert masses == [masses[0]] * 3
 
 
 @pytest.mark.parametrize("model", [EXCH, AR1, OU],
