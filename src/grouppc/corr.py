@@ -26,11 +26,11 @@ pass forms both.  `_unit_gap_correlation` reports the correlation one
 unit apart.
 
 OU sums run over gaps at x = 2 gap phi in two regimes, split per node by
-its largest x.  Where that is at most 1, each per-gap term is a
+its largest x.  Where that is at most 2, each per-gap term is a
 Bernoulli-number series in x (Abramowitz & Stegun 23.1.1, radius 2 pi),
-so the sums over gaps come from twelve terms over a few gap power
-moments (`_ou_series_sums`), with the terms left out below 1.5e-20 per
-gap; every other node walks all its gaps (`_ou_gap_sums`).
+so the sums over gaps come from 21 terms over a few gap power moments
+(`_ou_series_sums`), with the terms left out below 6e-22 per gap; every
+other node walks all its gaps (`_ou_gap_sums`).
 
 A dense Cholesky fallback (`log_det_dense`, `dlogdet_finite_difference`)
 backs the same quantities for verification.
@@ -231,7 +231,7 @@ def _ou_terms(x, e, one_m_e, small, weights=None):
 def _ou_gap_sums(design: GroupedDesign, phi, pairs=None):
     """`_ou_terms` over all gaps at x = 2 gap phi, one row of gaps per node.
 
-    This is the walk for the nodes whose largest x exceeds 1 (`_ou_sums`
+    This is the walk for the nodes whose largest x exceeds 2 (`_ou_sums`
     takes the others from series); it holds for any x >= 0.
 
     The nodes x gaps rows are built `_OU_BLOCK` elements at a time into
@@ -275,91 +275,139 @@ def _ou_gap_sums(design: GroupedDesign, phi, pairs=None):
     return sums
 
 
-# Taylor coefficients in x, n = 1 .. 12: b_n = B_2n / (2n)! of
+# Taylor coefficients in x, n = 1 .. 21: b_n = B_2n / (2n)! of
 # x / (e^x - 1) = 1 - x/2 + sum b_n x^2n (Abramowitz & Stegun 23.1.1),
 # a_n = b_n / (2n) of log(1 - e^-x) - log x + x/2, and c_n = 4 (1 - 4^-n) b_n
-# of tanh(x/4).  For 0 <= x <= 1 the terms left out sum to below 1.4e-22
-# (a), 3.7e-21 (b) and 1.5e-20 (c).
+# of tanh(x/4).  For 0 <= x <= 2 the terms left out sum to below 6.8e-24
+# (a), 3.0e-22 (b) and 6.0e-22 (c).
 _OU_B = (0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
          -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
          1.3382536530684679e-11, -3.3896802963225827e-13,
-         8.586062056277845e-15, -2.174868698558062e-16,
-         5.5090028283602295e-18, -1.3954464685812522e-19)
-_OU_A = (0.041666666666666664, -0.00034722222222222224,
-         5.5114638447971785e-06, -1.033399470899471e-07, 2.08767569878681e-09,
-         -4.403491782239578e-11, 9.55895466477477e-13,
-         -2.1185501852016142e-14, 4.770034475709914e-16,
+         8.586062056277845e-15, -2.174868698558062e-16, 5.5090028283602295e-18,
+         -1.3954464685812522e-19, 3.534707039629467e-21,
+         -8.953517427037546e-23, 2.267952452337683e-24, -5.744790668872202e-26,
+         1.455172475614865e-27, -3.6859949406653103e-29, 9.336734257095045e-31,
+         -2.36502241570063e-32, 5.990671762482134e-34)
+_OU_A = (0.041666666666666664, -0.00034722222222222224, 5.5114638447971785e-06,
+         -1.033399470899471e-07, 2.08767569878681e-09, -4.403491782239578e-11,
+         9.55895466477477e-13, -2.1185501852016142e-14, 4.770034475709914e-16,
          -1.087434349279031e-17, 2.5040921947091955e-19,
-         -5.814360285755218e-21)
+         -5.814360285755218e-21, 1.3595027075497952e-22,
+         -3.1976847953705525e-24, 7.559841507792277e-26,
+         -1.7952470840225633e-27, 4.279919045926073e-29,
+         -1.0238874835181417e-30, 2.4570353308144855e-32,
+         -5.912556039251575e-34, 1.4263504196386035e-35)
 _OU_C = (0.25, -0.005208333333333333, 0.00013020833333333333,
          -3.2939608134920636e-06, 8.342547811948854e-08,
          -2.1131600212817663e-09, 5.352687890190603e-11,
-         -1.3558514295623808e-12, 3.434411721220158e-14,
-         -8.69946649776657e-16, 2.2036006059646413e-17,
-         -5.581785541624645e-19)
-
-
-def _horner(coefs, y):
-    """sum_n coefs[n] y^n, n from 0, with rows of coefs broadcast on ``y``."""
-    acc = coefs[-1]
-    for c in coefs[-2::-1]:
-        acc = acc * y + c
-    return acc
+         -1.3558514295623808e-12, 3.434411721220158e-14, -8.69946649776657e-16,
+         2.2036006059646413e-17, -5.581785541624645e-19, 1.413882794783291e-20,
+         -3.581406957473238e-22, 9.071809800901951e-24,
+         -2.2979162670138556e-25, 5.820689902120651e-27,
+         -1.4743979762446688e-28, 3.734693702824431e-30,
+         -9.460089662793916e-32, 2.396268704992309e-33)
+_OU_COEFS = np.array([_OU_A, _OU_B, _OU_C]).T
+_OU_COEFS.flags.writeable = False
+#: largest x_max = 2 phi (largest gap) of a node summed by `_ou_series_sums`
+_OU_SERIES_MAX = 2.0
+#: rows x columns x inner length up to which OpenBLAS multiplies two
+#: matrices on one thread (its threshold, 65536 x 4)
+_SERIAL_PRODUCT = 1 << 18
 
 
 def _ou_series_sums(design: GroupedDesign, x_max, pairs=None):
-    """`_ou_gap_sums` at nodes whose largest x = 2 gap phi is ``x_max`` <= 1.
+    """`_ou_gap_sums` at nodes whose largest x = 2 gap phi is ``x_max``,
+    at most `_OU_SERIES_MAX` = 2.
 
     With G gaps, u = gap / max gap <= 1 and S_k = sum u^k, both sums are
     series in x_max whose coefficients are design moments:
     sum log(1 - e^-x) = G log x_max + sum log u - x_max S_1 / 2
     + sum_n a_n x_max^2n S_2n and sum x / (e^x - 1) = G - x_max S_1 / 2
-    + sum_n b_n x_max^2n S_2n, so a node costs O(12), not O(G).  With
+    + sum_n b_n x_max^2n S_2n, so a node costs O(21), not O(G).  With
     ``pairs`` the pair weights at r = e^(-x/2) are 1 / (1 - r^2) =
     1/x + 1/2 + sum b_n x^(2n-1), 1 / (1 + r) = 1/2 + tanh(x/4) / 2 and
     (1 - r) / (1 + r) = tanh(x/4) = sum c_n x^(2n-1), so Z'QZ takes the
-    moments sum u^k pairs over gaps for k = -1, 0, 1, 3, .., 23 from one
-    matrix product per call.  Every node's outputs are elementwise in its
-    own x_max: the same alone and in any batch.
+    moments sum u^k pairs over gaps for k = -1, 0, 1, 3, .., 41 from one
+    matrix product per call.  The three series share one table of powers
+    of x_max^2 and are summed from their smallest term by one ordered
+    accumulate: a few array calls per batch, where a Horner loop over 21
+    terms would take 40, more than a one-node walk costs on a few hundred
+    gaps.  The terms left out are below 6e-22 per gap.  Where every gap is
+    the largest, at x_max = 2, G log x_max, x_max S_1 / 2 and the series
+    cancel to 1/13 of their size, so log|R| keeps about 13 eps of the sum
+    of its terms' sizes (5.5 eps measured against 40 digits); its slope
+    and Z'QZ cancel less.  Every node's outputs are elementwise in its own
+    x_max: the same alone and in any batch.
     """
     top = design.gaps.max()
     u = design.gaps / top
-    odd = _work("ou_powers", (len(_OU_B) + 2, u.size))   # u^-1, 1, u, u^3..
+    odd = _work("ou_powers", (len(_OU_COEFS) + 2, u.size))  # u^-1, 1, u, u^3..
     np.divide(top, design.gaps, out=odd[0])
     odd[1], odd[2] = 1.0, u
-    u2 = u * u
-    for k in range(3, odd.shape[0]):
-        np.multiply(odd[k - 1], u2, out=odd[k])
-    even = odd[2:] @ u                                   # S_2, S_4, .., S_24
+    # the odd powers by doubling: u^(2j+1) u^2k for j < k gives the next
+    # k rows, so 21 rows take 5 products and 5 squarings, not 20 products
+    square, k = u * u, 1
+    while k < len(odd) - 2:
+        m = min(k, len(odd) - 2 - k)
+        np.multiply(odd[2:2 + m], square, out=odd[2 + k:2 + k + m])
+        square, k = square * square, 2 * k
+    even = odd[2:] @ u                                   # S_2, S_4, .., S_42
+    rows = [_OU_COEFS[:, :2] * even[:, None]]
+    if pairs is not None:
+        # over runs of gaps short enough for a one-thread matrix product
+        # (OpenBLAS splits larger ones over threads, which took 0.5-7.5 ms
+        # at 18,000 gaps against 0.8 ms on one on a 2-core host)
+        cols = pairs.reshape(-1, u.size)
+        step = max(1, _SERIAL_PRODUCT // (odd.shape[0] * len(cols)))
+        moments = odd[:, :step] @ cols[:, :step].T
+        for a in range(step, u.size, step):
+            moments += odd[:, a:a + step] @ cols[:, a:a + step].T
+        moments = moments.reshape(odd.shape[0], 3, -1)
+        b, c = _OU_COEFS[:, 1:2], _OU_COEFS[:, 2:]
+        rows.append(b * moments[2:, 0] + 0.5 * c * moments[2:, 1]
+                    + c * moments[2:, 2])
+    # with y = x_max^2, the terms y^n a_n S_2n, y^n b_n S_2n and y^(n-1)
+    # times each Z'QZ row, summed from n = 21 down by one accumulate (a
+    # reduce over one node would sum pairwise)
+    coefs = np.hstack(rows)[::-1]
+    x = x_max[:, None]
+    powers = np.repeat(x * x, len(coefs) + 1, axis=1)
+    powers[:, 0] = 1.0
+    np.multiply.accumulate(powers, axis=1, out=powers)    # 1, y, .., y^21
+    terms = np.empty((x.size,) + coefs.shape)
+    np.multiply(powers[:, :0:-1, None], coefs[:, :2], out=terms[:, :, :2])
+    np.multiply(powers[:, -2::-1, None], coefs[:, 2:], out=terms[:, :, 2:])
+    series = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
     half_s1 = 0.5 * u.sum()
-    y = x_max * x_max
     with np.errstate(divide="ignore", invalid="ignore"):   # x_max = 0
         # the small terms first, then the one that dominates
         log_det = u.size * np.log(x_max) + (
-            np.log(u).sum() - x_max * half_s1
-            + y * _horner(np.multiply(_OU_A, even), y))
-        ratio = u.size + (y * _horner(np.multiply(_OU_B, even), y)
-                          - x_max * half_s1)
+            np.log(u).sum() - x_max * half_s1 + series[:, 0])
+        ratio = u.size + (series[:, 1] - x_max * half_s1)
         if pairs is None:
             return log_det, ratio
-        moments = (odd @ pairs.reshape(-1, u.size).T).reshape(
-            odd.shape[0], 3, -1)
-        b, c = np.array(_OU_B)[:, None], np.array(_OU_C)[:, None]
-        series = (b * moments[2:, 0] + 0.5 * c * moments[2:, 1]
-                  + c * moments[2:, 2])
-        x = x_max[:, None]
         stats = moments[0, 0] / x + (0.5 * (moments[1, 0] + moments[1, 1])
-                                     + x * _horner(series, x * x))
+                                     + x * series[:, 2:])
     return log_det, ratio, stats
 
 
 def _ou_sums(design: GroupedDesign, phi, pairs=None):
     """`_ou_gap_sums` as output, from `_ou_series_sums` at the nodes whose
-    largest x = 2 gap phi is at most 1 and from the walk at the others."""
+    largest x = 2 gap phi is at most `_OU_SERIES_MAX` and from the walk at
+    the others.
+
+    The split was x_max = 1 with 12 terms.  At 2 it moves the nodes with
+    x_max in (1, 2] from the walk to the series: on the transect, spread
+    and equal-gap designs of the tests they moved by at most 7e-16 of the
+    sum of the terms' sizes (log|R|, slope) and 1e-15 of the largest
+    entry (Z'QZ), and they agree with 40-digit sums to 1.3e-15 and 6e-16
+    of those.  The series nodes at x_max <= 1 kept their log|R| and slope
+    and moved by at most 4.4e-16 of the largest Z'QZ entry.
+    """
     flat = np.ravel(phi)
     if design.gaps.size:
         x_max = flat * (2.0 * design.gaps.max())
-        series = x_max <= 1.0
+        series = x_max <= _OU_SERIES_MAX
     if not design.gaps.size or not series.any():
         return _ou_gap_sums(design, phi, pairs)
     walk = np.flatnonzero(~series)
@@ -386,7 +434,8 @@ def _log_det_slope(model: GroupModel, design: GroupedDesign, p, log1m_rho, j,
     of -m (m - 1) rho j / (1 + (m - 1) rho) per exchangeable block,
     -2 rho j / (1 + rho) per AR1 pair or j x / (e^x - 1) per OU gap.
     The OU sums come from `_ou_sums`: series in x at the nodes whose
-    largest x = 2 gap phi is at most 1 (truncated below 1.5e-20 per gap),
+    largest x = 2 gap phi is at most 2 (truncated below 6e-22 per gap;
+    within 13 eps of the terms' sizes where every gap is the largest),
     the gap walk at the others.  OU ``pairs`` add the weighted pair sums
     as a third output.
     """

@@ -64,6 +64,9 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 #: the standard normal density at 1, where |z| phi(z) peaks (at 0 it is
 #: _INV_SQRT_2PI, where |z^2 - 1| phi(z) peaks)
 _PHI_1 = _INV_SQRT_2PI * np.exp(-0.5)
+#: below this, e^x is +0.0 in double precision (e^-745.2 is the last
+#: subnormal)
+_EXP_UNDERFLOW = -750.0
 
 
 # ----------------------------------------------------------------------
@@ -496,12 +499,17 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
 
     # one exponentiation relative to the largest cell, in the likelihood's
     # buffer; a NaN or +inf cell makes the maximum non-finite, and so does
-    # a grid with no mass.  Only the marginals are normalised.
+    # a grid with no mass.  Cells below _EXP_UNDERFLOW, most of a default
+    # grid, would take numpy's slow underflow path to +0.0, so they are
+    # written +0.0 directly.  Only the marginals are normalised.
     top = log_cells.max()
     if not np.isfinite(top):
         raise NumericError("non-finite evidence integrand")
     log_cells -= top
-    mass = np.exp(log_cells, out=log_cells)
+    live = np.greater(log_cells, _EXP_UNDERFLOW,
+                      out=corr._work("live", log_cells.shape, bool))
+    mass = np.exp(log_cells, out=log_cells, where=live)
+    np.copyto(mass, 0.0, where=np.logical_not(live, out=live))
     mass_t, mass_s = mass.sum(axis=1), mass.sum(axis=0)
     total = mass_t.sum()
     log_mlik = float(top + np.log(total))

@@ -32,8 +32,13 @@ def expit(x):
     """Logistic function 1 / (1 + exp(-x)), elementwise.
 
     Below x = -709, where exp(-x) would overflow, 1 + exp(x) rounds to 1
-    and the function is exp(x), which keeps the subnormal tail.
+    and the function is exp(x), which keeps the subnormal tail.  A 0-d
+    input takes the same operations on one float (a NumPy float out),
+    several times cheaper than the two array branches.
     """
+    if np.ndim(x) == 0:
+        v = float(x)
+        return np.exp(v) if v < _EXPIT_TAIL else 1.0 / (1.0 + np.exp(-v))
     x = np.asarray(x, dtype=float)
     return np.where(x < _EXPIT_TAIL, np.exp(np.minimum(x, _EXPIT_TAIL)),
                     1.0 / (1.0 + np.exp(-np.maximum(x, _EXPIT_TAIL))))

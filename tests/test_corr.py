@@ -33,6 +33,7 @@ from grouppc.corr import (
     _OU_A,
     _OU_B,
     _OU_C,
+    _OU_SERIES_MAX,
     _ou_gap_sums,
     _ou_terms,
     _param_kernel,
@@ -724,7 +725,7 @@ def test_ou_gap_sums_fill_rows_whose_terms_all_underflow():
 
 
 # ----------------------------------------------------------------------
-# OU series regime: nodes whose largest x = 2 gap phi is at most 1
+# OU series regime: nodes whose largest x = 2 gap phi is at most 2
 # ----------------------------------------------------------------------
 
 def _transect_design(rng):
@@ -742,6 +743,14 @@ def _spread_design(rng):
     return GroupedDesign(group_sizes=sizes, positions=tuple(
         tuple(np.cumsum(10.0 ** rng.uniform(-3.0, 3.0, m)).tolist())
         for m in sizes))
+
+
+def _equal_gap_design(rng):
+    """30 groups of 2-10 rows, every gap 0.75: u = 1 at every gap, where
+    the series' leading terms cancel most."""
+    sizes = tuple(int(v) for v in rng.integers(2, 11, 30))
+    return GroupedDesign(group_sizes=sizes, positions=tuple(
+        tuple(0.75 * k for k in range(m)) for m in sizes))
 
 
 def _on_design(design, seed):
@@ -792,15 +801,21 @@ def test_ou_series_coefficients_are_rounded_bernoulli_terms():
             assert c == float(4 * (1 - mpmath.mpf(4) ** -n) * exact)
 
 
-@pytest.mark.parametrize("make", [_transect_design, _spread_design])
+@pytest.mark.parametrize("make", [_transect_design, _spread_design,
+                                  _equal_gap_design])
 def test_ou_series_nodes_match_a_40_digit_reference(make):
-    # every node here has x <= 1 at all gaps, so log|R|, its slope and
-    # Z'QZ come from the series over gap power moments
+    # every node here has x_max <= 2 at all gaps, so log|R|, its slope and
+    # Z'QZ come from the series over gap power moments; the nodes with
+    # x_max in (1, 2] carry the most cancellation
     design = make(np.random.default_rng(8))
     ds = _on_design(design, 3)
     ou = GroupModel(Family.OU)
-    t = np.linspace(-40.0, -math.log(2.0 * design.gaps.max()) - 1e-9, 6)
-    assert np.all(np.exp(t) * 2.0 * design.gaps.max() <= 1.0)
+    two_max = 2.0 * design.gaps.max()
+    t = np.concatenate([np.linspace(-40.0, -math.log(two_max) - 1e-9, 6),
+                        np.log(np.array([1.2, 1.5, 1.8, 2.0 - 1e-12])
+                               / two_max)])
+    assert np.all(np.exp(t) * two_max <= _OU_SERIES_MAX)
+    assert np.sum(np.exp(t) * two_max > 1.0) == 4
     (log_det_t, slope_t), W = _kernel_and_stats(ds, ou, t)
     for k, phi in enumerate(np.exp(t)):
         log_det_ref, log_scale, ratio_ref, ratio_scale, W_ref = (
@@ -813,8 +828,8 @@ def test_ou_series_nodes_match_a_40_digit_reference(make):
 
 
 def test_ou_series_and_walk_agree_at_the_switch():
-    # at the last phi with x_max <= 1 and the first beyond it, the kernel
-    # agrees with the walk called directly on the same phi
+    # at the last phi with x_max <= _OU_SERIES_MAX and the first beyond
+    # it, the kernel agrees with the walk called directly on the same phi
     rng = np.random.default_rng(9)
     design = _transect_design(rng)
     ds = _on_design(design, 4)
@@ -824,11 +839,11 @@ def test_ou_series_and_walk_agree_at_the_switch():
     pairs = np.stack([D.T[a] * D.T[b], D.T[a] * A.T[b] + A.T[a] * D.T[b],
                       A.T[a] * A.T[b]])
     two_max = 2.0 * design.gaps.max()
-    below = 1.0 / two_max
-    while below * two_max > 1.0:
+    below = _OU_SERIES_MAX / two_max
+    while below * two_max > _OU_SERIES_MAX:
         below = np.nextafter(below, 0.0)
     above = np.nextafter(below, np.inf)
-    assert below * two_max <= 1.0 < above * two_max
+    assert below * two_max <= _OU_SERIES_MAX < above * two_max
     for phi in (below, above):
         log_det_p, ratio, upper = _log_det_slope(ou, design, np.array([phi]),
                                                  None, 1.0, pairs)
@@ -854,8 +869,8 @@ def test_ou_series_and_walk_agree_at_the_switch():
 
 
 def test_ou_series_nodes_are_not_walked(monkeypatch):
-    # the walk sees only the nodes with x_max > 1, and none when there
-    # are none
+    # the walk sees only the nodes with x_max > _OU_SERIES_MAX, and none
+    # when there are none
     design = _transect_design(np.random.default_rng(10))
     ou = GroupModel(Family.OU)
     walked = []
@@ -867,7 +882,7 @@ def test_ou_series_nodes_are_not_walked(monkeypatch):
 
     monkeypatch.setattr("grouppc.corr._ou_gap_sums", counted)
     t = np.linspace(-12.0, 12.0, 201)
-    series = np.exp(t) * 2.0 * design.gaps.max() <= 1.0
+    series = np.exp(t) * 2.0 * design.gaps.max() <= _OU_SERIES_MAX
     assert 90 <= series.sum() < t.size
     _internal_kernel(ou, design, t)
     assert len(walked) == 1

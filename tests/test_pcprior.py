@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -243,6 +244,138 @@ def test_invert_internal_where_the_hermite_start_falls_back(model):
     assert np.all(dist.invert_internal(beyond) == far)
 
 
+def _mp_log_distance(model, design, t):
+    """log d = log(-log|R|) / 2 at internal coordinate ``t``, in mpmath."""
+    if model.family is Family.OU:
+        phi = mpmath.exp(t)
+        log_det = mpmath.fsum(mpmath.log(1 - mpmath.exp(-2 * phi * g))
+                              for g in design.gaps.tolist())
+    else:
+        rho = 1 / (1 + mpmath.exp(-t))
+        if model.family is Family.AR1:
+            log_det = design.gaps.size * mpmath.log(1 - rho * rho)
+        else:
+            log_det = mpmath.fsum(
+                mpmath.log(1 + (m - 1) * rho) + (m - 1) * mpmath.log(1 - rho)
+                for m in design.group_sizes)
+    return mpmath.log(-log_det) / 2
+
+
+@pytest.mark.parametrize("model", [EXCH, AR1, OU], ids=lambda m: m.family.value)
+def test_log_distance_curvature_within_its_bound(model):
+    # the bound behind invert_internal's certified Newton steps:
+    # |l''| <= max(kappa |l'|, 2 l'^2) for l = log d, with kappa = 2 for
+    # the rho families on the logit scale and 2 phi (largest gap) for OU
+    # on the log scale.  l' and l'' are 50-digit central differences
+    design = GroupedDesign(group_sizes=(1, 2, 3, 5, 8, 13), positions=tuple(
+        tuple(np.cumsum(np.random.default_rng(m).uniform(0.2, 2.5, m))
+              .tolist()) for m in (1, 2, 3, 5, 8, 13)))
+    ts = (np.linspace(-20.0, 5.0, 26) if model.family is Family.OU
+          else np.linspace(-30.0, 30.0, 25))
+    worst = 0.0
+    with mpmath.workdps(50):
+        h = mpmath.mpf(10) ** -12
+        for t in ts:
+            t = mpmath.mpf(float(t))
+            lo, mid, hi = (_mp_log_distance(model, design, v)
+                           for v in (t - h, t, t + h))
+            slope, curve = (hi - lo) / (2 * h), (hi - 2 * mid + lo) / h ** 2
+            kappa = (2 * mpmath.exp(t) * float(design.gaps.max())
+                     if model.family is Family.OU else 2)
+            bound = max(kappa * abs(slope), 2 * slope ** 2)
+            worst = max(worst, float(abs(curve) / bound))
+    assert worst <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("model", [EXCH, AR1, OU], ids=lambda m: m.family.value)
+def test_certified_newton_steps_keep_the_inversion_contract(model,
+                                                            monkeypatch):
+    # from probes at the root +- 1e-12 .. 1 times max(1, |t|), half a
+    # decade apart, every Newton step that is met by its certificate alone
+    # (not by its residual at the probe) lands within 1e-14 max(1, |t|)
+    # of the 80-digit root and within the residual tolerance of the target
+    design = GroupedDesign(group_sizes=(1, 2, 3, 5, 8, 13), positions=tuple(
+        tuple(np.cumsum(np.random.default_rng(m).uniform(0.2, 2.5, m))
+              .tolist()) for m in (1, 2, 3, 5, 8, 13)))
+    dist = DistanceFunction(model, design)
+    solvers = []
+    newton = pcprior.safeguarded_newton
+
+    def spy(f_slope, t, lo, hi, rising):
+        solvers.append(f_slope)
+        return newton(f_slope, t, lo, hi, rising)
+
+    monkeypatch.setattr(pcprior, "safeguarded_newton", spy)
+    log_d = dist._inversion_table()[0]
+    target = dist.value_internal(0.0) * 10.0 ** np.linspace(-20.0, 1.0, 8)
+    target = target[(log_d[0] < np.log(target))
+                    & (np.log(target) <= log_d[-1])]
+    t_root = dist.invert_internal(target)
+    offsets = np.logspace(-12, 0, 25)
+    offsets = np.concatenate([-offsets, offsets])
+    idx = np.repeat(np.arange(target.size), offsets.size)
+    probe = (t_root[:, None] + np.multiply.outer(
+        np.maximum(1.0, np.abs(t_root)), offsets)).ravel()
+    f, slope, met = solvers[-1](idx, probe)
+    x = target[idx]
+    tol = 1e-12 * np.minimum(1.0, x)
+    certified = np.flatnonzero(met & (np.abs(dist.value_internal(probe) - x)
+                                      > tol))
+    assert certified.size >= 40
+    step_to = probe - f / slope
+    with mpmath.workdps(80):
+        roots = []
+        for k, t in enumerate(t_root):
+            # secant steps in 80 digits from the double root
+            gap = lambda v: (_mp_log_distance(model, design, v)
+                             - mpmath.log(float(target[k])))
+            a, b = mpmath.mpf(t), mpmath.mpf(t) + 1e-9 * max(1.0, abs(t))
+            for _ in range(8):
+                ga, gb = gap(a), gap(b)
+                if ga == gb:
+                    break
+                a, b = b, b - gb * (b - a) / (gb - ga)
+            roots.append(b)
+        for k in certified:
+            root = roots[idx[k]]
+            assert (abs(step_to[k] - root)
+                    <= 1e-14 * max(1.0, abs(float(root)))), (k, probe[k])
+            d = mpmath.exp(_mp_log_distance(model, design,
+                                            mpmath.mpf(step_to[k])))
+            assert abs(d - x[k]) <= tol[k]
+
+
+@pytest.mark.parametrize("model", [EXCH, AR1, OU], ids=lambda m: m.family.value)
+def test_invert_internal_certifies_no_subnormal_log_det(model, monkeypatch):
+    # where -log|R| is subnormal it carries few significant digits, so a
+    # Newton step's error bound says nothing about the computed d: those
+    # targets are met only by their residual, and their answers are the
+    # bisection's (a certificate there moved t by about 1e-8 at t ~ -363)
+    dist = DistanceFunction(model, unbalanced_design())
+    target = np.geomspace(1e-161, 1e-140, 85)
+    met_log_det = []
+    newton = pcprior.safeguarded_newton
+
+    def spy(f_slope, t, lo, hi, rising):
+        def seen(idx, t):
+            f, slope, met = f_slope(idx, t)
+            d = dist.value_internal(t)
+            met_log_det.append((d * d)[met])
+            assert np.all(np.abs(d - target[idx])[met & (d * d < 1e-290)]
+                          <= 1e-12 * target[idx][met & (d * d < 1e-290)])
+            return f, slope, met
+        return newton(seen, t, lo, hi, rising)
+
+    monkeypatch.setattr(pcprior, "safeguarded_newton", spy)
+    log_d = dist._inversion_table()[0]
+    assert np.all((log_d[0] < np.log(target)) & (np.log(target) < log_d[-1]))
+    t = dist.invert_internal(target)
+    met = np.concatenate(met_log_det)
+    assert np.any(met < 1e-290) and np.any(met >= 1e-290)
+    want = bisect_internal(dist, target)
+    assert np.all(np.abs(t - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
 def field_transect_design(seed=1, n_transects=200):
     """Transects of 1-19 rows (sizes fixed, order shuffled), U(0.4, 1.6) gaps.
 
@@ -257,20 +390,22 @@ def field_transect_design(seed=1, n_transects=200):
 
 
 def test_ou_transect_elicitation_within_its_pass_budget(kernel_calls):
-    # each target starts at the cubic Hermite point of its table bracket, so
-    # 500 draws take 3 kernel passes (4 from a linear start) and 99 quantile
-    # levels about 2.2 nodes each (3.3 from a linear start)
+    # each target starts at the cubic Hermite point of its table bracket and
+    # stops where Taylor's theorem bounds its Newton step's error, so 500
+    # draws take 2 kernel passes (3 with a residual test alone, 4 from a
+    # linear start) and 99 quantile levels about 1.7 nodes each (2.2 with a
+    # residual test alone, 3.3 from a linear start)
     prior = PCPrior.from_quantile(OU, field_transect_design(),
                                   icc_to_param(OU, 0.5), 0.5)
     prior.distance.invert_internal(1.0)   # builds the starting table
     for seed in (1, 2, 3):
         kernel_calls.clear()
         prior.sample(500, seed)
-        assert len(kernel_calls) <= 3
-        assert sum(c.size for c in kernel_calls) <= 1200
+        assert len(kernel_calls) <= 2
+        assert sum(c.size for c in kernel_calls) <= 900
     kernel_calls.clear()
     prior.quantile(np.arange(1, 100) / 100.0)
-    assert sum(c.size for c in kernel_calls) <= 250
+    assert sum(c.size for c in kernel_calls) <= 180
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +449,27 @@ def test_solve_lambda_degenerate_inputs():
 # ----------------------------------------------------------------------
 # density
 # ----------------------------------------------------------------------
+
+def test_distance_slope_of_a_scalar_equals_the_array_path_bit_for_bit():
+    # a 0-d distance runs on floats, its base-point branch included; its
+    # value must be the array path's, and both refuse OU's base alike
+    edges = [v for a in (0.0, 1e-300, 1.0, 709.0, 745.0, 800.0, np.inf)
+             for v in (a, -a)]
+    values = np.array(edges + [5e-324, 3.7, 1e-160])
+    for base in (0.0, 2.5, np.sqrt(3.0)):
+        for d in values[values >= 0.0]:
+            for g in values:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = DistanceFunction._slope(np.array([d]),
+                                                   np.array([g]), base)
+                for scalar in (float(d), np.float64(d), np.asarray(d)):
+                    got = DistanceFunction._slope(scalar, g, base)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == want[:1].tobytes()
+    for d in (0.0, np.float64(0.0), np.asarray(0.0), np.array([0.0, 1.0])):
+        with pytest.raises(DomainError):
+            DistanceFunction._slope(d, np.zeros(np.shape(d)), None)
+
 
 def test_density_base_limit_is_lambda_times_slope():
     prior = PCPrior.from_quantile(EXCH, balanced_design(6, 50), 0.5, 0.5)

@@ -63,6 +63,22 @@ def test_expit_within_two_ulp_of_exact():
     assert np.all(np.abs(got - exact) <= 2 * np.spacing(exact))
 
 
+EDGES = [v for a in (0.0, 1e-300, 1.0, 709.0, 745.0, 800.0, np.inf)
+         for v in (a, -a)]
+
+
+def test_expit_of_a_scalar_equals_the_array_path_bit_for_bit():
+    # a 0-d input runs on one float; its value must be the array path's
+    x = np.concatenate([EDGES, np.nextafter(-709.0, [-np.inf, np.inf]),
+                        np.random.default_rng(3).uniform(-800, 800, 2000)])
+    want = special.expit(x)
+    for v, w in zip(x, want):
+        for scalar in (float(v), np.float64(v), np.asarray(v)):
+            got = special.expit(scalar)
+            assert np.ndim(got) == 0
+            assert np.float64(got).tobytes() == w.tobytes(), (v, got, w)
+
+
 def test_safeguarded_newton_solves_rising_and_falling_equations():
     a = np.array([0.5, 2.0, 9.0, 1e6])
     calls = []
