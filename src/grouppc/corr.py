@@ -29,11 +29,11 @@ OU sums run over gaps at x = 2 gap phi in two regimes, split per node by
 its largest x.  Where that is at most 2, each per-gap term is a
 Bernoulli-number series in x (Abramowitz & Stegun 23.1.1, radius 2 pi),
 so the sums over gaps come from 21 terms over a few gap power moments
-(`_ou_series_sums`), with the terms left out below 6e-22 per gap; every
-other node walks all its gaps (`_ou_gap_sums`).
+(`_ou_series_sums`, which states the series' truncation and cancellation
+bounds); every other node walks all its gaps (`_ou_gap_sums`).
 
-A dense Cholesky fallback (`log_det_dense`, `dlogdet_finite_difference`)
-backs the same quantities for verification.
+A dense Cholesky fallback (`log_det_dense`) backs the same quantities
+for verification.
 
 Functions taking the correlation parameter accept scalars or arrays and
 broadcast over the parameter.  All functions are pure.
@@ -56,7 +56,6 @@ __all__ = [
     "log_det",
     "dlogdet_dparam",
     "log_det_dense",
-    "dlogdet_finite_difference",
     "param_to_internal",
     "internal_to_param",
 ]
@@ -152,6 +151,20 @@ def _corr_block(model: GroupModel, design: GroupedDesign,
                 group_index: int, p: float) -> NDArray:
     """`corr_matrix` for a design and parameter already checked."""
     m = design.group_sizes[group_index]
+    return _corr_blocks(model, design, [group_index], p).reshape(m, m)
+
+
+def _corr_blocks(model: GroupModel, design: GroupedDesign, groups,
+                 p: float) -> NDArray:
+    """Correlation blocks of ``groups``, group indices of one size m, at a
+    checked float parameter.
+
+    Exchangeable, AR1 and unit-spaced OU blocks depend on m alone, so one
+    (m, m) block serves every group of the size; OU with positions stacks
+    one block per group, (len(groups), m, m), each entry formed as it
+    would be alone.
+    """
+    m = design.group_sizes[groups[0]]
     if model.family is Family.EXCHANGEABLE:
         R = np.full((m, m), p)
         np.fill_diagonal(R, 1.0)
@@ -161,13 +174,14 @@ def _corr_block(model: GroupModel, design: GroupedDesign,
         return p ** np.abs(idx[:, None] - idx[None, :])
     # OU: entries decay with the absolute coordinate difference
     if design.positions is not None:
-        pos = np.asarray(design.positions[group_index], dtype=float)
+        pos = np.array([design.positions[j] for j in groups])
     else:
         pos = np.arange(m, dtype=float)
     with np.errstate(invalid="ignore"):   # 0 * inf on the diagonal
-        R = np.exp(-np.abs(pos[:, None] - pos[None, :]) * p)
+        R = np.exp(-np.abs(pos[..., :, None] - pos[..., None, :]) * p)
     # unit diagonal also at phi = inf, the independence base
-    np.fill_diagonal(R, 1.0)
+    idx = np.arange(m)
+    R[..., idx, idx] = 1.0
     return R
 
 
@@ -278,8 +292,7 @@ def _ou_gap_sums(design: GroupedDesign, phi, pairs=None):
 # Taylor coefficients in x, n = 1 .. 21: b_n = B_2n / (2n)! of
 # x / (e^x - 1) = 1 - x/2 + sum b_n x^2n (Abramowitz & Stegun 23.1.1),
 # a_n = b_n / (2n) of log(1 - e^-x) - log x + x/2, and c_n = 4 (1 - 4^-n) b_n
-# of tanh(x/4).  For 0 <= x <= 2 the terms left out sum to below 6.8e-24
-# (a), 3.0e-22 (b) and 6.0e-22 (c).
+# of tanh(x/4); `_ou_series_sums` bounds the terms left out.
 _OU_B = (0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
          -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
          1.3382536530684679e-11, -3.3896802963225827e-13,
@@ -315,6 +328,27 @@ _OU_SERIES_MAX = 2.0
 _SERIAL_PRODUCT = 1 << 18
 
 
+def _ou_moments(design: GroupedDesign):
+    """The design-only moments of `_ou_series_sums`, read-only: the rows
+    u^-1, 1, u, u^3, .., u^41 of u = gap / max gap (23 x G), S_2, S_4, ..,
+    S_42, sum log u and S_1 / 2."""
+    top = design.gaps.max()
+    u = design.gaps / top
+    odd = np.empty((len(_OU_COEFS) + 2, u.size))        # u^-1, 1, u, u^3..
+    np.divide(top, design.gaps, out=odd[0])
+    odd[1], odd[2] = 1.0, u
+    # the odd powers by doubling: u^(2j+1) u^2k for j < k gives the next
+    # k rows, so 21 rows take 5 products and 5 squarings, not 20 products
+    square, k = u * u, 1
+    while k < len(odd) - 2:
+        m = min(k, len(odd) - 2 - k)
+        np.multiply(odd[2:2 + m], square, out=odd[2 + k:2 + k + m])
+        square, k = square * square, 2 * k
+    even = odd[2:] @ u                                   # S_2, S_4, .., S_42
+    odd.flags.writeable = even.flags.writeable = False
+    return odd, even, np.log(u).sum(), 0.5 * u.sum()
+
+
 def _ou_series_sums(design: GroupedDesign, x_max, pairs=None):
     """`_ou_gap_sums` at nodes whose largest x = 2 gap phi is ``x_max``,
     at most `_OU_SERIES_MAX` = 2.
@@ -328,39 +362,37 @@ def _ou_series_sums(design: GroupedDesign, x_max, pairs=None):
     1/x + 1/2 + sum b_n x^(2n-1), 1 / (1 + r) = 1/2 + tanh(x/4) / 2 and
     (1 - r) / (1 + r) = tanh(x/4) = sum c_n x^(2n-1), so Z'QZ takes the
     moments sum u^k pairs over gaps for k = -1, 0, 1, 3, .., 41 from one
-    matrix product per call.  The three series share one table of powers
-    of x_max^2 and are summed from their smallest term by one ordered
-    accumulate: a few array calls per batch, where a Horner loop over 21
-    terms would take 40, more than a one-node walk costs on a few hundred
-    gaps.  The terms left out are below 6e-22 per gap.  Where every gap is
-    the largest, at x_max = 2, G log x_max, x_max S_1 / 2 and the series
-    cancel to 1/13 of their size, so log|R| keeps about 13 eps of the sum
-    of its terms' sizes (5.5 eps measured against 40 digits); its slope
-    and Z'QZ cancel less.  Every node's outputs are elementwise in its own
-    x_max: the same alone and in any batch.
+    matrix product per call.  The design's own moments (`_ou_moments`)
+    are derived on the first call for a design and kept on it.  The three
+    series share one table of powers of x_max^2 and are summed from their
+    smallest term by one ordered accumulate: a few array calls per batch,
+    where a Horner loop over 21 terms would take 40, more than a one-node
+    walk costs on a few hundred gaps.  Every node's outputs are
+    elementwise in its own x_max: the same alone and in any batch.
+
+    The bounds of this series, stated here only:
+
+    * truncation: for 0 <= x <= 2 the terms left out sum to below
+      6.8e-24 (a), 3.0e-22 (b) and 6.0e-22 (c) per gap;
+    * cancellation: where every gap is the largest, at x_max = 2,
+      G log x_max, x_max S_1 / 2 and the series cancel to 1/13 of their
+      size, so log|R| keeps about 13 eps of the sum of its terms' sizes
+      (5.5 eps measured against 40 digits); its slope and Z'QZ cancel
+      less.
     """
-    top = design.gaps.max()
-    u = design.gaps / top
-    odd = _work("ou_powers", (len(_OU_COEFS) + 2, u.size))  # u^-1, 1, u, u^3..
-    np.divide(top, design.gaps, out=odd[0])
-    odd[1], odd[2] = 1.0, u
-    # the odd powers by doubling: u^(2j+1) u^2k for j < k gives the next
-    # k rows, so 21 rows take 5 products and 5 squarings, not 20 products
-    square, k = u * u, 1
-    while k < len(odd) - 2:
-        m = min(k, len(odd) - 2 - k)
-        np.multiply(odd[2:2 + m], square, out=odd[2 + k:2 + k + m])
-        square, k = square * square, 2 * k
-    even = odd[2:] @ u                                   # S_2, S_4, .., S_42
+    if design._ou_moments is None:
+        object.__setattr__(design, "_ou_moments", _ou_moments(design))
+    odd, even, sum_log_u, half_s1 = design._ou_moments
+    n_gaps = odd.shape[1]
     rows = [_OU_COEFS[:, :2] * even[:, None]]
     if pairs is not None:
         # over runs of gaps short enough for a one-thread matrix product
         # (OpenBLAS splits larger ones over threads, which took 0.5-7.5 ms
         # at 18,000 gaps against 0.8 ms on one on a 2-core host)
-        cols = pairs.reshape(-1, u.size)
+        cols = pairs.reshape(-1, n_gaps)
         step = max(1, _SERIAL_PRODUCT // (odd.shape[0] * len(cols)))
         moments = odd[:, :step] @ cols[:, :step].T
-        for a in range(step, u.size, step):
+        for a in range(step, n_gaps, step):
             moments += odd[:, a:a + step] @ cols[:, a:a + step].T
         moments = moments.reshape(odd.shape[0], 3, -1)
         b, c = _OU_COEFS[:, 1:2], _OU_COEFS[:, 2:]
@@ -378,12 +410,11 @@ def _ou_series_sums(design: GroupedDesign, x_max, pairs=None):
     np.multiply(powers[:, :0:-1, None], coefs[:, :2], out=terms[:, :, :2])
     np.multiply(powers[:, -2::-1, None], coefs[:, 2:], out=terms[:, :, 2:])
     series = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
-    half_s1 = 0.5 * u.sum()
     with np.errstate(divide="ignore", invalid="ignore"):   # x_max = 0
         # the small terms first, then the one that dominates
-        log_det = u.size * np.log(x_max) + (
-            np.log(u).sum() - x_max * half_s1 + series[:, 0])
-        ratio = u.size + (series[:, 1] - x_max * half_s1)
+        log_det = n_gaps * np.log(x_max) + (
+            sum_log_u - x_max * half_s1 + series[:, 0])
+        ratio = n_gaps + (series[:, 1] - x_max * half_s1)
         if pairs is None:
             return log_det, ratio
         stats = moments[0, 0] / x + (0.5 * (moments[1, 0] + moments[1, 1])
@@ -393,17 +424,8 @@ def _ou_series_sums(design: GroupedDesign, x_max, pairs=None):
 
 def _ou_sums(design: GroupedDesign, phi, pairs=None):
     """`_ou_gap_sums` as output, from `_ou_series_sums` at the nodes whose
-    largest x = 2 gap phi is at most `_OU_SERIES_MAX` and from the walk at
-    the others.
-
-    The split was x_max = 1 with 12 terms.  At 2 it moves the nodes with
-    x_max in (1, 2] from the walk to the series: on the transect, spread
-    and equal-gap designs of the tests they moved by at most 7e-16 of the
-    sum of the terms' sizes (log|R|, slope) and 1e-15 of the largest
-    entry (Z'QZ), and they agree with 40-digit sums to 1.3e-15 and 6e-16
-    of those.  The series nodes at x_max <= 1 kept their log|R| and slope
-    and moved by at most 4.4e-16 of the largest Z'QZ entry.
-    """
+    largest x = 2 gap phi is at most `_OU_SERIES_MAX` (its bounds are
+    stated there) and from the walk at the others."""
     flat = np.ravel(phi)
     if design.gaps.size:
         x_max = flat * (2.0 * design.gaps.max())
@@ -434,8 +456,7 @@ def _log_det_slope(model: GroupModel, design: GroupedDesign, p, log1m_rho, j,
     of -m (m - 1) rho j / (1 + (m - 1) rho) per exchangeable block,
     -2 rho j / (1 + rho) per AR1 pair or j x / (e^x - 1) per OU gap.
     The OU sums come from `_ou_sums`: series in x at the nodes whose
-    largest x = 2 gap phi is at most 2 (truncated below 6e-22 per gap;
-    within 13 eps of the terms' sizes where every gap is the largest),
+    largest x = 2 gap phi is at most 2 (bounded at `_ou_series_sums`),
     the gap walk at the others.  OU ``pairs`` add the weighted pair sums
     as a third output.
     """
@@ -536,14 +557,6 @@ def log_det_dense(model: GroupModel, design: GroupedDesign, param) -> float:
     return total
 
 
-def dlogdet_finite_difference(model: GroupModel, design: GroupedDesign,
-                              param: float, step: float = 1e-6) -> float:
-    """Central finite-difference derivative of `log_det`."""
-    p = float(param)
-    return (log_det(model, design, p + step)
-            - log_det(model, design, p - step)) / (2.0 * step)
-
-
 # ----------------------------------------------------------------------
 # internal (unbounded) parameter scale
 # ----------------------------------------------------------------------
@@ -617,7 +630,8 @@ def _kernel_and_stats(dataset: Dataset, model: GroupModel, s: NDArray):
     expit(-s) (AR1) or -expm1(-2 phi gap) / (1 + r) (OU); neither cancels
     as r -> 1.  OU takes all three outputs from one `_internal_kernel`
     pass, fed the upper triangles of the pair products D D', D A' + A D'
-    and A A': the gap walk, or series in x = 2 phi gap at small x.
+    and A A': the gap walk, or series in x = 2 phi gap at small x (whose
+    bounds `_ou_series_sums` states).
     """
     design = dataset.design
     q = dataset.n_coef + 1

@@ -74,6 +74,8 @@ class GroupedDesign:
     differences at those rows (unit gaps without positions);
     ``size_classes``, (size, number of groups) int pairs by size, and
     ``_pair_classes``, float rows m - 1, count, count m (m - 1) for m > 1.
+    ``_ou_moments`` holds the OU series' gap moments, which `corr` derives
+    on its first series call on the design and keeps, read-only.
     """
 
     group_sizes: tuple[int, ...]
@@ -83,6 +85,8 @@ class GroupedDesign:
     gaps: NDArray = field(init=False, repr=False, compare=False)
     size_classes: tuple = field(init=False, repr=False, compare=False)
     _pair_classes: NDArray = field(init=False, repr=False, compare=False)
+    _ou_moments: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if len(self.group_sizes) == 0:

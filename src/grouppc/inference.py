@@ -34,7 +34,7 @@ are deterministic for a given grid.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -139,12 +139,17 @@ class HyperPriors:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Tensor grid for the (log tau, internal correlation) integral."""
+    """Tensor grid for the (log tau, internal correlation) integral.
+
+    Each axis' nodes, trapezoid weights and their logs are derived once
+    per instance, read-only.
+    """
 
     n_tau: int = 201
     n_corr: int = 201
     tau_bounds: tuple[float, float] = (-12.0, 12.0)
     corr_bounds: tuple[float, float] = (-12.0, 12.0)
+    _axes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _whole(self.n_tau, DomainError, "n_tau")
@@ -154,19 +159,29 @@ class GridConfig:
         for lo, hi in (self.tau_bounds, self.corr_bounds):
             if not -np.inf < lo < hi < np.inf:
                 raise DomainError("grid bounds must be finite with lo < hi")
+        axes = {}
+        for which, (lo, hi), n in (("tau", self.tau_bounds, self.n_tau),
+                                   ("corr", self.corr_bounds, self.n_corr)):
+            nodes = np.linspace(lo, hi, n)
+            h = nodes[1] - nodes[0]
+            w = np.full(nodes.size, h)
+            w[0] = w[-1] = h / 2.0
+            axes[which] = (nodes, w, np.log(w))
+            for value in axes[which]:
+                value.flags.writeable = False
+        object.__setattr__(self, "_axes", axes)
 
     def axis(self, which: str) -> NDArray:
-        lo, hi = self.tau_bounds if which == "tau" else self.corr_bounds
-        n = self.n_tau if which == "tau" else self.n_corr
-        return np.linspace(lo, hi, n)
+        """The nodes of axis ``which``, "tau" or "corr"."""
+        return self._axes[which][0]
 
     def weights(self, which: str) -> NDArray:
         """Trapezoid-rule weights on the axis' nodes."""
-        nodes = self.axis(which)
-        h = nodes[1] - nodes[0]
-        w = np.full(nodes.size, h)
-        w[0] = w[-1] = h / 2.0
-        return w
+        return self._axes[which][1]
+
+    def log_weights(self, which: str) -> NDArray:
+        """Logs of `weights`."""
+        return self._axes[which][2]
 
 
 # ----------------------------------------------------------------------
@@ -488,10 +503,10 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     # log prior factors on the internal scales (Jacobians included) with
     # the trapezoid log weights; one closed-form pass gives log|C| and the
     # statistics Z'C^-1 Z to the likelihood and d, d' to the prior
-    log_t = _gumbel2_log_tau(t_nodes, hyper.psi) + np.log(grid.weights("tau"))
+    log_t = _gumbel2_log_tau(t_nodes, hyper.psi) + grid.log_weights("tau")
     kernel, W = corr._kernel_and_stats(dataset, model, s_nodes)
     log_s = (prior._log_density(*prior.distance._from_kernel(kernel, s_nodes),
-                                0.0, s_nodes) + np.log(grid.weights("corr")))
+                                0.0, s_nodes) + grid.log_weights("corr"))
 
     n_t, n_s = t_nodes.size, s_nodes.size
     log_cells, lam, (V, c) = _woodbury(dataset, W, t_nodes, hyper.beta_prec,

@@ -48,7 +48,16 @@ class SimConfig:
 
 
 def simulate_dataset(config: SimConfig) -> Dataset:
-    """Draw one dataset; identical seeds give identical datasets."""
+    """Draw one dataset; identical seeds give identical datasets.
+
+    After the covariates, one standard-normal draw of length M gives
+    every group its innovations, rows by group: the stream that one draw
+    per group in row order gives.  Each size class is factorized once:
+    one Cholesky factor of sigma2 R serves all its groups, or for OU with
+    positions one batched factorization of their stacked blocks.  Each
+    group's theta is its factor times its innovations, by one batched
+    matrix-vector product per class, equal to the product group by group.
+    """
     config.model.check_design(config.design)
     rng = np.random.default_rng(config.seed)
     design = config.design
@@ -57,16 +66,21 @@ def simulate_dataset(config: SimConfig) -> Dataset:
     X = np.ones((M, p))
     if p > 1:
         X[:, 1:] = rng.standard_normal((M, p - 1))
+    z = rng.standard_normal(M)
     theta = np.empty(M)
-    for j, s in enumerate(design.group_slices()):
-        R = corr.corr_matrix(config.model, design, j, config.param)
+    param = float(config.param)
+    starts, sizes = design.offsets[:-1], np.diff(design.offsets)
+    for m, _ in design.size_classes:
+        groups = np.flatnonzero(sizes == m)
+        rows = starts[groups, None] + np.arange(m)
+        R = corr._corr_blocks(config.model, design, groups, param)
         try:
             L = np.linalg.cholesky(config.sigma2 * R)
         except np.linalg.LinAlgError as exc:
             raise DomainError(
                 "correlation block is not positive definite at "
                 f"{config.model.param_name} = {config.param}") from exc
-        theta[s] = L @ rng.standard_normal(design.group_sizes[j])
+        theta[rows] = np.matmul(L, z[rows, None])[..., 0]
     with np.errstate(over="ignore", invalid="ignore"):
         y = X @ np.asarray(config.beta) + theta
     if not np.all(np.isfinite(y)):

@@ -32,16 +32,21 @@ def expit(x):
     """Logistic function 1 / (1 + exp(-x)), elementwise.
 
     Below x = -709, where exp(-x) would overflow, 1 + exp(x) rounds to 1
-    and the function is exp(x), which keeps the subnormal tail.  A 0-d
-    input takes the same operations on one float (a NumPy float out),
-    several times cheaper than the two array branches.
+    and the function is exp(x), which keeps the subnormal tail.  An array
+    takes exp(x) only at those elements: exp over the whole array clipped
+    at -709 would put every other element on numpy's slow underflow
+    path.  A 0-d input takes the same operations on one float (a NumPy
+    float out), several times cheaper than the array path.
     """
     if np.ndim(x) == 0:
         v = float(x)
         return np.exp(v) if v < _EXPIT_TAIL else 1.0 / (1.0 + np.exp(-v))
     x = np.asarray(x, dtype=float)
-    return np.where(x < _EXPIT_TAIL, np.exp(np.minimum(x, _EXPIT_TAIL)),
-                    1.0 / (1.0 + np.exp(-np.maximum(x, _EXPIT_TAIL))))
+    out = 1.0 / (1.0 + np.exp(-np.maximum(x, _EXPIT_TAIL)))
+    tail = x < _EXPIT_TAIL
+    if tail.any():
+        out[tail] = np.exp(x[tail])
+    return out
 
 
 def erfc(x):

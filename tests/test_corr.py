@@ -35,9 +35,10 @@ from grouppc.corr import (
     _OU_C,
     _OU_SERIES_MAX,
     _ou_gap_sums,
+    _ou_moments,
+    _ou_series_sums,
     _ou_terms,
     _param_kernel,
-    dlogdet_finite_difference,
     log_det_dense,
 )
 
@@ -350,6 +351,13 @@ def test_dlogdet_exchangeable_flat_at_base():
     # d/drho log[(1+rho)(1-rho)] vanishes at rho=0
     val = dlogdet_dparam(EXCH, balanced_design(1, 2), 1e-9)
     assert abs(val) < 1e-8
+
+
+def dlogdet_finite_difference(model, design, param, step=1e-6):
+    """Central finite-difference derivative of `log_det`."""
+    p = float(param)
+    return (log_det(model, design, p + step)
+            - log_det(model, design, p - step)) / (2.0 * step)
 
 
 def test_dlogdet_matches_finite_differences():
@@ -890,3 +898,53 @@ def test_ou_series_nodes_are_not_walked(monkeypatch):
     walked.clear()
     _kernel_and_stats(_on_design(design, 5), ou, t[series])
     assert not walked
+
+
+def test_ou_series_moments_are_built_once_per_design(monkeypatch):
+    # the gap power rows and S_2n depend on the design alone: the first
+    # series call derives them, later calls on the design reuse them, and
+    # an equal design built anew derives its own
+    built = []
+
+    def counted(design):
+        built.append(design)
+        return _ou_moments(design)
+
+    monkeypatch.setattr("grouppc.corr._ou_moments", counted)
+    design = _transect_design(np.random.default_rng(11))
+    ds = _on_design(design, 6)
+    ou = GroupModel(Family.OU)
+    t = np.linspace(-12.0, 12.0, 41)
+    for _ in range(3):
+        _internal_kernel(ou, design, t)
+        _kernel_and_stats(ds, ou, t)
+        _kernel_and_stats(ds, ou, t[:1])
+    assert len(built) == 1 and built[0] is design
+    odd, even, *_ = design._ou_moments
+    assert not odd.flags.writeable and not even.flags.writeable
+    again = GroupedDesign(design.group_sizes, design.positions)
+    _internal_kernel(ou, again, t)
+    assert len(built) == 2 and built[1] is again
+
+
+def test_ou_series_sums_equal_on_a_fresh_and_a_reused_design():
+    # the call that derives the design's moments, a later call that reuses
+    # them and a call on an equal design built anew agree bit for bit
+    design = _transect_design(np.random.default_rng(12))
+    first, D, A = _markov_rows(_on_design(design, 7))
+    a, b = np.triu_indices(first.shape[1])
+    pairs = np.stack([D.T[a] * D.T[b], D.T[a] * A.T[b] + A.T[a] * D.T[b],
+                      A.T[a] * A.T[b]])
+    x_max = np.array([1e-3, 0.3, 1.5, 2.0])
+    for with_pairs in (pairs, None):
+        design = GroupedDesign(design.group_sizes, design.positions)
+        assert design._ou_moments is None
+        deriving = _ou_series_sums(design, x_max, with_pairs)
+        reusing = _ou_series_sums(design, x_max, with_pairs)
+        fresh = _ou_series_sums(
+            GroupedDesign(design.group_sizes, design.positions), x_max,
+            with_pairs)
+        assert len(deriving) == (2 if with_pairs is None else 3)
+        for got in (reusing, fresh):
+            for u, v in zip(deriving, got):
+                assert u.tobytes() == v.tobytes()

@@ -17,6 +17,86 @@ from grouppc import (
 
 EXCH = GroupModel(Family.EXCHANGEABLE)
 AR1 = GroupModel(Family.AR1)
+OU = GroupModel(Family.OU)
+OU_UNIT = GroupModel(Family.OU, assume_unit_spacing=True)
+
+RAGGED = (3, 1, 5, 3, 1, 7, 5, 2)
+RAGGED_POSITIONS = tuple(
+    tuple(np.cumsum(np.random.default_rng(j).uniform(0.2, 1.8, m)).tolist())
+    for j, m in enumerate(RAGGED))
+
+
+def _dense_block(model, design, j, param):
+    """Group j's correlation matrix, entry by entry."""
+    m = design.group_sizes[j]
+    i = np.arange(m)
+    if model.family is Family.EXCHANGEABLE:
+        return np.where(i[:, None] == i, 1.0, param)
+    if model.family is Family.AR1:
+        return param ** np.abs(i[:, None] - i)
+    pos = (i * 1.0 if design.positions is None
+           else np.asarray(design.positions[j], dtype=float))
+    R = np.exp(-np.abs(pos[:, None] - pos) * param)
+    np.fill_diagonal(R, 1.0)
+    return R
+
+
+def _per_group_oracle(config):
+    """y and X as drawn group by group: one dense block, one Cholesky
+    factor and one standard-normal draw per group, in row order."""
+    design = config.design
+    rng = np.random.default_rng(config.seed)
+    M, p = design.total_size, len(config.beta)
+    X = np.ones((M, p))
+    if p > 1:
+        X[:, 1:] = rng.standard_normal((M, p - 1))
+    theta = np.empty(M)
+    for j, rows in enumerate(design.group_slices()):
+        R = _dense_block(config.model, design, j, config.param)
+        L = np.linalg.cholesky(config.sigma2 * R)
+        theta[rows] = L @ rng.standard_normal(design.group_sizes[j])
+    return X @ np.asarray(config.beta) + theta, X
+
+
+ORACLE_CASES = [
+    (EXCH, GroupedDesign(RAGGED), 0.45),
+    (EXCH, balanced_design(30, 20), 0.0),
+    (AR1, GroupedDesign(RAGGED), 0.8),
+    (AR1, balanced_design(30, 20), 0.3),
+    (OU, GroupedDesign(RAGGED, RAGGED_POSITIONS), 0.7),
+    (OU, GroupedDesign(RAGGED, RAGGED_POSITIONS), 25.0),
+    (OU_UNIT, GroupedDesign(RAGGED), 0.4),
+    (OU_UNIT, balanced_design(30, 20), 1.2),
+]
+
+
+@pytest.mark.parametrize("model, design, param", ORACLE_CASES)
+@pytest.mark.parametrize("beta, sigma2", [((1.0,), 1.0),
+                                          ((1.0, 0.5, -2.0), 2.5)])
+def test_equals_the_per_group_draw_bit_for_bit(model, design, param, beta,
+                                               sigma2):
+    # one draw of length M and one factor per size class give the bits
+    # that one draw and one dense factor per group gave
+    config = SimConfig(design=design, model=model, param=param, beta=beta,
+                       sigma2=sigma2, seed=17)
+    y, X = _per_group_oracle(config)
+    data = simulate_dataset(config)
+    assert data.y.tobytes() == y.tobytes()
+    assert data.X.tobytes() == X.tobytes()
+
+
+@pytest.mark.parametrize("model, design", [
+    (OU_UNIT, GroupedDesign((1, 3, 1, 4))),
+    (OU, GroupedDesign((1, 3), positions=((0.0,), (0.0, 1.0, 2.0)))),
+])
+def test_indefinite_block_is_a_domain_error_naming_the_parameter(model,
+                                                                 design):
+    # at phi = 1e-300 every correlation rounds to 1: the blocks of size
+    # one factorize, the larger ones are singular
+    config = SimConfig(design=design, model=model, param=1e-300, seed=1)
+    with pytest.raises(DomainError,
+                       match=r"not positive definite at phi = 1e-300"):
+        simulate_dataset(config)
 
 
 def test_shapes_and_column_names():

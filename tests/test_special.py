@@ -79,6 +79,22 @@ def test_expit_of_a_scalar_equals_the_array_path_bit_for_bit():
             assert np.float64(got).tobytes() == w.tobytes(), (v, got, w)
 
 
+def test_expit_array_path_equals_the_two_branch_formula_bit_for_bit():
+    # the array path takes exp(x) only below -709; the formula it replaced
+    # evaluated both branches on every element and selected one
+    x = np.concatenate([np.linspace(-800.0, 40.0, 200_001),
+                        np.nextafter(-709.0, [-np.inf, np.inf]),
+                        [-709.0, np.inf, -np.inf, np.nan]])
+    want = np.where(x < -709.0, np.exp(np.minimum(x, -709.0)),
+                    1.0 / (1.0 + np.exp(-np.maximum(x, -709.0))))
+    for shaped in (x, x[:200_000].reshape(-1, 5), x[:0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = special.expit(shaped)
+        assert got.shape == shaped.shape
+        assert got.tobytes() == want[:shaped.size].tobytes()
+
+
 def test_safeguarded_newton_solves_rising_and_falling_equations():
     a = np.array([0.5, 2.0, 9.0, 1e6])
     calls = []
