@@ -36,6 +36,8 @@ __all__ = [
 
 FIT_KEYS = ("log_mlik", "rho", "sigma2", "beta", "diagnostics")
 GRID_HEADER = ("param", "distance", "density", "cdf")
+#: most rows of a grid that `write_grid` formats in one call
+_GRID_BLOCK = 4096
 
 
 def _parse_cell(text, row, column):
@@ -256,12 +258,20 @@ def read_fit(path):
 
 
 def write_grid(grid, path):
-    """Write a prior grid as CSV with header param,distance,density,cdf."""
+    """Write a prior grid as CSV with header param,distance,density,cdf.
+
+    The body is formatted by one ``%`` per block of at most `_GRID_BLOCK`
+    rows, on the block's columns interleaved row by row, so memory stays
+    bounded on large grids.
+    """
+    rows = np.column_stack([getattr(grid, c) for c in GRID_HEADER])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(GRID_HEADER)
         # no %.17g field needs quoting, so these are csv.writer's bytes
-        fh.writelines(map("%.17g,%.17g,%.17g,%.17g\n".__mod__, zip(
-            *(np.asarray(getattr(grid, c)).tolist() for c in GRID_HEADER))))
+        for a in range(0, len(rows), _GRID_BLOCK):
+            block = rows[a:a + _GRID_BLOCK]
+            fh.write(("%.17g,%.17g,%.17g,%.17g\n" * len(block))
+                     % tuple(block.ravel().tolist()))
 
 
 def read_grid(path):

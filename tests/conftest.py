@@ -21,6 +21,19 @@ settings.register_profile("sweep", database=None, deadline=None,
 settings.load_profile("tier1")
 
 
+def field_transect_design(seed=1, n_transects=200):
+    """Transects of 1-19 rows (sizes fixed, order shuffled), U(0.4, 1.6) gaps.
+
+    The 200-transect field design of the benchmark's prior-tables workload.
+    """
+    rng = np.random.default_rng([seed, 1])
+    sizes = rng.permutation(np.rint(np.linspace(1, 19, n_transects)).astype(int))
+    positions = [np.concatenate([[0.0], np.cumsum(rng.uniform(0.4, 1.6, m - 1))])
+                 for m in sizes]
+    return grouppc.GroupedDesign(group_sizes=tuple(int(m) for m in sizes),
+                                 positions=tuple(tuple(p) for p in positions))
+
+
 def property_examples(tier1: int) -> int:
     """A property test's examples: ``tier1`` if derandomized, else the profile's."""
     default = settings.default

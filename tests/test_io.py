@@ -325,6 +325,21 @@ def test_grid_bytes_equal_csv_writer_on_awkward_values(tmp_path):
                               _bits(getattr(grid, name)))
 
 
+def test_grid_bytes_equal_csv_writer_across_format_blocks(tmp_path):
+    # two full format blocks and a partial one, each cell drawn from the
+    # awkward values
+    rows = 2 * io._GRID_BLOCK + 3
+    values = np.array(AWKWARD + tuple(-v for v in AWKWARD[1:4]))
+    rng = np.random.default_rng(5)
+    grid = PriorGrid(*(values[rng.integers(0, values.size, rows)]
+                       for _ in range(4)))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    io.write_grid(grid, got)
+    _csv_grid(grid, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert len(io.read_grid(got)) == rows
+
+
 @pytest.mark.parametrize("with_pos", [False, True])
 def test_dataset_bytes_equal_csv_writer_on_awkward_labels(tmp_path, with_pos):
     finite = np.array(AWKWARD[:4] + tuple(-v for v in AWKWARD[1:4]))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import linalg, stats
 
-from conftest import property_examples
+from conftest import field_transect_design, property_examples
 from grouppc import (
     DistanceFunction,
     DomainError,
@@ -216,14 +216,18 @@ def test_invert_internal_is_monotone_inverse(design, model, quarter_decades):
 
 @pytest.mark.parametrize("model", [EXCH, AR1, OU], ids=lambda m: m.family.value)
 def test_invert_internal_where_the_hermite_start_falls_back(model):
-    # the table's slope is not finite at its d = 0 nodes: OU at large phi,
-    # and the rho families next to the base, where the kernel's slope is 0
-    # too.  Targets in the bracket above such a node, and below it, start
-    # from linear interpolation or the midpoint
+    # the table holds log d = -inf at its d = 0 nodes: OU at large phi, and
+    # the rho families next to the base.  Targets in the bracket above such
+    # a node have no finite w, and they and those below start from the
+    # midpoint or linear interpolation.  The node's slope -2 d^2 / (log|R|)'
+    # is not finite too where the kernel's slope is 0 as well; AR1's kernel
+    # slope there can be subnormal, which gives a slope of 0
     dist = DistanceFunction(model, unbalanced_design())
     log_d, nodes, slope = dist._inversion_table()
     k = np.flatnonzero(np.isfinite(log_d))[0]      # first node with d > 0
-    assert log_d[k - 1] == -np.inf and not np.isfinite(slope[k - 1])
+    assert log_d[k - 1] == -np.inf
+    if model is not AR1:
+        assert not np.isfinite(slope[k - 1])
     target = np.exp(log_d[k]) * 10.0 ** -np.arange(0.25, 170.0, 0.25)
     target = target[target > 1e-300]
     t = dist.invert_internal(target)
@@ -376,36 +380,42 @@ def test_invert_internal_certifies_no_subnormal_log_det(model, monkeypatch):
     assert np.all(np.abs(t - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
-def field_transect_design(seed=1, n_transects=200):
-    """Transects of 1-19 rows (sizes fixed, order shuffled), U(0.4, 1.6) gaps.
+def _assert_elicitation_pass_budget(kernel_calls, model, design):
+    # each target starts at the cubic Hermite point of its bracket in the
+    # 641-node table and stops where Taylor's theorem bounds its first
+    # Newton step's error, so 500 draws or 99 quantile levels take one
+    # kernel pass for the rho families and at most 1.02 nodes per target
+    # for OU
+    prior = PCPrior.from_quantile(model, design,
+                                  icc_to_param(model, 0.5), 0.5)
+    prior.distance.invert_internal(1.0)   # builds the starting table
 
-    The 200-transect field design of the benchmark's prior-tables workload.
-    """
-    rng = np.random.default_rng([seed, 1])
-    sizes = rng.permutation(np.rint(np.linspace(1, 19, n_transects)).astype(int))
-    positions = [np.concatenate([[0.0], np.cumsum(rng.uniform(0.4, 1.6, m - 1))])
-                 for m in sizes]
-    return GroupedDesign(group_sizes=tuple(int(m) for m in sizes),
-                         positions=tuple(tuple(p) for p in positions))
+    def assert_within_budget(targets, elicit):
+        kernel_calls.clear()
+        elicit()
+        if model.family is Family.OU:
+            assert len(kernel_calls) <= 2
+            assert sum(c.size for c in kernel_calls) <= 1.02 * targets
+        else:
+            assert len(kernel_calls) == 1
+
+    for seed in (1, 2, 3):
+        assert_within_budget(500, lambda: prior.sample(500, seed))
+    assert_within_budget(99, lambda: prior.quantile(np.arange(1, 100) / 100.0))
 
 
 def test_ou_transect_elicitation_within_its_pass_budget(kernel_calls):
-    # each target starts at the cubic Hermite point of its table bracket and
-    # stops where Taylor's theorem bounds its Newton step's error, so 500
-    # draws take 2 kernel passes (3 with a residual test alone, 4 from a
-    # linear start) and 99 quantile levels about 1.7 nodes each (2.2 with a
-    # residual test alone, 3.3 from a linear start)
-    prior = PCPrior.from_quantile(OU, field_transect_design(),
-                                  icc_to_param(OU, 0.5), 0.5)
-    prior.distance.invert_internal(1.0)   # builds the starting table
-    for seed in (1, 2, 3):
-        kernel_calls.clear()
-        prior.sample(500, seed)
-        assert len(kernel_calls) <= 2
-        assert sum(c.size for c in kernel_calls) <= 900
-    kernel_calls.clear()
-    prior.quantile(np.arange(1, 100) / 100.0)
-    assert sum(c.size for c in kernel_calls) <= 180
+    _assert_elicitation_pass_budget(kernel_calls, OU, field_transect_design())
+
+
+@pytest.mark.parametrize("model, design", [
+    (EXCH, "transect"), (AR1, "transect"),
+    (EXCH, "balanced"), (AR1, "balanced"), (OU, "balanced")],
+    ids=lambda v: v if isinstance(v, str) else v.family.value)
+def test_elicitation_within_its_pass_budget(kernel_calls, model, design):
+    _assert_elicitation_pass_budget(kernel_calls, model, (
+        field_transect_design() if design == "transect"
+        else balanced_design(6, 50, unit_positions=True)))
 
 
 # ----------------------------------------------------------------------
@@ -540,6 +550,41 @@ def test_normalization_builds_its_gauss_rule_once(monkeypatch):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
     assert masses == [masses[0]] * 3
+
+
+@pytest.mark.parametrize("model", [EXCH, AR1, OU],
+                         ids=lambda m: m.family.value)
+def test_normalization_folds_its_end_knots_into_the_node_pass(model,
+                                                              kernel_calls):
+    # a node's distance and slope do not depend on the batch it rides in,
+    # so the knots' values from the nodes' pass, and the mass, are the
+    # bits that a pass of their own gives
+    prior = PCPrior.from_quantile(model, unbalanced_design(),
+                                  icc_to_param(model, 0.5), 0.5)
+    dist, lam = prior.distance, prior.lam
+    probs = np.array([1e-9, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0 - 1e-9])
+    knots = np.sort(dist.invert_internal(-np.log1p(-probs) / lam))
+    x, w = pcprior._gauss_legendre()
+    half = 0.5 * np.diff(knots)[:, None]
+    nodes = (0.5 * (knots[:-1] + knots[1:])[:, None] + half * x).ravel()
+    ends = knots[[0, -1]]
+    if model.family is Family.OU:
+        # both OU kernels: series nodes (x_max <= 2) and walked ones
+        x_max = 2.0 * np.exp(nodes) * dist.design.gaps.max()
+        assert np.any(x_max <= 2.0) and np.any(x_max > 2.0)
+    both = dist._internal_scale(np.append(nodes, ends))
+    apart = [np.append(a, b) for a, b in zip(dist._internal_scale(nodes),
+                                             dist._internal_scale(ends))]
+    for got, want in zip(both, apart):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    d_lo, d_hi = np.sort(dist.value_internal(ends))
+    bulk = np.exp(prior.log_density_internal(nodes))
+    two_pass = float(-np.expm1(-lam * d_lo) + np.exp(-lam * d_hi)
+                     + (half * w).ravel() @ bulk)
+    kernel_calls.clear()
+    assert normalization_mass(prior) == two_pass
+    assert kernel_calls[-1].size == nodes.size + 2
+    assert all(c.size != 2 for c in kernel_calls)
 
 
 @pytest.mark.parametrize("model", [EXCH, AR1, OU],

@@ -1,4 +1,5 @@
-"""Today's answers, pinned: default-grid fits and an OU prior grid.
+"""Today's answers, pinned: default-grid fits, an OU prior grid and two
+prior elicitations.
 
 The values below were printed with ``"%.17g"`` by the code at commit
 ffea201, before any change that this test guards, from the fixture built
@@ -19,13 +20,24 @@ and X bytes of one `simulate_dataset` configuration per family, ragged
 OU with positions included, were printed by the code at commit 1c1699f.
 A reseeded or reordered draw stream changes them; a change that does so
 on purpose updates them here and says why in CHANGES.md.
+
+The elicitations in ``pinned_elicitations.json`` were printed by the code
+at commit de4af97, before the inversion's start table grew to 641 nodes,
+for the PC prior with median ICC 0.5 (a = 0.5) of OU on the benchmark's
+200-transect field design and of exchangeable on `balanced_design(6, 50,
+unit_positions=True)`: lambda, which is pinned bit for bit, then at 1e-12
+relative the 99 quantiles at levels 0.01 .. 0.99, the 500 draws of
+``sample(500, 1)`` and `normalization_mass`.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import field_transect_design
 from grouppc import (
     GroupModel,
     GroupedDesign,
@@ -36,6 +48,7 @@ from grouppc import (
     density_grid,
     icc_to_param,
     log_marginal_likelihood,
+    normalization_mass,
     simulate_dataset,
     solve_psi,
 )
@@ -236,6 +249,29 @@ def test_ou_prior_grid_is_pinned():
     for name, values in OU_GRID.items():
         np.testing.assert_allclose(getattr(grid, name), values,
                                    rtol=RTOL, atol=0, err_msg=name)
+
+
+ELICITATIONS = json.loads(
+    (Path(__file__).parent / "pinned_elicitations.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(ELICITATIONS))
+def test_prior_elicitation_is_pinned(case):
+    family, design = {
+        "ou_transect": ("ou", field_transect_design()),
+        "exchangeable_balanced": (
+            "exchangeable", balanced_design(6, 50, unit_positions=True)),
+    }[case]
+    model = GroupModel(family)
+    prior = PCPrior.from_quantile(model, design, icc_to_param(model, 0.5), 0.5)
+    want = ELICITATIONS[case]
+    assert prior.lam == want["lam"]
+    got = {"quantiles": prior.quantile(np.arange(1, 100) / 100.0),
+           "draws": prior.sample(500, 1),
+           "mass": normalization_mass(prior)}
+    for name, values in got.items():
+        np.testing.assert_allclose(values, want[name], rtol=RTOL, atol=0,
+                                   err_msg=name)
 
 
 SIMULATIONS = {
