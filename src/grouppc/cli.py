@@ -104,9 +104,9 @@ def _fit_models(args, specs):
     builds one design and one `Dataset`.  A bare FAMILY spec falls back to
     the flag/sniffed columns; an explicit @GROUPCOL uses positions only
     when :POSCOL is given.  The first model's design scales the
-    correlation prior and every fit takes that rate.  Returns
-    (grouping, fit) pairs in spec order; an error names the first spec
-    that hits it.
+    correlation prior, that model keeps the prior, and every other fit
+    takes its rate.  Returns (grouping, fit) pairs in spec order; an
+    error names the first spec that hits it.
     """
     table = io.read_table(args.data)
     default_group, default_pos = _sniff_columns(table, args)
@@ -139,9 +139,11 @@ def _fit_models(args, specs):
             dataset = datasets[group_col, pos_col]
             if lam is None:
                 u, a = _quantile_statement(args, model)
-                lam = PCPrior.from_quantile(model, dataset.design, u, a).lam
-            prior = PCPrior(lam=lam,
-                            distance=DistanceFunction(model, dataset.design))
+                prior = PCPrior.from_quantile(model, dataset.design, u, a)
+                lam = prior.lam
+            else:
+                prior = PCPrior(lam=lam, distance=DistanceFunction(
+                    model, dataset.design))
             hyper = HyperPriors(corr_prior=prior, psi=psi)
             fits.append((group_col, log_marginal_likelihood(
                 dataset, model, hyper, grid=args.grid)))

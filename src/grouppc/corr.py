@@ -174,7 +174,8 @@ def _corr_blocks(model: GroupModel, design: GroupedDesign, groups,
         return p ** np.abs(idx[:, None] - idx[None, :])
     # OU: entries decay with the absolute coordinate difference
     if design.positions is not None:
-        pos = np.array([design.positions[j] for j in groups])
+        rows = design.offsets[groups, None] + np.arange(m)
+        pos = design._flat_positions[rows]
     else:
         pos = np.arange(m, dtype=float)
     with np.errstate(invalid="ignore"):   # 0 * inf on the diagonal

@@ -73,9 +73,14 @@ class GroupedDesign:
     row of each consecutive pair within a group; ``gaps``, the position
     differences at those rows (unit gaps without positions);
     ``size_classes``, (size, number of groups) int pairs by size, and
-    ``_pair_classes``, float rows m - 1, count, count m (m - 1) for m > 1.
-    ``_ou_moments`` holds the OU series' gap moments, which `corr` derives
-    on its first series call on the design and keeps, read-only.
+    ``_pair_classes``, float rows m - 1, count, count m (m - 1) for m > 1;
+    ``_flat_positions``, every row's position in row order (None without
+    positions).  Two private caches fill on first use and stay read-only:
+    ``_ou_moments``, the OU series' gap moments, which `corr` derives on
+    its first series call on the design, and ``_inversion_tables``, the
+    distance-inversion start table of each family, which
+    `pcprior.DistanceFunction` builds on its first inversion.  None of
+    them takes part in ``==``, ``hash`` or ``repr``.
     """
 
     group_sizes: tuple[int, ...]
@@ -85,8 +90,12 @@ class GroupedDesign:
     gaps: NDArray = field(init=False, repr=False, compare=False)
     size_classes: tuple = field(init=False, repr=False, compare=False)
     _pair_classes: NDArray = field(init=False, repr=False, compare=False)
+    _flat_positions: NDArray | None = field(init=False, repr=False,
+                                            compare=False)
     _ou_moments: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
+    _inversion_tables: dict = field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.group_sizes) == 0:
@@ -99,6 +108,7 @@ class GroupedDesign:
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         pair_rows = np.delete(np.arange(offsets[-1]), offsets[:-1])
         if self.positions is None:
+            flat = None
             gaps = np.ones(pair_rows.size)
         else:
             pos = tuple(tuple(float(x) for x in p) for p in self.positions)
@@ -128,8 +138,10 @@ class GroupedDesign:
         m, c = (v[distinct > 1, None] * 1.0 for v in (distinct, counts))
         for name, value in (("offsets", offsets), ("pair_rows", pair_rows),
                             ("gaps", gaps), ("_pair_classes", np.stack(
-                                [m - 1.0, c, c * m * (m - 1.0)]))):
-            value.flags.writeable = False
+                                [m - 1.0, c, c * m * (m - 1.0)])),
+                            ("_flat_positions", flat)):
+            if value is not None:
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property

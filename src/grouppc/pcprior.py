@@ -128,7 +128,6 @@ class DistanceFunction:
             self._internal_lo, self._internal_hi = -745.0, corr.RHO_INTERNAL_MAX
         else:
             self._internal_lo, self._internal_hi = corr.PHI_INTERNAL_MIN, 700.0
-        self._table = None   # built by the first inversion
 
     # One evaluator per scale returns (d, d log|R| / dc) from one kernel
     # call; the public methods project it.  d' = -(log|R|)' / (2 d).
@@ -202,9 +201,15 @@ class DistanceFunction:
         The nodes are uniform in asinh t, so they are densest around t = 0
         and still reach both ends of the bracket in `_TABLE_NODES` points.
         One kernel call gives d and the slope -2 d^2 / (log|R|)'.  Where d
-        underflows to 0 the table holds log d = -inf.
+        underflows to 0 the table holds log d = -inf.  The table depends
+        only on the family and the design, so the first inversion for a
+        family builds it into the design's ``_inversion_tables``, read-only,
+        and every distance on that design reuses it.  Threads that race to
+        the first build each build equal bits, so either table serves.
         """
-        if self._table is None:
+        tables = self.design._inversion_tables
+        family = self.model.family
+        if family not in tables:
             lo, hi = self._internal_lo, self._internal_hi
             t = np.sinh(np.linspace(np.arcsinh(lo), np.arcsinh(hi),
                                     _TABLE_NODES))
@@ -212,9 +217,11 @@ class DistanceFunction:
             d, g = self._internal_scale(t)
             with np.errstate(divide="ignore", invalid="ignore"):
                 table = (np.log(d), t, -2.0 * d * d / g)
-            self._table = tuple(c if self.increasing else c[::-1]
-                                for c in table)
-        return self._table
+            table = tuple(c if self.increasing else c[::-1] for c in table)
+            for c in table:
+                c.flags.writeable = False
+            tables[family] = table
+        return tables[family]
 
     def invert_internal(self, target):
         """Internal coordinates where the distance equals ``target``.
@@ -250,9 +257,10 @@ class DistanceFunction:
         designs 500 draws or 99 quantiles take one kernel pass for the rho
         families, and at most 1.02 nodes per target for OU.  Targets
         beyond what the parameter can resolve in double precision clamp to
-        the representable extreme.
+        the representable extreme.  Targets of any shape are solved as one
+        flat batch, and the answer takes the targets' shape.
         """
-        tgt = np.atleast_1d(np.asarray(target, dtype=float))
+        tgt = np.asarray(target, dtype=float).ravel()
         if np.any(tgt <= 0) or np.any(~np.isfinite(tgt)):
             raise DomainError("target distance must be positive and finite")
         log_d, nodes, slope = self._inversion_table()
@@ -291,7 +299,8 @@ class DistanceFunction:
             return f, s, certified | (np.abs(d - x[idx]) <= tol[idx])
 
         out[todo] = safeguarded_newton(f_slope, t, lo, hi, self.increasing)
-        return float(out[0]) if np.ndim(target) == 0 else out
+        return float(out[0]) if np.ndim(target) == 0 else out.reshape(
+            np.shape(target))
 
     def invert(self, target):
         """Parameter value(s) where the distance equals ``target``."""

@@ -16,6 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from grouppc import (
+    DistanceFunction,
     Family,
     GroupModel,
     GridConfig,
@@ -629,6 +630,27 @@ def test_compare_converts_each_column_once(tmp_path, capsys, monkeypatch):
     assert converted == ["y", "x1", "pos"]
     assert designs == [("campaign", None), ("transect", None),
                        ("transect", "pos")]
+
+
+def test_compare_builds_one_distance_per_model(tmp_path, capsys,
+                                                monkeypatch):
+    # the model that scales lambda keeps the prior `from_quantile` built
+    built = []
+    init = DistanceFunction.__init__
+
+    def counting_init(self, model, design):
+        built.append(model.family.value)
+        init(self, model, design)
+
+    monkeypatch.setattr(DistanceFunction, "__init__", counting_init)
+    code, _ = run(capsys, ["compare", "--data",
+                           str(multi_grouping_csv(tmp_path)),
+                           "--model", "exchangeable@campaign",
+                           "--model", "ar1@transect",
+                           "--model", "ou@transect:pos",
+                           "--out-dir", str(tmp_path / "cmp")])
+    assert code == 0
+    assert built == ["exchangeable", "ar1", "ou"]
 
 
 def test_compare_number_error_names_the_first_model(tmp_path, capsys):

@@ -91,6 +91,20 @@ def test_design_gaps_and_offsets_match_positions():
                    for name in ("gaps", "offsets", "pair_rows"))
 
 
+def test_design_keeps_its_flat_positions_read_only():
+    # every row's position in row order, the rows that `_corr_blocks`
+    # slices through the offsets; None without positions
+    rng = np.random.default_rng(8)
+    for d in [random_design(rng, with_positions=True) for _ in range(10)]:
+        want = np.array([x for p in d.positions for x in p])
+        assert np.array_equal(d._flat_positions.view(np.int64),
+                              want.view(np.int64))
+        with pytest.raises(ValueError):
+            d._flat_positions[0] = 0.0
+        assert "_flat_positions" not in repr(d)
+    assert GroupedDesign(group_sizes=(2, 3))._flat_positions is None
+
+
 def test_design_gaps_are_bitwise_the_dropped_straddling_differences():
     # gaps taken at the pair rows are the differences of all positions
     # with those straddling two groups deleted, bit for bit

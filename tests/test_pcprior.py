@@ -27,7 +27,7 @@ from grouppc import (
     normalization_mass,
     solve_lambda,
 )
-from grouppc import corr, pcprior
+from grouppc import corr, io, pcprior
 
 EXCH = GroupModel(Family.EXCHANGEABLE)
 AR1 = GroupModel(Family.AR1)
@@ -416,6 +416,115 @@ def test_elicitation_within_its_pass_budget(kernel_calls, model, design):
     _assert_elicitation_pass_budget(kernel_calls, model, (
         field_transect_design() if design == "transect"
         else balanced_design(6, 50, unit_positions=True)))
+
+
+# ----------------------------------------------------------------------
+# the inversion table, kept on the design
+# ----------------------------------------------------------------------
+
+def _table_passes(kernel_calls):
+    return sum(c.size == pcprior._TABLE_NODES for c in kernel_calls)
+
+
+def test_inversion_table_is_built_once_per_family_and_design(kernel_calls):
+    # the table depends only on (family, design): a second prior on the
+    # design reuses it, while another family, or an equal design built
+    # anew, builds its own
+    design = unbalanced_design()
+    levels = np.arange(1, 100) / 100.0
+    first = PCPrior.from_quantile(OU, design, icc_to_param(OU, 0.5), 0.5)
+    kernel_calls.clear()
+    first.quantile(levels)
+    assert _table_passes(kernel_calls) == 1
+    second = PCPrior.from_quantile(OU, design, icc_to_param(OU, 0.2), 0.1)
+    kernel_calls.clear()
+    second.quantile(levels)
+    second.sample(99, 1)
+    assert _table_passes(kernel_calls) == 0 and kernel_calls
+    table = first.distance._inversion_table()
+    assert second.distance._inversion_table() is table
+    assert DistanceFunction(OU, design)._inversion_table() is table
+    kernel_calls.clear()
+    PCPrior.from_quantile(EXCH, design, 0.5, 0.5).quantile(levels)
+    assert _table_passes(kernel_calls) == 1
+    assert set(design._inversion_tables) == {Family.OU, Family.EXCHANGEABLE}
+    twin = GroupedDesign(design.group_sizes, design.positions)
+    assert twin == design and not twin._inversion_tables
+    kernel_calls.clear()
+    twin_table = DistanceFunction(OU, twin)._inversion_table()
+    assert _table_passes(kernel_calls) == 1 and twin_table is not table
+    for a, b in zip(twin_table, table):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("model", [EXCH, AR1, OU], ids=lambda m: m.family.value)
+def test_cached_inversion_table_is_read_only(model):
+    dist = DistanceFunction(model, unbalanced_design())
+    dist.invert(0.5)
+    for column in dist.design._inversion_tables[model.family]:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
+
+
+def _elicitation_bytes(model, design, path):
+    prior = PCPrior.from_quantile(model, design, icc_to_param(model, 0.5),
+                                  0.5)
+    io.write_grid(density_grid(prior, 1024), path)
+    return (np.float64(prior.lam).tobytes(),
+            prior.quantile(np.arange(1, 100) / 100.0).tobytes(),
+            prior.sample(500, 1).tobytes(),
+            np.float64(normalization_mass(prior)).tobytes(),
+            path.read_bytes())
+
+
+@pytest.mark.parametrize("model", [EXCH, AR1, OU], ids=lambda m: m.family.value)
+@pytest.mark.parametrize("name", ["balanced", "transect"])
+def test_elicitation_is_bitwise_equal_cold_and_warm(model, name, tmp_path):
+    # the six elicitations of the benchmark's prior-tables workload: on a
+    # fresh design, then again on the same design with its table cached
+    design = (field_transect_design() if name == "transect"
+              else balanced_design(6, 50, unit_positions=True))
+    assert not design._inversion_tables
+    cold = _elicitation_bytes(model, design, tmp_path / "cold.csv")
+    assert model.family in design._inversion_tables
+    warm = _elicitation_bytes(model, design, tmp_path / "warm.csv")
+    assert warm == cold
+
+
+def test_design_identity_is_unchanged_by_elicitation():
+    design = field_transect_design()
+    before = (repr(design), hash(design))
+    for model in (EXCH, AR1, OU):
+        PCPrior.from_quantile(model, design, icc_to_param(model, 0.5),
+                              0.5).quantile(0.5)
+    assert len(design._inversion_tables) == 3
+    assert (repr(design), hash(design)) == before
+    assert design == field_transect_design()
+    assert "_inversion_tables" not in repr(design)
+
+
+@pytest.mark.parametrize("model", [EXCH, AR1, OU], ids=lambda m: m.family.value)
+def test_inversions_keep_the_targets_shape(model):
+    # any shape is solved as one flat batch: the same bits as the flat call
+    prior = PCPrior.from_quantile(model, unbalanced_design(),
+                                  icc_to_param(model, 0.5), 0.5)
+    dist = prior.distance
+    levels = np.arange(1, 25) / 25.0
+    flat = prior.quantile(levels)
+    for shape in ((4, 6), (2, 3, 4), (24, 1)):
+        got = prior.quantile(levels.reshape(shape))
+        assert got.shape == shape
+        assert np.array_equal(got.ravel().view(np.int64), flat.view(np.int64))
+    target = -np.log1p(-levels) / prior.lam
+    for invert in (dist.invert_internal, dist.invert):
+        want = invert(target)
+        got = invert(target.reshape(4, 6))
+        assert got.shape == (4, 6)
+        assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
+        assert invert(target[:1]).shape == (1,)
+        assert invert(target.reshape(4, 6)[:, :0]).shape == (4, 0)
+        assert invert(float(target[3])) == want[3]
+    assert prior.quantile([[0.1, 0.5], [0.7, 0.9]]).shape == (2, 2)
 
 
 # ----------------------------------------------------------------------
