@@ -500,7 +500,6 @@ def test_design_identity_is_unchanged_by_elicitation():
     assert len(design._inversion_tables) == 3
     assert (repr(design), hash(design)) == before
     assert design == field_transect_design()
-    assert "_inversion_tables" not in repr(design)
 
 
 @pytest.mark.parametrize("model", [EXCH, AR1, OU], ids=lambda m: m.family.value)
