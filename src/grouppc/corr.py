@@ -138,13 +138,16 @@ def corr_matrix(model: GroupModel, design: GroupedDesign,
     model : GroupModel
     design : GroupedDesign
     group_index : int
-        Which group, ``0 .. design.n_groups - 1``.
+        Which group, ``0 .. design.n_groups - 1``; a negative index
+        counts from the end, as for ``design.group_sizes``.
     param : float
         rho in [0, 1) for exchangeable/AR1, phi > 0 for OU.
     """
     model.check_design(design)
     p = float(_check_param(model, param, allow_degenerate=False))
-    return _corr_block(model, design, group_index, p)
+    # one non-negative index for the sizes and the G + 1 offsets alike
+    j = range(design.n_groups)[group_index]
+    return _corr_block(model, design, j, p)
 
 
 def _corr_block(model: GroupModel, design: GroupedDesign,

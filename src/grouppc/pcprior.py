@@ -204,8 +204,10 @@ class DistanceFunction:
         underflows to 0 the table holds log d = -inf.  The table depends
         only on the family and the design, so the first inversion for a
         family builds it into the design's ``_inversion_tables``, read-only,
-        and every distance on that design reuses it.  Threads that race to
-        the first build each build equal bits, so either table serves.
+        and every later distance on that design object reuses it.  Only a
+        repeated elicitation on one design gains; the first on a design
+        pays for the build as before.  Threads that race to the first
+        build each build equal bits, so either table serves.
         """
         tables = self.design._inversion_tables
         family = self.model.family

@@ -80,29 +80,25 @@ def test_design_gaps_and_offsets_match_positions():
         # the later row of each within-group pair: every row but the firsts
         assert_array_equal(d.pair_rows,
                            np.setdiff1d(np.arange(bounds[-1]), bounds[:-1]))
-        for cached in (d.offsets, d.pair_rows, d.gaps, d.spacings(0),
-                       d.all_spacings()):
+        # every row's position in row order, bit for bit, which
+        # `_corr_blocks` slices through the offsets; None without positions
+        cached = [d.offsets, d.pair_rows, d.gaps, d.spacings(0),
+                  d.all_spacings()]
+        if d.positions is None:
+            assert d._flat_positions is None
+        else:
+            flat = np.array([x for p in d.positions for x in p])
+            assert np.array_equal(d._flat_positions.view(np.int64),
+                                  flat.view(np.int64))
+            cached.append(d._flat_positions)
+        for array in cached:
             with pytest.raises(ValueError):
-                cached[...] = 0
+                array[...] = 0
         # the cached arrays are derived, not part of the design's identity
         twin = GroupedDesign(group_sizes=d.group_sizes, positions=d.positions)
         assert twin == d and hash(twin) == hash(d)
-        assert all(name not in repr(d)
-                   for name in ("gaps", "offsets", "pair_rows"))
-
-
-def test_design_keeps_its_flat_positions_read_only():
-    # every row's position in row order, the rows that `_corr_blocks`
-    # slices through the offsets; None without positions
-    rng = np.random.default_rng(8)
-    for d in [random_design(rng, with_positions=True) for _ in range(10)]:
-        want = np.array([x for p in d.positions for x in p])
-        assert np.array_equal(d._flat_positions.view(np.int64),
-                              want.view(np.int64))
-        with pytest.raises(ValueError):
-            d._flat_positions[0] = 0.0
-        assert "_flat_positions" not in repr(d)
-    assert GroupedDesign(group_sizes=(2, 3))._flat_positions is None
+        assert all(name not in repr(d) for name in
+                   ("gaps", "offsets", "pair_rows", "_flat_positions"))
 
 
 def test_design_gaps_are_bitwise_the_dropped_straddling_differences():
@@ -225,6 +221,25 @@ def test_corr_matrix_positive_definite_interior():
         for model, param in [(EXCH, 0.97), (AR1, 0.97),
                              (GroupModel(Family.OU), 0.05)]:
             np.linalg.cholesky(corr_matrix(model, d, j, param))
+
+
+def test_corr_matrix_takes_negative_indices_from_the_end():
+    # a negative index picks the same group for the sizes and the rows,
+    # as it does in ``design.group_sizes``; one past either end raises
+    d = GroupedDesign(group_sizes=(2, 3, 1), positions=(
+        (0.0, 1.5), (-1.0, 0.25, 2.0), (4.0,)))
+    for model, param in [(EXCH, 0.3), (AR1, 0.3), (GroupModel(Family.OU), 0.7)]:
+        for j in range(d.n_groups):
+            want = corr_matrix(model, d, j, param)
+            assert want.shape == (d.group_sizes[j],) * 2
+            assert_array_equal(corr_matrix(model, d, j - d.n_groups, param),
+                               want)
+        for j in (d.n_groups, -d.n_groups - 1):
+            with pytest.raises(IndexError):
+                corr_matrix(model, d, j, param)
+    # group 1's first gap, not a gap of group 2
+    assert_allclose(corr_matrix(GroupModel(Family.OU), d, -2, 0.7)[0, 1],
+                    np.exp(-1.25 * 0.7))
 
 
 def test_corr_matrix_rejects_boundary_and_nan():
