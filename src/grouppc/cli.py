@@ -263,10 +263,9 @@ def cmd_simulate(args):
         rng = np.random.default_rng([args.seed, 1])
         gaps = rng.uniform(1 - args.pos_jitter, 1 + args.pos_jitter,
                            size=(args.n, args.m - 1))
-        positions = tuple(
-            tuple(np.concatenate([[0.0], np.cumsum(g)])) for g in gaps)
+        positions = np.cumsum(np.insert(gaps, 0, 0.0, axis=1), axis=1)
         design = GroupedDesign(group_sizes=(args.m,) * args.n,
-                               positions=positions)
+                               positions=tuple(positions))
     else:
         design = balanced_design(args.n, args.m,
                                  unit_positions=family is Family.OU)

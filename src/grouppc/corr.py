@@ -176,7 +176,7 @@ def _corr_blocks(model: GroupModel, design: GroupedDesign, groups,
         idx = np.arange(m)
         return p ** np.abs(idx[:, None] - idx[None, :])
     # OU: entries decay with the absolute coordinate difference
-    if design.positions is not None:
+    if design._flat_positions is not None:
         rows = design.offsets[groups, None] + np.arange(m)
         pos = design._flat_positions[rows]
     else:

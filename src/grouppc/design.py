@@ -10,10 +10,10 @@ single free parameter each.
 from __future__ import annotations
 
 import hashlib
-import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 from numpy.typing import NDArray
@@ -55,6 +55,12 @@ def _whole(value, error, what: str) -> int:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
+def _per_group(flat, offsets) -> tuple[tuple[float, ...], ...]:
+    """Row-ordered values as one tuple of Python floats per group."""
+    cut = map(slice, offsets[:-1].tolist(), offsets[1:].tolist())
+    return tuple(map(tuple, map(flat.tolist().__getitem__, cut)))
+
+
 @dataclass(frozen=True)
 class GroupedDesign:
     """Partition of observations into groups, with optional positions.
@@ -68,19 +74,17 @@ class GroupedDesign:
         within each group.  Required by the OU family unless unit spacing
         is declared on the model.
 
-    Built once, read-only: ``offsets``, each group's first row in the
-    stacked observations, then the total size; ``pair_rows``, the later
-    row of each consecutive pair within a group; ``gaps``, the position
-    differences at those rows (unit gaps without positions);
-    ``size_classes``, (size, number of groups) int pairs by size, and
-    ``_pair_classes``, float rows m - 1, count, count m (m - 1) for m > 1;
-    ``_flat_positions``, every row's position in row order (None without
-    positions).  Two private caches fill on first use and stay read-only:
-    ``_ou_moments``, the OU series' gap moments, which `corr` derives on
-    its first series call on the design, and ``_inversion_tables``, the
-    distance-inversion start table of each family, which
-    `pcprior.DistanceFunction` builds on its first inversion.  None of
-    them takes part in ``==``, ``hash`` or ``repr``.
+    Built once, read-only: ``_flat_positions``, every row's position in
+    row order (None without positions), which ``positions`` is read back
+    from; ``offsets``, each group's first row, then the total size;
+    ``pair_rows``, the later row of each within-group pair; ``gaps``, the
+    position differences at those rows (unit gaps without positions);
+    ``size_classes``, (size, number of groups) int pairs by size;
+    ``_pair_classes``, float rows m - 1, count, count m (m - 1) for m > 1.
+    Two private caches fill on first use: ``_ou_moments``, the OU series'
+    gap moments, from `corr`, and ``_inversion_tables``, each family's
+    distance-inversion start table, from `pcprior.DistanceFunction`.  None
+    of them takes part in ``==``, ``hash`` or ``repr``.
     """
 
     group_sizes: tuple[int, ...]
@@ -107,40 +111,38 @@ class GroupedDesign:
         object.__setattr__(self, "group_sizes", sizes)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         pair_rows = np.delete(np.arange(offsets[-1]), offsets[:-1])
-        if self.positions is None:
-            flat = None
-            gaps = np.ones(pair_rows.size)
-        else:
-            pos = tuple(tuple(float(x) for x in p) for p in self.positions)
-            if len(pos) != len(sizes):
+        flat, gaps = None, np.ones(pair_rows.size)
+        if self.positions is not None:
+            groups = tuple(self.positions)
+            if len(groups) != len(sizes):
                 raise ConfigurationError(
-                    "positions must list one coordinate tuple per group"
-                )
-            for j, (m, p) in enumerate(zip(sizes, pos)):
-                if len(p) != m:
-                    raise ConfigurationError(
-                        f"group {j} has {m} observations but {len(p)} positions"
-                    )
-                if not all(map(math.isfinite, p)):
-                    raise ConfigurationError(f"group {j}: position not finite")
-            object.__setattr__(self, "positions", pos)
-            flat = np.fromiter((x for p in pos for x in p), float, offsets[-1])
-            gaps = flat[pair_rows] - flat[pair_rows - 1]
-            bad = pair_rows[gaps <= 0]
+                    "positions must list one coordinate tuple per group")
+            lengths = np.fromiter(map(len, groups), np.intp, len(sizes))
+            flat = np.fromiter(map(float, chain.from_iterable(groups)), float)
+            # rows agree up to k, the first group of the wrong length
+            k = np.append(np.flatnonzero(lengths != sizes), len(sizes))[0]
+            bad = np.flatnonzero(~np.isfinite(flat[:offsets[k]]))
+            message = "group {j}: position not finite"
+            if not bad.size and k < len(sizes):
+                bad = offsets[k:k + 1]
+                message = "group {j} has {m} observations but {n} positions"
+            elif not bad.size:
+                gaps = flat[pair_rows] - flat[pair_rows - 1]
+                bad = pair_rows[gaps <= 0]
+                message = "positions in group {j} must be strictly increasing"
             if bad.size:
                 j = np.searchsorted(offsets, bad[0], side="right") - 1
                 raise ConfigurationError(
-                    f"positions in group {j} must be strictly increasing"
-                )
+                    message.format(j=j, m=sizes[j], n=lengths[j]))
+            object.__setattr__(self, "positions", _per_group(flat, offsets))
         distinct, counts = np.unique(sizes, return_counts=True)
-        object.__setattr__(self, "size_classes",
-                           tuple(zip(distinct.tolist(), counts.tolist())))
         m, c = (v[distinct > 1, None] * 1.0 for v in (distinct, counts))
-        for name, value in (("offsets", offsets), ("pair_rows", pair_rows),
-                            ("gaps", gaps), ("_pair_classes", np.stack(
-                                [m - 1.0, c, c * m * (m - 1.0)])),
-                            ("_flat_positions", flat)):
-            if value is not None:
+        for name, value in (
+                ("offsets", offsets), ("pair_rows", pair_rows), ("gaps", gaps),
+                ("size_classes", tuple(zip(distinct.tolist(), counts.tolist()))),
+                ("_pair_classes", np.stack([m - 1.0, c, c * m * (m - 1.0)])),
+                ("_flat_positions", flat)):
+            if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -155,8 +157,7 @@ class GroupedDesign:
     def spacings(self, group_index: int) -> NDArray:
         """Consecutive position gaps within one group (unit gaps if no positions)."""
         j = range(self.n_groups)[group_index]
-        start = self.offsets[j] - j
-        return self.gaps[start:start + self.group_sizes[j] - 1]
+        return self.gaps[self.offsets[j] - j:self.offsets[j + 1] - j - 1]
 
     def all_spacings(self) -> NDArray:
         """Consecutive gaps of every group concatenated (length total_size - n_groups)."""
@@ -165,17 +166,15 @@ class GroupedDesign:
     def group_slices(self) -> list[slice]:
         """Row slices of each group in a stacked observation vector."""
         bounds = self.offsets.tolist()
-        return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        return list(map(slice, bounds[:-1], bounds[1:]))
 
 
 def balanced_design(n_groups: int, group_size: int,
                     unit_positions: bool = False) -> GroupedDesign:
     """Convenience constructor for n equally sized groups."""
-    positions = None
-    if unit_positions:
-        positions = tuple(tuple(float(i) for i in range(group_size))
-                          for _ in range(n_groups))
-    return GroupedDesign(group_sizes=(group_size,) * n_groups, positions=positions)
+    positions = (tuple(map(float, range(group_size))),) * n_groups
+    return GroupedDesign(group_sizes=(group_size,) * n_groups,
+                         positions=positions if unit_positions else None)
 
 
 @dataclass(frozen=True)

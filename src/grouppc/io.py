@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import count
 from types import SimpleNamespace
 
 import numpy as np
 
-from .design import Dataset, GroupedDesign
+from .design import Dataset, GroupedDesign, _per_group
 from .errors import ParseError
 from .pcprior import PriorGrid
 
@@ -123,35 +124,30 @@ def table_design(table, group_column="group", pos_column=None):
     each group, and positions must be finite and distinct in a group.
     The row order indexes the table's rows, group by group.
     """
-    pos = None if pos_column is None else _float_columns(table, [pos_column])[0]
+    pos = (None if pos_column is None
+           else np.array(_float_columns(table, [pos_column])[0]))
     if not table.line_nums:
         raise ParseError(f"{table.path}: no data rows")
     if pos is not None and not np.isfinite(pos).all():
         i = int(np.argmin(np.isfinite(pos)))
         raise ParseError(f"row {table.line_nums[i]}, column {pos_column!r}: "
-                         f"position {pos[i]!r} is not finite")
-
-    groups: dict[str, list] = {}
-    for i, label in enumerate(table.column(group_column)):
-        groups.setdefault(label, []).append(i)
-    positions = []
-    for label, rows in groups.items():
-        if pos is not None:
-            rows.sort(key=pos.__getitem__)
-            for prev, cur in zip(rows, rows[1:]):
-                if pos[cur] <= pos[prev]:
-                    raise ParseError(
-                        f"row {table.line_nums[cur]}, column {pos_column!r}: "
-                        f"position {pos[cur]!r} duplicates one in group "
-                        f"{label!r}")
-            positions.append(tuple(pos[i] for i in rows))
-
-    design = GroupedDesign(
-        group_sizes=tuple(map(len, groups.values())),
-        positions=tuple(positions) if pos is not None else None,
-    )
-    order = [i for rows in groups.values() for i in rows]
-    return design, np.array(order, dtype=np.intp)
+                         f"position {float(pos[i])!r} is not finite")
+    labels = table.column(group_column)
+    number = dict(zip(dict.fromkeys(labels), count()))
+    rank = np.fromiter(map(number.__getitem__, labels), np.intp, len(labels))
+    sizes = tuple(np.bincount(rank).tolist())
+    if pos is None:
+        return GroupedDesign(sizes), np.lexsort((rank,))
+    order = np.lexsort((pos, rank))
+    flat = pos[order]
+    dup = np.flatnonzero((np.diff(rank[order]) == 0) & (np.diff(flat) <= 0))
+    if dup.size:
+        i = order[dup[0] + 1]
+        raise ParseError(f"row {table.line_nums[i]}, column {pos_column!r}: "
+                         f"position {float(pos[i])!r} duplicates one in "
+                         f"group {labels[i]!r}")
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    return GroupedDesign(sizes, _per_group(flat, offsets)), order
 
 
 def table_numbers(table, covariate_names=()):
@@ -217,7 +213,7 @@ def write_dataset(dataset, path, group_labels=None):
     columns = [dataset.y.tolist(), *dataset.X[:, 1:].T.tolist()]
     header = ["y", "group", *dataset.column_names[1:]]
     if design.positions is not None:
-        columns.insert(1, [x for p in design.positions for x in p])
+        columns.insert(1, design._flat_positions.tolist())
         header.insert(2, "pos")
     rows = list(zip(*columns))
     # the csv module renders each group's row format once (writerow returns

@@ -155,6 +155,84 @@ def test_design_names_group_with_non_finite_position(value):
         GroupedDesign(group_sizes=(1, 2), positions=((value,), (0.0, 1.0)))
 
 
+def per_group_loop_error(sizes, positions):
+    """The message of the per-group loop the array checks replaced, or None."""
+    pos = tuple(tuple(float(x) for x in p) for p in positions)
+    if len(pos) != len(sizes):
+        return "positions must list one coordinate tuple per group"
+    for j, (m, p) in enumerate(zip(sizes, pos)):
+        if len(p) != m:
+            return f"group {j} has {m} observations but {len(p)} positions"
+        if not all(map(math.isfinite, p)):
+            return f"group {j}: position not finite"
+    for j, p in enumerate(pos):
+        if any(b - a <= 0 for a, b in zip(p, p[1:])):
+            return f"positions in group {j} must be strictly increasing"
+    return None
+
+
+def test_design_position_errors_match_the_per_group_loop():
+    rng = np.random.default_rng(29)
+    seen = set()
+    for _ in range(600):
+        sizes = [int(m) for m in rng.integers(1, 6, int(rng.integers(1, 7)))]
+        groups = [np.cumsum(rng.uniform(0.3, 1.8, m)).tolist() for m in sizes]
+        for _ in range(int(rng.integers(1, 4))):
+            j = int(rng.integers(len(groups))) if groups else 0
+            fault = int(rng.integers(4))
+            if fault == 0:
+                if rng.random() < 0.5 or not groups:
+                    groups.append([0.0])
+                else:
+                    groups.pop()
+            elif not groups:
+                continue
+            elif fault == 1:
+                if rng.random() < 0.5 or not groups[j]:
+                    groups[j].append((groups[j] or [0.0])[-1] + 1.0)
+                else:
+                    groups[j].pop()
+            elif fault == 2 and groups[j]:
+                groups[j][int(rng.integers(len(groups[j])))] = (
+                    rng.choice([np.nan, np.inf, -np.inf]))
+            elif fault == 3 and len(groups[j]) > 1:
+                i = int(rng.integers(1, len(groups[j])))
+                groups[j][i] = groups[j][i - 1] - rng.choice([0.0, 0.25])
+        want = per_group_loop_error(sizes, groups)
+        seen.add(want and want.split()[-1])
+        if want is None:
+            GroupedDesign(group_sizes=tuple(sizes), positions=groups)
+            continue
+        with pytest.raises(ConfigurationError) as err:
+            GroupedDesign(group_sizes=tuple(sizes), positions=groups)
+        assert str(err.value) == want
+    assert seen >= {"group", "positions", "finite", "increasing", None}
+
+
+def test_design_positions_are_python_floats_whatever_the_input():
+    rng = np.random.default_rng(30)
+    for _ in range(40):
+        sizes = tuple(int(m) for m in rng.integers(1, 8, int(rng.integers(1, 6))))
+        whole = [np.cumsum(rng.integers(1, 4, m)) - 2 for m in sizes]
+        real = [np.cumsum(rng.uniform(0.3, 1.8, m)) - 1.0 for m in sizes]
+        for groups, ints in ((whole, True), (real, False)):
+            forms = [tuple(map(tuple, (g.tolist() for g in groups))),
+                     [g.tolist() for g in groups], list(groups),
+                     tuple(tuple(map(np.float64, g)) for g in groups)]
+            if ints:
+                forms.append(tuple(tuple(map(int, g)) for g in groups))
+            designs = [GroupedDesign(group_sizes=sizes, positions=p)
+                       for p in forms]
+            want = [np.asarray(g, dtype=float) for g in groups]
+            for d in designs:
+                assert d == designs[0] and hash(d) == hash(designs[0])
+                assert repr(d) == repr(designs[0])
+                assert all(type(x) is float for p in d.positions for x in p)
+                assert [np.array(p).view(np.int64).tolist()
+                        for p in d.positions] == \
+                    [g.view(np.int64).tolist() for g in want]
+
+
 def test_design_size_classes_count_each_size():
     d = GroupedDesign(group_sizes=(3, 1, 3, 2, 3, 1))
     assert d.size_classes == ((1, 2), (2, 1), (3, 3))

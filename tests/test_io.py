@@ -169,9 +169,47 @@ def test_non_finite_position_names_row_and_column(tmp_path, value):
                      f"y,group,pos\n1,a,0\n2,a,1\n3,b,0\n4,b,{value}\n")
     for read in (lambda: io.read_dataset(path, pos_column="pos"),
                  lambda: io.table_design(io.read_table(path), "group", "pos")):
-        with pytest.raises(ParseError, match=r"row 5, column 'pos': "
-                                             r"position .* is not finite"):
+        # the whole message: a numpy scalar would print as np.float64(nan)
+        with pytest.raises(ParseError) as err:
             read()
+        assert str(err.value) == (f"row 5, column 'pos': position {value} "
+                                  f"is not finite")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("1,a,1\n2,b,2\n3,b,2\n",
+     "row 4, column 'pos': position 2.0 duplicates one in group 'b'"),
+    # -0.0 == 0.0: the later row in file order is the duplicate
+    ("1,b,0.0\n2,b,-0.0\n",
+     "row 3, column 'pos': position -0.0 duplicates one in group 'b'"),
+    ("1,b,-0.0\n2,b,0\n",
+     "row 3, column 'pos': position 0.0 duplicates one in group 'b'"),
+    # the first group by first appearance, then the first pair in order
+    ("1,c,5\n2,b,3\n3,b,1\n4,c,5\n5,b,1\n",
+     "row 5, column 'pos': position 5.0 duplicates one in group 'c'"),
+])
+def test_duplicate_position_message_verbatim(tmp_path, body, message):
+    # the whole message: a numpy scalar would print as np.float64(2.0)
+    path = write_csv(tmp_path / "v.csv", "y,group,pos\n" + body)
+    with pytest.raises(ParseError) as err:
+        io.table_design(io.read_table(path), "group", "pos")
+    assert str(err.value) == message
+
+
+def test_labels_differing_by_a_nul_stay_two_groups(tmp_path):
+    # csv passes the NUL through; a fixed-width numpy string array would
+    # drop it and merge the two labels
+    path = write_csv(tmp_path / "n.csv",
+                     "y,group,pos\n1,a\x00,2\n2,a,1\n3,a\x00,1\n4,a,0\n")
+    table = io.read_table(path)
+    assert set(table.column("group")) == {"a", "a\x00"}
+    design, order = io.table_design(table, "group", "pos")
+    assert design.group_sizes == (2, 2)
+    assert design.positions == ((1.0, 2.0), (0.0, 1.0))
+    assert order.tolist() == [2, 0, 3, 1]
+    design, order = io.table_design(table, "group")
+    assert design.group_sizes == (2, 2)
+    assert order.tolist() == [0, 2, 1, 3]
 
 
 def test_parse_errors_name_row_and_column(tmp_path):
