@@ -25,12 +25,16 @@ or consecutive pairs (AR1, OU) without building R^-1; for OU the kernel
 pass forms both.  `_unit_gap_correlation` reports the correlation one
 unit apart.
 
-OU sums run over gaps at x = 2 gap phi in two regimes, split per node by
-its largest x.  Where that is at most 2, each per-gap term is a
-Bernoulli-number series in x (Abramowitz & Stegun 23.1.1, radius 2 pi),
-so the sums over gaps come from 21 terms over a few gap power moments
-(`_ou_series_sums`, which states the series' truncation and cancellation
-bounds); every other node walks all its gaps (`_ou_gap_sums`).
+OU sums run over gaps at x = 2 gap phi.  On a design with at most 21
+distinct gap values (unit or integer spacing, say), every node sums the
+terms of those values, each weighted by how many gaps take it, and Z'QZ
+takes the pair products summed once per value (`_distinct_gaps`).  Other
+designs split the nodes by their largest x.  Where that is at most 2,
+each per-gap term is a Bernoulli-number series in x (Abramowitz & Stegun
+23.1.1, radius 2 pi), so the sums over gaps come from 21 terms over a
+few gap power moments (`_ou_series_sums`, which states the series'
+truncation and cancellation bounds); every other node walks all its gaps
+(`_ou_gap_sums`).
 
 A dense Cholesky fallback (`log_det_dense`) backs the same quantities
 for verification.
@@ -77,7 +81,9 @@ def _log1pmx(x, log1p_x=None):
     near = np.abs(x) < 0.1
     if near.ndim == 0:   # a scalar: plain branching is far cheaper
         return _log1pmx_near(x) if near else out
-    return np.where(near, _log1pmx_near(x), out) if near.any() else out
+    if near.any():   # the series on the near elements only (elementwise)
+        out[near] = _log1pmx_near(x[near])
+    return out
 
 
 def _log1pmx_near(x):
@@ -218,7 +224,7 @@ def _work(name: str, shape, dtype=float) -> NDArray:
     return buf[:size].reshape(shape)
 
 
-def _ou_terms(x, e, one_m_e, small, weights=None):
+def _ou_terms(x, e, one_m_e, small, weights=None, counts=None):
     """Row sums of log(1 - e^-x) and x / (e^x - 1), for x >= 0.
 
     Both share e^-x and 1 - e^-x = -expm1(-x): the log is log(1 - e^-x)
@@ -227,7 +233,8 @@ def _ou_terms(x, e, one_m_e, small, weights=None):
     and 0 at inf from x capped at 1e308.  Overwrites all four arrays.
     ``weights`` (rows x 3 x gaps x 1) get the Markov pair weights at gap
     correlation r = e^(-x/2) from e = r^2 and 1 - e before they are
-    overwritten: 1 / (1 - e), 1 / (1 + r), (1 - e) / (1 + r)^2.
+    overwritten: 1 / (1 - e), 1 / (1 + r), (1 - e) / (1 + r)^2.  With
+    ``counts`` (one per column) each term is weighted by its count.
     """
     np.minimum(x, 1e308, out=x)
     np.less(x, np.log(2.0), out=small)
@@ -243,14 +250,20 @@ def _ou_terms(x, e, one_m_e, small, weights=None):
         np.fmin(x, 1.0, out=x)
         np.log1p(np.negative(e, out=e), out=e)
         np.log(one_m_e, out=e, where=small)
+    if counts is not None:
+        np.multiply(e, counts, out=e)
+        np.multiply(x, counts, out=x)
     return e.sum(axis=-1), x.sum(axis=-1)
 
 
-def _ou_gap_sums(design: GroupedDesign, phi, pairs=None):
+def _ou_gap_sums(design: GroupedDesign, phi, pairs=None, distinct=()):
     """`_ou_terms` over all gaps at x = 2 gap phi, one row of gaps per node.
 
     This is the walk for the nodes whose largest x exceeds 2 (`_ou_sums`
-    takes the others from series); it holds for any x >= 0.
+    takes the others from series); it holds for any x >= 0.  With
+    ``distinct`` = (values, counts) from `_distinct_gaps` a row holds the
+    design's distinct gap values, each term weighted by its count, and
+    ``pairs`` come summed over the gaps of each value.
 
     The nodes x gaps rows are built `_OU_BLOCK` elements at a time into
     this thread's `_work` arrays, so memory stays bounded, and each node's
@@ -263,7 +276,8 @@ def _ou_gap_sums(design: GroupedDesign, phi, pairs=None):
     product's rows depend on the block) summed apart (stacked, they round
     several times worse); one skipped node, all weights 1, serves all.
     """
-    two_gaps = 2.0 * design.gaps
+    gaps, counts = distinct or (design.gaps, None)
+    two_gaps = 2.0 * gaps
     flat = np.ravel(phi)
     log_det, ratio = np.zeros(flat.shape), np.zeros(flat.shape)
     skip = (np.exp(-flat * two_gaps.min()) == 0.0 if two_gaps.size
@@ -282,7 +296,7 @@ def _ou_gap_sums(design: GroupedDesign, phi, pairs=None):
         at = live[a:a + rows]
         block = [v[:at.size] for v in work]
         np.multiply(flat[at][:, None], two_gaps, out=block[0])
-        log_det[at], ratio[at] = _ou_terms(*block)
+        log_det[at], ratio[at] = _ou_terms(*block, counts=counts)
         if pairs is not None:
             w = block[4]
             stats[at] = sum(pairs[i] @ w[:, i] for i in range(3))[..., 0]
@@ -426,15 +440,40 @@ def _ou_series_sums(design: GroupedDesign, x_max, pairs=None):
     return log_det, ratio, stats
 
 
+def _distinct_gaps(design: GroupedDesign):
+    """(values, counts, order, bounds): the design's distinct gap values,
+    how many gaps take each (as floats), the gap order that groups equal
+    gaps and the bounds of each value's run in it, the arrays read-only;
+    () where the design has no gaps or more than len(`_OU_COEFS`) = 21
+    values.  Derived on the first call for a design and kept on it."""
+    if design._distinct_gaps is None:
+        values, index, counts = np.unique(design.gaps, return_inverse=True,
+                                          return_counts=True)
+        found = ()
+        if 0 < values.size <= len(_OU_COEFS):
+            found = (values, counts * 1.0, np.argsort(index, kind="stable"),
+                     np.append(0, np.cumsum(counts)).tolist())
+            for v in found[:3]:
+                v.flags.writeable = False
+        object.__setattr__(design, "_distinct_gaps", found)
+    return design._distinct_gaps
+
+
 def _ou_sums(design: GroupedDesign, phi, pairs=None):
-    """`_ou_gap_sums` as output, from `_ou_series_sums` at the nodes whose
-    largest x = 2 gap phi is at most `_OU_SERIES_MAX` (its bounds are
-    stated there) and from the walk at the others."""
+    """`_ou_gap_sums` as output.  On a design with at most len(`_OU_COEFS`)
+    = 21 distinct gap values (`_distinct_gaps`) every node walks those
+    values, each term weighted by its count: O(values) a node, at most the
+    series' 21 terms; ``pairs`` then come summed per value.  On any other
+    design the nodes whose largest x = 2 gap phi is at most
+    `_OU_SERIES_MAX` take `_ou_series_sums` (its bounds are stated there)
+    and the others walk every gap."""
+    distinct = _distinct_gaps(design)
+    if distinct or not design.gaps.size:
+        return _ou_gap_sums(design, phi, pairs, distinct[:2])
     flat = np.ravel(phi)
-    if design.gaps.size:
-        x_max = flat * (2.0 * design.gaps.max())
-        series = x_max <= _OU_SERIES_MAX
-    if not design.gaps.size or not series.any():
+    x_max = flat * (2.0 * design.gaps.max())
+    series = x_max <= _OU_SERIES_MAX
+    if not series.any():
         return _ou_gap_sums(design, phi, pairs)
     walk = np.flatnonzero(~series)
     out = [np.empty(flat.shape), np.empty(flat.shape)]
@@ -459,10 +498,8 @@ def _log_det_slope(model: GroupModel, design: GroupedDesign, p, log1m_rho, j,
     point as rho -> 0, where log|R| is O(rho^2).  The derivative is a sum
     of -m (m - 1) rho j / (1 + (m - 1) rho) per exchangeable block,
     -2 rho j / (1 + rho) per AR1 pair or j x / (e^x - 1) per OU gap.
-    The OU sums come from `_ou_sums`: series in x at the nodes whose
-    largest x = 2 gap phi is at most 2 (bounded at `_ou_series_sums`),
-    the gap walk at the others.  OU ``pairs`` add the weighted pair sums
-    as a third output.
+    The OU sums come from `_ou_sums`, which states how.  OU ``pairs`` add
+    the weighted pair sums as a third output.
     """
     if model.family is Family.OU:
         log_det, ratio, *stats = _ou_sums(design, p, pairs)
@@ -616,6 +653,12 @@ def _markov_rows(dataset: Dataset):
     return Z[dataset.design.offsets[:-1]], Z[b] - Z[b - 1], Z[b - 1]
 
 
+def _pair_products(D, A):
+    """D'D, D'A + A'D and A'A: the pair products summed over the rows."""
+    DA = D.T @ A
+    return D.T @ D, DA + DA.T, A.T @ A
+
+
 def _kernel_and_stats(dataset: Dataset, model: GroupModel, s: NDArray):
     """(`_internal_kernel`, Z'QZ) at internal nodes ``s``: the one source
     of the statistics Z'QZ at unit precision, Z = [y, X], one q x q block
@@ -634,8 +677,9 @@ def _kernel_and_stats(dataset: Dataset, model: GroupModel, s: NDArray):
     expit(-s) (AR1) or -expm1(-2 phi gap) / (1 + r) (OU); neither cancels
     as r -> 1.  OU takes all three outputs from one `_internal_kernel`
     pass, fed the upper triangles of the pair products D D', D A' + A D'
-    and A A': the gap walk, or series in x = 2 phi gap at small x (whose
-    bounds `_ou_series_sums` states).
+    and A A', one column per gap, or per gap value where `_ou_sums`
+    takes the design's distinct gaps: summed over that value's pairs
+    first, as AR1 sums them over all pairs.
     """
     design = dataset.design
     q = dataset.n_coef + 1
@@ -657,15 +701,24 @@ def _kernel_and_stats(dataset: Dataset, model: GroupModel, s: NDArray):
     if model.family is Family.AR1:
         # one gap correlation for every pair: sum the products first
         r, one_m_r = expit(s)[:, None], expit(-s)[:, None]
-        DA = D.T @ A
-        pairs = [P.reshape(1, q * q) for P in (D.T @ D, DA + DA.T, A.T @ A)]
+        pairs = [P.reshape(1, q * q) for P in _pair_products(D, A)]
         w = np.reciprocal(np.add(r, 1.0, out=r), out=r)
         W = ((w / one_m_r) @ pairs[0] + w @ pairs[1]
              + (w * one_m_r) @ pairs[2])
         return kernel, first.T @ first + W.reshape(-1, q, q)
     a, b = np.triu_indices(q)
-    D, A = D.T, A.T
-    pairs = np.stack([D[a] * D[b], D[a] * A[b] + A[a] * D[b], A[a] * A[b]])
+    distinct = _distinct_gaps(design)
+    if distinct:
+        # one gap correlation per distinct gap: sum each one's products first
+        order, bounds = distinct[2:]
+        # np.take gathers rows several times faster than D[order] does
+        D, A = (np.take(v, order, axis=0) for v in (D, A))
+        pairs = np.stack([[P[a, b] for P in _pair_products(D[i:k], A[i:k])]
+                          for i, k in zip(bounds[:-1], bounds[1:])], axis=-1)
+    else:
+        D, A = D.T, A.T
+        pairs = np.stack([D[a] * D[b], D[a] * A[b] + A[a] * D[b],
+                          A[a] * A[b]])
     log_det, slope, upper = _internal_kernel(model, design, s, pairs)
     W = np.empty((len(upper), q, q))
     W[:, a, b] = W[:, b, a] = upper

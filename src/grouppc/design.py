@@ -81,8 +81,10 @@ class GroupedDesign:
     position differences at those rows (unit gaps without positions);
     ``size_classes``, (size, number of groups) int pairs by size;
     ``_pair_classes``, float rows m - 1, count, count m (m - 1) for m > 1.
-    Two private caches fill on first use: ``_ou_moments``, the OU series'
-    gap moments, from `corr`, and ``_inversion_tables``, each family's
+    Three private caches fill on first use: ``_ou_moments``, the OU
+    series' gap moments, and ``_distinct_gaps``, the distinct gap values
+    with their counts and the gap order that groups them (empty past 21
+    values), both from `corr`, and ``_inversion_tables``, each family's
     distance-inversion start table, from `pcprior.DistanceFunction`.  None
     of them takes part in ``==``, ``hash`` or ``repr``.
     """
@@ -98,6 +100,8 @@ class GroupedDesign:
                                             compare=False)
     _ou_moments: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
+    _distinct_gaps: tuple | None = field(default=None, init=False, repr=False,
+                                         compare=False)
     _inversion_tables: dict = field(default_factory=dict, init=False,
                                     repr=False, compare=False)
 

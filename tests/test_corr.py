@@ -1,5 +1,6 @@
 """Correlation structures: closed forms against dense linear algebra."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -33,7 +34,10 @@ from grouppc.corr import (
     _OU_A,
     _OU_B,
     _OU_C,
+    _OU_COEFS,
     _OU_SERIES_MAX,
+    _distinct_gaps,
+    _log1pmx_near,
     _ou_gap_sums,
     _ou_moments,
     _ou_series_sums,
@@ -439,10 +443,16 @@ def test_log_det_strictly_decreasing_in_rho():
 
 
 def test_ou_reduces_to_ar1_at_unit_spacing():
-    d = balanced_design(3, 7)
-    for rho in (0.05, 0.4, 0.95):
-        assert_allclose(log_det(OU_UNIT, d, -np.log(rho)),
-                        log_det(AR1, d, rho), rtol=1e-13)
+    # unit gaps are one distinct value: log|R| is (m - 1) log(1 - e^-2phi)
+    # per group, AR1's (m - 1) log(1 - rho^2) at rho = e^-phi
+    ragged = GroupedDesign(group_sizes=(5, 1, 9, 2, 30))
+    unit = GroupedDesign(ragged.group_sizes, positions=tuple(
+        tuple(map(float, range(m))) for m in ragged.group_sizes))
+    phi = np.array([0.02, 0.1, 0.5, 1.0, 3.0, 20.0])
+    want = log_det(AR1, ragged, np.exp(-phi))
+    for model, design in ((OU_UNIT, ragged), (GroupModel(Family.OU), unit)):
+        assert_allclose(log_det(model, design, phi), want, rtol=1e-14)
+        assert _distinct_gaps(design)[0].tolist() == [1.0]
 
 
 # ----------------------------------------------------------------------
@@ -571,24 +581,48 @@ def test_dlogdet_dinternal_matches_chain_rule_and_differences():
             assert_allclose(_internal_kernel(model, d, t)[1], fd, rtol=2e-6)
 
 
+def _row_length(design):
+    """Elements in a node's row of the OU walk: the distinct gap values
+    where the design has at most 21 of them, else every gap."""
+    distinct = _distinct_gaps(design)
+    return distinct[0].size if distinct else design.gaps.size
+
+
+def _gap_values_design(values, rng, n_groups=30):
+    """``n_groups`` groups of 1-12 rows whose gaps are drawn from
+    ``values``, each value taken at least once (in the first groups);
+    exact binary fractions as values make the gaps exactly the values."""
+    values = np.asarray(values, dtype=float)
+    sizes = [int(v) for v in rng.integers(1, 13, n_groups)]
+    gaps = [rng.choice(values, m - 1) for m in sizes]
+    flat = np.concatenate(gaps)
+    flat[:values.size] = rng.permutation(values)
+    gaps = np.split(flat, np.cumsum([m - 1 for m in sizes])[:-1])
+    return GroupedDesign(group_sizes=tuple(sizes), positions=tuple(
+        tuple(np.cumsum(np.append(0.25, g)).tolist()) for g in gaps))
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 def test_ou_closed_forms_are_chunk_invariant(chunk, monkeypatch):
     # the OU sums over gaps run a block of nodes at a time, one contiguous
-    # row of gaps per node: every node's sum is the same, bit for bit,
-    # whatever its block, and a scalar phi gives its batched value
+    # row of gaps (or of distinct gap values) per node: every node's sum
+    # is the same, bit for bit, whatever its block, and a scalar phi gives
+    # its batched value
     rng = np.random.default_rng(11)
     sizes = tuple(int(v) for v in rng.integers(1, 13, 30))
-    design = GroupedDesign(group_sizes=sizes, positions=tuple(
+    ragged = GroupedDesign(group_sizes=sizes, positions=tuple(
         tuple(np.cumsum(rng.uniform(0.3, 1.8, m)).tolist()) for m in sizes))
+    repeated = _gap_values_design([0.5, 1.0, 2.5], rng)
     ou = GroupModel(Family.OU)
-    for n in (1, chunk, chunk + 1, 3 * chunk + 1, 40):
+    for design, n in itertools.product(
+            (ragged, repeated), (1, chunk, chunk + 1, 3 * chunk + 1, 40)):
         t = rng.uniform(-4.0, 4.0, n)
         phi = np.exp(t)
         whole = (*_internal_kernel(ou, design, t),
                  log_det(ou, design, phi.reshape(1, n))[0],
                  dlogdet_dparam(ou, design, phi))
         monkeypatch.setattr("grouppc.corr._OU_BLOCK",
-                            chunk * design.gaps.size)
+                            chunk * _row_length(design))
         parts = (*_internal_kernel(ou, design, t),
                  log_det(ou, design, phi.reshape(1, n))[0],
                  dlogdet_dparam(ou, design, phi))
@@ -601,6 +635,7 @@ def test_ou_closed_forms_are_chunk_invariant(chunk, monkeypatch):
                    log_det(ou, design, phi[i]),
                    dlogdet_dparam(ou, design, phi[i]))
             assert one == tuple(a[i] for a in whole)
+    assert not _distinct_gaps(ragged) and len(_distinct_gaps(repeated)[0]) == 3
 
 
 def _exchangeable_loop(design, p, log1m_rho, j):
@@ -708,15 +743,18 @@ def test_ou_stats_equal_dense_precision_per_node():
 def test_ou_stats_are_chunk_invariant(chunk, monkeypatch):
     # each node's Z'QZ comes from its own matrix-vector products, so it is
     # the same, bit for bit, whatever the block it was walked in, and a
-    # single node gives its row of a batch
-    ds = _ragged_ou_dataset(3)
+    # single node gives its row of a batch; also where the pair products
+    # are summed per distinct gap value first
     ou = GroupModel(Family.OU)
     rng = np.random.default_rng(12)
-    for n in (1, chunk, chunk + 1, 3 * chunk + 1, 40):
+    repeated = _on_design(_gap_values_design(
+        [0.5, 1.0, 2.5], np.random.default_rng(3)), 3)
+    for ds, n in itertools.product((_ragged_ou_dataset(3), repeated),
+                                   (1, chunk, chunk + 1, 3 * chunk + 1, 40)):
         s = np.append(rng.uniform(-12.0, 12.0, n - 1), 11.0)
         (_, _), whole = _kernel_and_stats(ds, ou, s)
         monkeypatch.setattr("grouppc.corr._OU_BLOCK",
-                            chunk * ds.design.gaps.size)
+                            chunk * _row_length(ds.design))
         (_, _), parts = _kernel_and_stats(ds, ou, s)
         monkeypatch.undo()
         assert whole.tobytes() == parts.tobytes()
@@ -861,11 +899,14 @@ def _spread_design(rng):
 
 
 def _equal_gap_design(rng):
-    """30 groups of 2-10 rows, every gap 0.75: u = 1 at every gap, where
-    the series' leading terms cancel most."""
+    """30 groups of 2-10 rows, every gap 0.75 to within 1e-12 relative:
+    u = gap / max gap is about 1 at every gap, where the series' leading
+    terms cancel most.  The gaps take more distinct values than the
+    distinct-gap sums serve, so the series still sums them."""
     sizes = tuple(int(v) for v in rng.integers(2, 11, 30))
     return GroupedDesign(group_sizes=sizes, positions=tuple(
-        tuple(0.75 * k for k in range(m)) for m in sizes))
+        tuple(np.cumsum(0.75 + 1e-13 * rng.standard_normal(m)).tolist())
+        for m in sizes))
 
 
 def _on_design(design, seed):
@@ -932,6 +973,8 @@ def test_ou_series_nodes_match_a_40_digit_reference(make):
     assert np.all(np.exp(t) * two_max <= _OU_SERIES_MAX)
     assert np.sum(np.exp(t) * two_max > 1.0) == 4
     (log_det_t, slope_t), W = _kernel_and_stats(ds, ou, t)
+    # too many distinct gaps for the distinct-gap sums: the series ran
+    assert design._distinct_gaps == () and design._ou_moments is not None
     for k, phi in enumerate(np.exp(t)):
         log_det_ref, log_scale, ratio_ref, ratio_scale, W_ref = (
             _ou_mp_reference(ds, phi))
@@ -1055,3 +1098,126 @@ def test_ou_series_sums_equal_on_a_fresh_and_a_reused_design():
         for got in (reusing, fresh):
             for u, v in zip(deriving, got):
                 assert u.tobytes() == v.tobytes()
+
+
+# ----------------------------------------------------------------------
+# distinct-gap sums: designs with at most 21 distinct gap values
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_values", [1, 3, 21])
+def test_ou_distinct_gap_sums_match_a_40_digit_reference(n_values,
+                                                          monkeypatch):
+    # gaps k / 4, k = 1 .. n_values, exact in binary: every node sums
+    # the distinct values' terms weighted by their counts, never the
+    # series nor a walk over every gap, from x_max near 0 through the
+    # series' range to x_min = 40; Z'QZ takes the pair products summed per
+    # value first.  The bounds are those of the series nodes
+    design = _gap_values_design(np.arange(1, n_values + 1) / 4.0,
+                                np.random.default_rng(13))
+    assert np.unique(design.gaps).size == n_values
+
+    def refused(*args):
+        raise AssertionError("the series ran on a distinct-gap design")
+
+    monkeypatch.setattr("grouppc.corr._ou_series_sums", refused)
+    ds = _on_design(design, 8)
+    ou = GroupModel(Family.OU)
+    two_max, two_min = 2.0 * design.gaps.max(), 2.0 * design.gaps.min()
+    t = np.concatenate([np.linspace(-40.0, -math.log(two_max), 5),
+                        np.log(np.array([1.5, 2.0, 2.5, 8.0]) / two_max),
+                        [math.log(40.0 / two_min)]])
+    (log_det_t, slope_t), W = _kernel_and_stats(ds, ou, t)
+    assert design._ou_moments is None
+    assert _distinct_gaps(design)[1].sum() == design.gaps.size
+    for k, phi in enumerate(np.exp(t)):
+        log_det_ref, log_scale, ratio_ref, ratio_scale, W_ref = (
+            _ou_mp_reference(ds, phi))
+        assert abs(log_det_t[k] - log_det_ref) <= 1e-14 * log_scale
+        assert abs(slope_t[k] - ratio_ref) <= 1e-14 * ratio_scale
+        assert (np.abs(W[k] - W_ref).max()
+                <= 1e-12 * np.abs(W_ref).max()), (t[k], W[k], W_ref)
+    # nodes whose terms all underflow give +0.0, as on the walk
+    for sums in _internal_kernel(ou, design, np.array([10.0, np.inf])):
+        assert not sums.any() and not np.signbit(sums).any()
+
+
+def test_ou_sums_on_22_distinct_gaps_take_the_series_and_the_walk(
+        monkeypatch):
+    # one value past the distinct-gap sums: the design keeps the series at
+    # x_max <= 2 and the walk over every gap beyond, while 21 values never
+    # reach either
+    calls = []
+    series, walk = _ou_series_sums, _ou_gap_sums
+
+    def counted_series(design, x_max, pairs=None):
+        calls.append("series")
+        return series(design, x_max, pairs)
+
+    def counted_walk(design, phi, pairs=None, distinct=()):
+        calls.append("distinct" if distinct else "walk")
+        return walk(design, phi, pairs, distinct)
+
+    monkeypatch.setattr("grouppc.corr._ou_series_sums", counted_series)
+    monkeypatch.setattr("grouppc.corr._ou_gap_sums", counted_walk)
+    ou = GroupModel(Family.OU)
+    t = np.linspace(-6.0, 3.0, 9)
+    bound = len(_OU_COEFS)
+    for n_values, want in ((bound + 1, ["series", "walk"]),
+                           (bound, ["distinct"])):
+        design = _gap_values_design(np.arange(1, n_values + 1) / 4.0,
+                                    np.random.default_rng(14))
+        assert np.unique(design.gaps).size == n_values
+        _internal_kernel(ou, design, t)
+        _kernel_and_stats(_on_design(design, 9), ou, t)
+        assert calls == want * 2
+        calls.clear()
+        assert (_distinct_gaps(design) == ()) is (n_values > bound)
+
+
+def test_distinct_gaps_are_kept_read_only_outside_equality():
+    # derived on the first OU kernel call and kept on the design, read-only;
+    # neither ==, hash nor repr sees them
+    design = _gap_values_design([0.5, 1.0, 2.5], np.random.default_rng(15))
+    fresh = GroupedDesign(design.group_sizes, design.positions)
+    assert design._distinct_gaps is None
+    _internal_kernel(GroupModel(Family.OU), design, np.zeros(3))
+    kept = design._distinct_gaps
+    values, counts, order, bounds = kept
+    assert values.tolist() == [0.5, 1.0, 2.5]
+    assert counts.sum() == design.gaps.size and bounds[-1] == design.gaps.size
+    for run, value in zip(np.split(design.gaps[order], bounds[1:-1]), values):
+        assert np.all(run == value)
+    assert not values.flags.writeable and not counts.flags.writeable
+    assert not order.flags.writeable
+    _internal_kernel(GroupModel(Family.OU), design, np.zeros(3))
+    assert design._distinct_gaps is kept
+    assert design == fresh and hash(design) == hash(fresh)
+    assert repr(design) == repr(fresh)
+
+
+def _log1pmx_where(x, log1p_x=None):
+    """`_log1pmx` as np.where over the whole array, the form it replaced."""
+    out = (np.log1p(x) if log1p_x is None else log1p_x) - x
+    near = np.abs(x) < 0.1
+    if near.ndim == 0:
+        return _log1pmx_near(x) if near else out
+    return np.where(near, _log1pmx_near(x), out) if near.any() else out
+
+
+def test_log1pmx_takes_the_series_on_near_elements_bitwise():
+    # the series runs on the elements within 0.1 of 0 only: bit for bit
+    # the np.where form on mixed arrays, all-near and all-far ones, 0-d
+    # input, +-0 and a caller's log(1 + x)
+    rng = np.random.default_rng(16)
+    mixed = np.concatenate([rng.uniform(-0.2, 0.2, 40), [0.0, -0.0, 0.1,
+                            -0.1, np.nextafter(0.1, 0), -0.999, 1e-300]])
+    for x in (mixed, mixed.reshape(-1, 1) * np.ones(3), mixed[np.abs(mixed)
+              < 0.1], mixed[np.abs(mixed) >= 0.1], np.array([0.0, -0.0])):
+        for log1p_x in (None, np.log1p(x)):
+            got, want = _log1pmx(x, log1p_x), _log1pmx_where(x, log1p_x)
+            assert got.shape == want.shape
+            assert _bits(got).tobytes() == _bits(want).tobytes()
+    for x in (0.0, -0.0, 0.05, -0.3, np.float64(-0.0), np.array(0.05),
+              np.array(-0.0)):
+        assert _bits(_log1pmx(x)) == _bits(_log1pmx_where(x))
+    assert np.signbit(_log1pmx(np.array([-0.0])))[0]
