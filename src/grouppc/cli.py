@@ -398,10 +398,7 @@ def main(argv=None):
     except (DomainError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -153,14 +153,8 @@ def corr_matrix(model: GroupModel, design: GroupedDesign,
     p = float(_check_param(model, param, allow_degenerate=False))
     # one non-negative index for the sizes and the G + 1 offsets alike
     j = range(design.n_groups)[group_index]
-    return _corr_block(model, design, j, p)
-
-
-def _corr_block(model: GroupModel, design: GroupedDesign,
-                group_index: int, p: float) -> NDArray:
-    """`corr_matrix` for a design and parameter already checked."""
-    m = design.group_sizes[group_index]
-    return _corr_blocks(model, design, [group_index], p).reshape(m, m)
+    m = design.group_sizes[j]
+    return _corr_blocks(model, design, [j], p).reshape(m, m)
 
 
 def _corr_blocks(model: GroupModel, design: GroupedDesign, groups,
@@ -589,8 +583,8 @@ def log_det_dense(model: GroupModel, design: GroupedDesign, param) -> float:
     model.check_design(design)
     p = float(_check_param(model, param, allow_degenerate=False))
     total = 0.0
-    for j in range(design.n_groups):
-        R = _corr_block(model, design, j, p)
+    for j, m in enumerate(design.group_sizes):
+        R = _corr_blocks(model, design, [j], p).reshape(m, m)
         sign, val = np.linalg.slogdet(R)
         if sign <= 0:
             raise DomainError("correlation block is not positive definite")
@@ -650,7 +644,9 @@ def _markov_rows(dataset: Dataset):
     as differences D = Z_b - Z_a and earlier rows A = Z_a."""
     Z = np.column_stack([dataset.y, dataset.X])
     b = dataset.design.pair_rows
-    return Z[dataset.design.offsets[:-1]], Z[b] - Z[b - 1], Z[b - 1]
+    first, Z_b, Z_a = (np.take(Z, rows, axis=0)
+                       for rows in (dataset.design.offsets[:-1], b, b - 1))
+    return first, Z_b - Z_a, Z_a
 
 
 def _pair_products(D, A):

@@ -505,8 +505,8 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     # statistics Z'C^-1 Z to the likelihood and d, d' to the prior
     log_t = _gumbel2_log_tau(t_nodes, hyper.psi) + grid.log_weights("tau")
     kernel, W = corr._kernel_and_stats(dataset, model, s_nodes)
-    log_s = (prior._log_density(*prior.distance._from_kernel(kernel, s_nodes),
-                                0.0, s_nodes) + grid.log_weights("corr"))
+    log_s = (prior._log_density(*prior.distance._from_kernel(kernel), 0.0)
+             + grid.log_weights("corr"))
 
     n_t, n_s = t_nodes.size, s_nodes.size
     log_cells, lam, (V, c) = _woodbury(dataset, W, t_nodes, hyper.beta_prec,

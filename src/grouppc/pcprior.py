@@ -133,12 +133,12 @@ class DistanceFunction:
     # call; the public methods project it.  d' = -(log|R|)' / (2 d).
 
     @staticmethod
-    def _from_kernel(kernel, like):
+    def _from_kernel(kernel):
         """(d, d log|R| / dc) from a kernel's (log|R|, d log|R| / dc)."""
         log_det, dlogdet = kernel
         # log|R| may round to +0.0 at the base; d is 0 there, never -0.0
         d = np.sqrt(np.maximum(-np.asarray(log_det), 0.0))
-        if np.ndim(like) == 0:
+        if d.ndim == 0:
             return float(d), float(dlogdet)
         return d, dlogdet
 
@@ -158,19 +158,17 @@ class DistanceFunction:
         d, g = np.asarray(d), np.asarray(dlogdet)
         at_base = d == 0.0
         if not np.any(at_base):
-            out = -g / (2.0 * d)
-        elif base is None:
+            return -g / (2.0 * d)
+        if base is None:
             raise DomainError("the OU distance has no finite base-point slope")
-        else:
-            out = np.where(at_base, base, -g / np.where(at_base, 1.0, 2.0 * d))
-        return float(out) if np.ndim(out) == 0 else out
+        return np.where(at_base, base, -g / np.where(at_base, 1.0, 2.0 * d))
 
     # -- parameter scale -------------------------------------------------
 
     def _param_scale(self, param, allow_degenerate=True):
         """(d, d log|R| / d param) at ``param``, from one kernel call."""
         return self._from_kernel(corr._param_kernel(
-            self.model, self.design, param, allow_degenerate), param)
+            self.model, self.design, param, allow_degenerate))
 
     def __call__(self, param):
         return self._param_scale(param)[0]
@@ -184,7 +182,7 @@ class DistanceFunction:
     def _internal_scale(self, t):
         """(d, d log|R| / dt) at ``t``, from one kernel call."""
         return self._from_kernel(
-            corr._internal_kernel(self.model, self.design, t), t)
+            corr._internal_kernel(self.model, self.design, t))
 
     def value_internal(self, t):
         return self._internal_scale(t)[0]
@@ -357,12 +355,12 @@ class PCPrior:
     def design(self) -> GroupedDesign:
         return self.distance.design
 
-    def _log_density(self, d, dlogdet, base, like):
+    def _log_density(self, d, dlogdet, base):
         """log(lambda exp(-lambda d) |d'|) from a distance evaluator's pair."""
         with np.errstate(divide="ignore"):
             log_slope = np.log(np.abs(self.distance._slope(d, dlogdet, base)))
         out = np.log(self.lam) - self.lam * np.asarray(d) + log_slope
-        return float(out) if np.ndim(like) == 0 else out
+        return float(out) if np.ndim(d) == 0 else out
 
     # -- parameter scale -------------------------------------------------
 
@@ -380,7 +378,7 @@ class PCPrior:
         d, dlogdet = self.distance._param_scale(param)
         if np.any(~np.isfinite(d)):
             raise DomainError("density requested at the degenerate boundary")
-        return self._log_density(d, dlogdet, self.distance._base_slope, param)
+        return self._log_density(d, dlogdet, self.distance._base_slope)
 
     def cdf(self, param):
         """Distance-scale CDF, 1 - exp(-lambda d(param)).
@@ -416,7 +414,7 @@ class PCPrior:
 
     def log_density_internal(self, t):
         """Log density of the prior pushed to the internal coordinate."""
-        return self._log_density(*self.distance._internal_scale(t), 0.0, t)
+        return self._log_density(*self.distance._internal_scale(t), 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -486,9 +484,9 @@ def density_grid(prior: PCPrior, grid_size: int) -> PriorGrid:
     """Tabulate the prior on a monotone parameter grid.
 
     The grid is uniform on the internal scale between the `_GRID_TAIL`
-    and ``1 - _GRID_TAIL`` distance quantiles, clipped to coordinates
-    whose parameter value is still strictly inside the domain (the prior
-    tail can outrun floating point well before it runs out of mass).
+    and ``1 - _GRID_TAIL`` distance quantiles, whose ends `invert_internal`
+    keeps inside the distance's bracket (a tail beyond floating point
+    clamps to its end).  Only the ulp cap near rho = 1 is applied on top.
     """
     grid_size = _whole(grid_size, DomainError, "the grid size")
     if grid_size < 2:
@@ -500,7 +498,6 @@ def density_grid(prior: PCPrior, grid_size: int) -> PriorGrid:
     if prior.model.family is not Family.OU:
         # keep consecutive rows at least one double apart near rho = 1:
         # the logistic map moves by about step * exp(-t) per node there
-        t_hi = min(t_hi, corr.RHO_INTERNAL_MAX)
         ulp = np.finfo(float).eps / 2
         for _ in range(4):
             step = (t_hi - t_lo) / (grid_size - 1)
@@ -508,13 +505,11 @@ def density_grid(prior: PCPrior, grid_size: int) -> PriorGrid:
             if t_hi <= cap:
                 break
             t_hi = cap
-    else:
-        t_lo = max(t_lo, corr.PHI_INTERNAL_MIN)
     t = np.linspace(t_lo, t_hi, grid_size)
     param = corr.internal_to_param(prior.model, t)
     dist, dlogdet = prior.distance._param_scale(param)
     density = np.exp(prior._log_density(dist, dlogdet,
-                                        prior.distance._base_slope, param))
+                                        prior.distance._base_slope))
     cdf = -np.expm1(-lam * dist)
     return PriorGrid(param=param, distance=dist, density=density, cdf=cdf)
 
@@ -549,7 +544,7 @@ def normalization_mass(prior: PCPrior) -> float:
     half = 0.5 * np.diff(knots)[:, None]
     nodes = 0.5 * (knots[:-1] + knots[1:])[:, None] + half * x
     d, dlogdet = dist._internal_scale(np.append(nodes, knots[[0, -1]]))
-    bulk = np.exp(prior._log_density(d[:-2], dlogdet[:-2], 0.0, nodes))
+    bulk = np.exp(prior._log_density(d[:-2], dlogdet[:-2], 0.0))
     # the mass outside the knots: below the smaller end-knot distance and
     # above the larger (which end is which depends on the family)
     d_lo, d_hi = np.sort(d[-2:])

@@ -22,6 +22,7 @@ from grouppc import (
     GridConfig,
     HyperPriors,
     PCPrior,
+    balanced_design,
     io,
     log_marginal_likelihood,
     solve_psi,
@@ -170,6 +171,32 @@ def test_prior_median_icc_conflicts_with_u(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, a", [(["--u", "0.3", "--a", "0.4"], 0.4),
+                                      (["--u", "0.3"], 0.5)])
+def test_prior_u_and_a_state_the_tail_probability(tmp_path, capsys, flags,
+                                                 a):
+    code, out = run(capsys, ["prior", "--family", "ar1", "--n", "6",
+                             "--m", "50", *flags,
+                             "--out", str(tmp_path / "pg.csv")])
+    assert code == 0
+    prior = PCPrior.from_quantile(GroupModel(Family.AR1),
+                                  balanced_design(6, 50), 0.3, a)
+    assert out.splitlines()[0] == f"lambda = {float(prior.lam)!r}"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "6", "--m", "50", "--a", "0.4"], "--a requires --u"),
+    ([], "need either --data or both --n and --m"),
+    (["--n", "6"], "need either --data or both --n and --m"),
+])
+def test_prior_usage_errors(tmp_path, capsys, flags, message):
+    code = main(["prior", "--family", "exch", *flags,
+                 "--out", str(tmp_path / "pg.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "pg.csv").exists()
+
+
 def test_prior_byte_identical_reruns(tmp_path, capsys):
     argv = ["prior", "--family", "exch", "--n", "6", "--m", "50",
             "--median-icc", "0.5", "--out", str(tmp_path / "pg.csv")]
@@ -231,10 +258,31 @@ def test_simulate_rho_one_is_domain_error(tmp_path, capsys):
 
 
 def test_simulate_phi_only_applies_to_ou(tmp_path, capsys):
-    code, _ = run(capsys, ["simulate", "--family", "exchangeable",
-                           "--phi", "1.0", "--n", "5", "--m", "4",
-                           "--seed", "1", "--out", str(tmp_path / "s.csv")])
+    code = main(["simulate", "--family", "exchangeable", "--rho", "0.5",
+                 "--phi", "1.0", "--n", "5", "--m", "4",
+                 "--seed", "1", "--out", str(tmp_path / "s.csv")])
     assert code == 2
+    assert "--phi only applies to OU" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--family", "exchangeable", "--phi", "1.0"],
+     "exchangeable simulation needs --rho"),
+    (["--family", "ou"], "OU simulation needs --phi"),
+    (["--family", "ou", "--phi", "1.0", "--rho", "0.5"],
+     "--rho does not apply to OU"),
+    (["--family", "ar1", "--rho", "0.5", "--pos-jitter", "1"],
+     "--pos-jitter must lie in [0, 1)"),
+    (["--family", "ar1", "--rho", "0.5", "--pos-jitter", "-0.1"],
+     "--pos-jitter must lie in [0, 1)"),
+])
+def test_simulate_refuses_flags_that_do_not_fit_the_family(tmp_path, capsys,
+                                                           flags, message):
+    code = main(["simulate", *flags, "--n", "5", "--m", "4", "--seed", "1",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0"])
@@ -341,6 +389,42 @@ def test_fit_non_finite_sigma_u_is_domain_error(tmp_path, capsys, value):
                            "--out", str(tmp_path / "fit.json")])
     assert code == 2
     assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("3", "expected NxM"), ("1x1", "at least two nodes")])
+def test_fit_refuses_a_malformed_grid_flag(tmp_path, capsys, value, message):
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--family", "exchangeable", "--data", "d.csv",
+              "--grid", value, "--out", str(tmp_path / "fit.json")])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_fit_linalg_failure_is_a_numeric_error_naming_the_model(
+        tmp_path, capsys, monkeypatch):
+    data = simulate_csv(tmp_path, n=8, m=5, seed=21)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(cli, "log_marginal_likelihood", failing)
+    capsys.readouterr()
+    code = main(["fit", "--family", "ar1", "--data", data,
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "model 'ar1'" in err and "did not converge" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_fit_data_file_with_a_blank_header_is_a_data_error(tmp_path,
+                                                          capsys):
+    data = tmp_path / "blank.csv"
+    data.write_text("\n")
+    code = main(["fit", "--family", "exchangeable", "--data", str(data),
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == 3
+    assert "empty file" in capsys.readouterr().err
 
 
 def test_fit_missing_file_is_data_error(tmp_path, capsys):

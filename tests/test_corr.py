@@ -256,6 +256,33 @@ def test_design_refuses_group_sizes_that_are_not_integers():
     assert all(type(m) is int for m in d.group_sizes)
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ((), "at least one group"), ((2, 0, 3), "must be positive"),
+    ((2, -1), "must be positive"),
+])
+def test_design_refuses_no_groups_and_empty_groups(sizes, message):
+    with pytest.raises(ConfigurationError, match=message):
+        GroupedDesign(group_sizes=sizes)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"y": np.zeros((3, 1))}, "one-dimensional"),
+    ({"X": np.ones((2, 1))}, "one row per observation"),
+    ({"X": np.ones(3)}, "one row per observation"),
+    ({"y": np.zeros(4), "X": np.ones((4, 1))}, "4 observations but"),
+    ({"column_names": ("intercept", "x1")}, "name every column"),
+    ({"X": np.full((3, 1), 2.0)}, "intercept"),
+    ({"y": np.array([0.0, np.nan, 1.0])}, "finite"),
+    ({"X": np.array([[1.0, 0.0], [1.0, np.inf], [1.0, 2.0]]),
+      "column_names": ("intercept", "x1")}, "finite"),
+])
+def test_dataset_refuses_malformed_inputs(change, message):
+    inputs = dict(y=np.zeros(3), X=np.ones((3, 1)),
+                  design=balanced_design(1, 3), column_names=("intercept",))
+    with pytest.raises(DataError, match=message):
+        Dataset(**{**inputs, **change})
+
+
 def test_dataset_refuses_x_without_columns():
     with pytest.raises(DataError, match="at least the intercept"):
         Dataset(y=np.zeros(3), X=np.ones((3, 0)),
@@ -922,8 +949,13 @@ def _ou_mp_reference(ds, phi):
     """(sum log(1 - e^-x), sum |.|, sum x / (e^x - 1), sum |.|, Z'QZ) at
     x = 2 gap phi, the terms and pair weights in 40 digits.  Z'QZ sums the
     Markov pair terms with math.fsum, the weights rounded to doubles: good
-    to a few ulps of its largest entry."""
-    first, D, A = _markov_rows(ds)
+    to a few ulps of its largest entry.  The first rows and the pairs are
+    cut group by group, apart from `_markov_rows`."""
+    Z = np.column_stack([ds.y, ds.X])
+    groups = [Z[rows] for rows in ds.design.group_slices()]
+    first = np.array([g[0] for g in groups])
+    D = np.concatenate([g[1:] - g[:-1] for g in groups])
+    A = np.concatenate([g[:-1] for g in groups])
     with mpmath.workdps(40):
         logs, ratios, weights = [], [], []
         for gap in ds.design.gaps:
@@ -957,8 +989,16 @@ def test_ou_series_coefficients_are_rounded_bernoulli_terms():
             assert c == float(4 * (1 - mpmath.mpf(4) ** -n) * exact)
 
 
+def _singleton_edged_design(rng):
+    """40 groups of 1-9 rows, with two singletons first and two last, and
+    U(0.3, 1.7) gaps."""
+    sizes = (1, 1) + tuple(int(v) for v in rng.integers(1, 10, 36)) + (1, 1)
+    return GroupedDesign(group_sizes=sizes, positions=tuple(
+        tuple(np.cumsum(rng.uniform(0.3, 1.7, m)).tolist()) for m in sizes))
+
+
 @pytest.mark.parametrize("make", [_transect_design, _spread_design,
-                                  _equal_gap_design])
+                                  _equal_gap_design, _singleton_edged_design])
 def test_ou_series_nodes_match_a_40_digit_reference(make):
     # every node here has x_max <= 2 at all gaps, so log|R|, its slope and
     # Z'QZ come from the series over gap power moments; the nodes with

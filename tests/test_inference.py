@@ -466,6 +466,11 @@ def test_loglik_rejects_bad_parameters(method):
         gaussian_loglik(unplaced, OU, 0.5, 2.0, method=method)
 
 
+def test_loglik_refuses_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'x'"):
+        gaussian_loglik(reference_dataset(), AR1, 0.5, 2.0, method="x")
+
+
 def test_loglik_matches_scipy_multivariate_normal():
     ds = reference_dataset()
     tau, beta_prec = 2.5, 1e-3
@@ -732,6 +737,16 @@ def test_posterior_summaries_two_points():
 def test_posterior_summaries_refuse_non_finite_input(values, weights):
     # a NaN weight was dropped by w > 0, and an infinite one gave NaNs
     with pytest.raises(ValueError, match="must be finite"):
+        posterior_summaries(values, weights)
+
+
+@pytest.mark.parametrize("values, weights, message", [
+    ([1.0, 2.0], [1.0], "equal-length"), ([], [], "nonempty"),
+    ([1.0, 2.0], [-0.5, 1.0], "nonnegative"),
+])
+def test_posterior_summaries_refuse_malformed_weights(values, weights,
+                                                      message):
+    with pytest.raises(ValueError, match=message):
         posterior_summaries(values, weights)
 
 

@@ -241,6 +241,15 @@ def test_parse_errors_name_row_and_column(tmp_path):
         io.read_dataset(ragged)
 
 
+def test_blank_lines_are_skipped_and_rows_keep_their_file_line(tmp_path):
+    path = write_csv(tmp_path / "b.csv", "y,group\n1,a\n\n2,b\n\nhuh,c\n")
+    table = io.read_table(path)
+    assert table.column("y") == ("1", "2", "huh")
+    assert table.line_nums == (2, 4, 6)
+    with pytest.raises(ParseError, match=r"row 6, column 'y'"):
+        io.read_dataset(path)
+
+
 @pytest.mark.parametrize("header", ["y,group,y", "y,group,x1,x1"])
 def test_repeated_column_name_is_refused(tmp_path, header):
     # a second column of the same name would be silently ignored

@@ -17,6 +17,7 @@ from grouppc import (
     Family,
     GroupModel,
     GroupedDesign,
+    NumericError,
     PCPrior,
     balanced_density,
     balanced_design,
@@ -77,6 +78,15 @@ def test_kld_nonnegative():
         A = rng.standard_normal((5, 5))
         C = A @ A.T + 5 * np.eye(5)
         assert kld_gaussian(C, np.eye(5)) >= 0.0
+
+
+def test_kld_refuses_mismatched_shapes_and_indefinite_matrices():
+    with pytest.raises(ValueError, match="square and same size"):
+        kld_gaussian(np.eye(3), np.eye(2))
+    with pytest.raises(ValueError, match="square and same size"):
+        kld_gaussian(np.ones((2, 3)), np.eye(2))
+    with pytest.raises(NumericError, match="factorization failed"):
+        kld_gaussian(-np.eye(2), np.eye(2))
 
 
 # ----------------------------------------------------------------------
@@ -621,6 +631,22 @@ def test_ou_prior_is_pushforward_of_ar1():
         assert_allclose(ou.density(phi), ar1.density(rho) * rho, rtol=1e-8)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda prior: prior.distance.invert_internal(0.0), "target distance"),
+    (lambda prior: prior.distance.invert_internal([1.0, -1.0]),
+     "target distance"),
+    (lambda prior: PCPrior(lam=0.0, distance=prior.distance), "lambda"),
+    (lambda prior: balanced_density("exchangeable", 6, 1, prior.lam, 0.5),
+     "group size of at least 2"),
+    (lambda prior: density_grid(prior, 1), "at least two points"),
+], ids=["zero-target", "negative-target", "zero-rate", "singleton-closed-form",
+        "one-point-grid"])
+def test_prior_layer_refuses_out_of_domain_inputs(call, message):
+    prior = PCPrior.from_quantile(EXCH, balanced_design(2, 3), 0.5, 0.5)
+    with pytest.raises(DomainError, match=message):
+        call(prior)
+
+
 def test_density_boundary_raises():
     prior = PCPrior.from_quantile(EXCH, balanced_design(2, 4), 0.5, 0.5)
     with pytest.raises(DomainError):
@@ -816,6 +842,8 @@ def test_sample_requires_seed():
     prior = PCPrior.from_quantile(EXCH, balanced_design(2, 3), 0.5, 0.5)
     with pytest.raises(TypeError):
         prior.sample(10)
+    with pytest.raises(DomainError, match="a seed is required"):
+        prior.sample(10, seed=None)
 
 
 def test_sample_refuses_a_negative_count():
@@ -854,6 +882,26 @@ def test_density_grid_trapezoid_mass():
     prior = PCPrior.from_quantile(EXCH, balanced_design(6, 50), 0.1, 0.5)
     grid = density_grid(prior, 4096)
     assert_allclose(np.trapezoid(grid.density, grid.param), 1.0, atol=1e-3)
+
+
+@pytest.mark.parametrize("model", [EXCH, AR1, OU], ids=lambda m: m.family.value)
+def test_density_grid_tail_ends_lie_inside_the_distance_bracket(model):
+    # density_grid takes its internal ends from invert_internal at these
+    # two tail targets, with no clip to the family's range: an answer is
+    # a table node or a Newton iterate inside two nodes' bracket, and a
+    # target beyond the bracket's distance clamps to the bracket's end
+    tails = np.array([-np.log1p(-pcprior._GRID_TAIL),
+                      -np.log(pcprior._GRID_TAIL)])
+    clamped = 0
+    for design in (balanced_design(6, 50, unit_positions=True),
+                   field_transect_design(), unbalanced_design()):
+        dist = DistanceFunction(model, design)
+        lo, hi = dist._internal_lo, dist._internal_hi
+        for lam in 10.0 ** np.arange(-300.0, 31.0, 15.0):
+            ends = dist.invert_internal(tails / lam)
+            assert np.all((lo <= ends) & (ends <= hi)), (lam, ends)
+            clamped += np.count_nonzero((ends == lo) | (ends == hi))
+    assert clamped > 0
 
 
 def test_density_grid_ou_decreasing_parameter_order():
