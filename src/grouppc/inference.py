@@ -28,12 +28,18 @@ on the precision over a fixed tensor grid in (log tau, internal
 correlation coordinate).  Grid cells are independent work items; one
 pass exponentiates them relative to the largest, in the likelihood's
 buffer, giving the evidence and the posterior weights alike, so results
-are deterministic for a given grid.
+are deterministic for a given grid.  Each correlation node evaluates
+only a band of tau rows around the mode of its profile in tau: a bound
+on the cells that is concave in log tau certifies that every row
+outside the band lies more than 750 nats below the largest cell, where
+e^x is +0.0, so the band gives the whole plane's outputs bit for bit
+(`_TauBand`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +73,12 @@ _PHI_1 = _INV_SQRT_2PI * np.exp(-0.5)
 #: below this, e^x is +0.0 in double precision (e^-745.2 is the last
 #: subnormal)
 _EXP_UNDERFLOW = -750.0
+#: the drop of the tau profile that a node's first band guess spans, in
+#: nats: -_EXP_UNDERFLOW with room (`_TauBand.guess`)
+_BAND_DROP = 760.0
+#: relative rounding margin of the band's certificate, far above the few
+#: ulps that each of a cell's roundings can err by (`_TauBand`)
+_BAND_EPS = 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +200,15 @@ class GridConfig:
 # Gaussian log likelihood, block-wise and dense
 # ----------------------------------------------------------------------
 
+def _eigen(W: NDArray):
+    """Per node the eigenvalues lam, eigenvectors V and c = V'X'Qy of X'QX."""
+    lam, V = np.linalg.eigh(W[:, 1:, 1:])
+    return lam, V, np.einsum("kji,kj->ki", V, W[:, 1:, 0])
+
+
 def _woodbury(dataset: Dataset, W: NDArray, log_tau: NDArray,
-              beta_prec: float, logdetC: NDArray, log_t=0.0, log_s=0.0):
+              beta_prec: float, logdetC: NDArray, log_t=0.0, log_s=0.0,
+              rows=None, eig=None):
     """Likelihood on the (log tau, internal correlation) tensor grid.
 
     Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') + log_t + log_s
@@ -197,25 +216,45 @@ def _woodbury(dataset: Dataset, W: NDArray, log_tau: NDArray,
     are the evidence's priors and quadrature weights), and per node the
     eigenvalues lam, eigenvectors V and c = V'X'Qy of X'QX.  With the
     statistics W = Z'QZ at the nodes (from `corr._kernel_and_stats`),
-    one `eigh` per node gives X'QX = V diag(lam) V', so the capacitance
-    B = beta_prec I + tau X'QX is V diag(d) V' with d = beta_prec + tau lam.
-    The determinant lemma and the Woodbury identity then need only
-    sum(log d), b'B^-1 b = tau^2 sum(c^2 / d) and log|C| at the nodes
-    (``logdetC``, from the caller's closed-form pass).  Both sums take p
-    passes over (log tau, s) planes, one per coefficient k with its plane
-    d_k, so no array grows with the grid size times p; every term that
-    depends on tau alone or on the node alone is folded into one row or
-    column vector and added to the plane once; the other planes are
-    `corr._work` arrays.  A d_k that is not positive and finite raises
-    `NumericError`: d_k is monotone in tau at every node, so the rows of
-    the smallest and largest tau hold its extremes.
+    one `eigh` per node (`_eigen`, or ``eig`` if the caller made it)
+    gives X'QX = V diag(lam) V', so the capacitance B = beta_prec I +
+    tau X'QX is V diag(d) V' with d = beta_prec + tau lam.  The
+    determinant lemma and the Woodbury identity then need only sum(log d),
+    b'B^-1 b = tau^2 sum(c^2 / d) and log|C| at the nodes (``logdetC``,
+    from the caller's closed-form pass).  Both sums take p passes over
+    (log tau, s) planes, one per coefficient k with its plane d_k, so no
+    array grows with the grid size times p; every term that depends on
+    tau alone or on the node alone is folded into one row or column
+    vector and added to the plane once; the other planes are `corr._work`
+    arrays.  A d_k that is not positive and finite raises `NumericError`:
+    d_k is monotone in tau at every node, so the smallest and largest tau
+    of ``log_tau`` give its extremes.
+
+    ``rows`` (H x n_s indices into ``log_tau``, column j holding node j's
+    rows) evaluates only those cells, returned as an H x n_s plane; None
+    takes every row.  tau, tau^2 and the row vector are formed once on
+    ``log_tau`` and gathered, so a cell's operations, and its bits, do not
+    depend on which other cells are evaluated with it.
     """
     M, p = dataset.n_obs, dataset.n_coef
-    lam, V = np.linalg.eigh(W[:, 1:, 1:])
-    c = np.einsum("kji,kj->ki", V, W[:, 1:, 0])
-    tau = np.exp(log_tau)[:, None]
-    ends = [log_tau.argmin(), log_tau.argmax()]
-    shape = (log_tau.size, len(W))
+    lam, V, c = _eigen(W) if eig is None else eig
+    tau_axis = np.exp(log_tau)
+    ends = tau_axis[[log_tau.argmin(), log_tau.argmax()], None, None]
+    d_ends = ends * lam + beta_prec
+    if not (d_ends.min() > 0 and d_ends.max() < np.inf):
+        raise NumericError("capacitance is not positive definite")
+    # -0.5 (M log 2pi + logdet + tau W_yy - tau^2 sum(c^2 / d)), logdet
+    # being -M log tau + log|C| - p log beta_prec + sum_log_d: the terms
+    # in tau alone go to one row vector, those in the node alone to one
+    # column vector
+    row_terms = (0.5 * (M * log_tau - M * _LOG_2PI + p * np.log(beta_prec))
+                 + log_t)
+    cols = log_s - 0.5 * logdetC
+    if rows is None:
+        rows = (slice(None), None)
+    tau, tau2 = tau_axis[rows], (tau_axis * tau_axis)[rows]
+    row_terms = row_terms[rows]
+    shape = (len(tau), len(W))
     d, term, sum_log_d = (corr._work(name, shape)
                           for name in ("d", "term", "sum_log_d"))
     sum_log_d.fill(0.0)
@@ -223,23 +262,148 @@ def _woodbury(dataset: Dataset, W: NDArray, log_tau: NDArray,
     for k in range(p):
         np.multiply(tau, lam[:, k], out=d)
         d += beta_prec
-        if not (d[ends].min() > 0 and d[ends].max() < np.inf):
-            raise NumericError("capacitance is not positive definite")
         quad += np.divide(c[:, k] * c[:, k], d, out=term)
         sum_log_d += np.log(d, out=d)
-    # -0.5 (M log 2pi + logdet + tau W_yy - tau^2 sum(c^2 / d)), logdet
-    # being -M log tau + log|C| - p log beta_prec + sum_log_d: the terms
-    # in tau alone go to one row vector, those in the node alone to one
-    # column vector
-    rows = 0.5 * (M * log_tau - M * _LOG_2PI + p * np.log(beta_prec)) + log_t
-    cols = log_s - 0.5 * logdetC
-    quad *= tau * tau
+    quad *= tau2
     quad -= np.multiply(tau, W[:, 0, 0], out=d)
     quad -= sum_log_d
     quad *= 0.5
-    quad += rows[:, None]
+    quad += row_terms
     quad += cols
     return quad, lam, (V, c)
+
+
+class _TauBand:
+    """Each correlation node's band of tau rows, guessed and certified.
+
+    Every cell more than -`_EXP_UNDERFLOW` nats below the grid's largest
+    is written +0.0, so the fit evaluates a band of H consecutive rows
+    per node (`guess`) and proves that every row outside it would have
+    been such a cell (`widen`); the fit's outputs are then the bits of the
+    whole plane's.
+
+    The bound.  If every lam > 0 at a node and R = W_yy - sum(c^2 / lam)
+    is positive there, each cell at t = log tau is at most
+
+        V(t) = (M - 1) t / 2 - M log(2 pi) / 2 + log(psi / 2) + log h
+               - psi e^(-t/2) - e^t R / 2 + cols,
+
+    cols being the node's column term and h the tau step: tau^2 c^2 / d <
+    tau c^2 / lam and sum(log d) >= p log beta_prec, and the halved end
+    weights only lower a cell.  V is concave in t.  The bound used, U,
+    shrinks psi and R by eps = 1e-9 (R by 2 eps W_yy) and adds 1 + eps K,
+    K = |top| + |cols| + (M + 1)(T + 2) + p(|log beta_prec| + 710) +
+    |log psi| + |log h| with T the largest |t| of the axis: each of a
+    cell's ~2p + 12 roundings, and each of U's, errs by a few ulps of a
+    term bounded by psi e^(-t/2), tau W_yy or a part of K (|log d| <= 710
+    + |log beta_prec| for a finite d >= beta_prec), far below those eps
+    margins.  So a computed cell is below the computed U, still concave.
+
+    The certificate.  A band edge is certified when U at the first row
+    outside it lies below top + `_EXP_UNDERFLOW` and U' there points away
+    from the band by more than eps relative, top being the band's
+    largest cell: by concavity U is below that level on every row beyond.
+    A node is uncertifiable, and takes every row, where some lam <= 0, R
+    <= 2 eps W_yy, an input is not finite, or a term of its cells could
+    overflow (tau^2, tau W_yy or sum(c^2) / beta_prec above 1e300); its
+    cells elsewhere are then not known to be finite.  A failed edge
+    widens the band to every row.
+    """
+
+    def __init__(self, dataset: Dataset, W: NDArray, lam: NDArray,
+                 c: NDArray, cols: NDArray, grid: GridConfig,
+                 hyper: HyperPriors):
+        M, self.p = dataset.n_obs, dataset.n_coef
+        beta, psi, eps = hyper.beta_prec, hyper.psi, _BAND_EPS
+        self.t = t = grid.axis("tau")
+        self.n, self.beta = M - self.p, beta
+        log_h = grid.log_weights("tau").max()
+        # U = a(t) + b - e^t r / 2, U' = g(t) - e^t r / 2
+        decay = (1.0 - eps) * psi * np.exp(-0.5 * t)
+        self.a = (0.5 * (M - 1) * t - decay
+                  + (math.log(0.5 * psi) + log_h - 0.5 * M * _LOG_2PI))
+        self.g = 0.5 * (M - 1) + 0.5 * decay
+        self.half_tau = 0.5 * np.exp(t)
+        tau_max = 2.0 * self.half_tau[-1]
+        # eigh orders each node's lam ascending; sums over the p
+        # coefficients are products with ones, faster on short rows
+        w_yy, cc, ones = W[:, 0, 0], c * c, np.ones(self.p)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.rss = w_yy - (cc / lam) @ ones
+            self.r = self.rss - 2.0 * eps * w_yy
+            fine = ((lam[:, 0] > 0) & (cols < np.inf) & (self.r > 0)
+                    & (tau_max * np.maximum(tau_max, w_yy) <= 1e300)
+                    & (cc @ ones <= 1e300 * beta))
+        self.r[~fine] = np.nan
+        self.lam_max = lam[:, -1]
+        # cols + eps |cols| + 1 + eps K, and -inf where the node's prior
+        # density is 0, as every cell of that node is
+        self.b = np.maximum((1.0 - eps) * cols, (1.0 + eps) * cols) + (
+            1.0 + eps * ((M + 1) * (np.abs(t).max() + 2.0)
+                         + self.p * (abs(math.log(beta)) + 710.0)
+                         + abs(math.log(psi)) + abs(log_h)))
+
+    def _all_rows(self):
+        return np.arange(self.t.size)[:, None]
+
+    def guess(self):
+        """H rows per node around the mode of n t / 2 - e^t R / 2, n = M - p.
+
+        The band spans the profile's drop of D = `_BAND_DROP` nats plus a
+        bound on U's excess over a cell at the mode, p log(1 + tau lam /
+        beta_prec) / 2 with the largest lam / R of any node: Delta +
+        e^-Delta - 1 = 2 D / n below the mode and e^Delta - 1 - Delta =
+        2 D / n above, each side taking ceil(Delta / h) + 1 rows.  An
+        uncertifiable node or n <= 0 takes every row.
+        """
+        n_t = self.t.size
+        if self.n <= 0 or np.isnan(self.r).any():
+            return self._all_rows()
+        with np.errstate(over="ignore"):
+            ratio = float((self.lam_max / self.rss).max()) * self.n / self.beta
+        excess = 0.5 * self.p * math.log1p(min(ratio, 1e300))
+        x = 2.0 * (_BAND_DROP + excess) / self.n
+        h = self.t[1] - self.t[0]
+        n_below, n_above = (math.ceil(w / h) + 1 for w in _drop_widths(x))
+        height = n_below + n_above + 1
+        if height >= n_t:
+            return self._all_rows()
+        centre = np.rint((np.log(self.n / self.rss) - self.t[0]) / h)
+        lo = np.minimum(np.maximum(centre - n_below, 0), n_t - height)
+        return lo.astype(np.intp) + np.arange(height)[:, None]
+
+    def widen(self, rows, top):
+        """None if ``rows`` is certified at ``top``, else every row."""
+        n_t, height = self.t.size, len(rows)
+        if height == n_t:
+            return None
+        # U and its slope at the first row below (0) and above (1) the band
+        eps, lo = _BAND_EPS, rows[0]
+        i = lo + np.array([[-1], [height]])
+        q = self.half_tau.take(i, mode="clip") * self.r
+        g = self.g.take(i, mode="clip")
+        under = (self.a.take(i, mode="clip") + self.b - q
+                 < top + _EXP_UNDERFLOW - eps * abs(top))
+        below = (under[0] & (g[0] > q[0] * (1.0 + eps))) | (lo == 0)
+        above = (under[1] & (q[1] > g[1] * (1.0 + eps))) | (lo + height == n_t)
+        return None if (below & above).all() else self._all_rows()
+
+
+def _drop_widths(x: float):
+    """(-u, v) for the roots u < 0 < v of e^u - 1 - u = x > 0.
+
+    Newton's method from a start beyond each root: e^u - 1 - u is convex,
+    so the iterates approach the root monotonically.
+    """
+    widths = []
+    for u in (-1.0 - x, min(math.sqrt(2.0 * x), 1.0 + math.log1p(x))):
+        for _ in range(100):
+            step = (math.expm1(u) - u - x) / math.expm1(u)
+            u -= step
+            if abs(step) <= 1e-9 * abs(u):
+                break
+        widths.append(abs(u))
+    return widths
 
 
 def _beta_moments(V: NDArray, lam: NDArray, c: NDArray, tau: NDArray,
@@ -472,7 +636,9 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     to the largest gives the evidence and the posterior weights.  Posterior
     summaries come from the same grid: the correlation and variance
     marginals by interpolating the weighted CDF, the fixed effects from
-    the analytic conditional Gaussians mixed over cells.
+    the analytic conditional Gaussians mixed over cells.  The likelihood
+    is evaluated on each node's certified band of tau rows (`_TauBand`),
+    whose outputs are those of the whole grid bit for bit.
 
     For OU fits the correlation summary reports exp(-phi), the correlation
     at gap 1, so results stay comparable with the rho-parameterized
@@ -508,16 +674,31 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     log_s = (prior._log_density(*prior.distance._from_kernel(kernel), 0.0)
              + grid.log_weights("corr"))
 
+    # the cells of each node's certified tau band, the only ones above
+    # _EXP_UNDERFLOW relative to the largest (`_TauBand`)
     n_t, n_s = t_nodes.size, s_nodes.size
-    log_cells, lam, (V, c) = _woodbury(dataset, W, t_nodes, hyper.beta_prec,
-                                       kernel[0], log_t, log_s)
+    eig = _eigen(W)
+    band = _TauBand(dataset, W, eig[0], eig[2], log_s - 0.5 * kernel[0],
+                    grid, hyper)
+    rows = band.guess()
+    while True:
+        log_cells, lam, (V, c) = _woodbury(
+            dataset, W, t_nodes, hyper.beta_prec, kernel[0], log_t, log_s,
+            rows, eig)
+        top = log_cells.max()
+        wider = band.widen(rows, top)
+        if wider is None:
+            break
+        rows = wider
 
     # one exponentiation relative to the largest cell, in the likelihood's
     # buffer; a NaN or +inf cell makes the maximum non-finite, and so does
-    # a grid with no mass.  Cells below _EXP_UNDERFLOW, most of a default
-    # grid, would take numpy's slow underflow path to +0.0, so they are
-    # written +0.0 directly.  Only the marginals are normalised.
-    top = log_cells.max()
+    # a grid with no mass (a band whose largest cell is NaN or -inf
+    # certifies nothing and widens to the whole grid first).  Cells below _EXP_UNDERFLOW would take numpy's
+    # slow underflow path to +0.0, so they are written +0.0 directly.  The
+    # band is scattered into a zeroed plane of the whole grid, so every
+    # sum below adds the plane's cells in the same order.  Only the
+    # marginals are normalised.
     if not np.isfinite(top):
         raise NumericError("non-finite evidence integrand")
     log_cells -= top
@@ -525,6 +706,9 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
                       out=corr._work("live", log_cells.shape, bool))
     mass = np.exp(log_cells, out=log_cells, where=live)
     np.copyto(mass, 0.0, where=np.logical_not(live, out=live))
+    if len(rows) < n_t:
+        mass, band_mass = np.zeros((n_t, n_s)), mass
+        mass.ravel()[rows * n_s + np.arange(n_s)] = band_mass
     mass_t, mass_s = mass.sum(axis=1), mass.sum(axis=0)
     total = mass_t.sum()
     log_mlik = float(top + np.log(total))

@@ -197,6 +197,27 @@ def test_prior_usage_errors(tmp_path, capsys, flags, message):
     assert not (tmp_path / "pg.csv").exists()
 
 
+@pytest.mark.parametrize("flags, outside", [
+    # both tails past the bracket clamp to one point: the cap took the
+    # log of a zero step and the grid came out NaN
+    (["--family", "ar1", "--a", "1e-9"], "1.11e-08 of the prior mass below "
+     "its smallest distance and 1 above"),
+    # 8 equal rows, every cdf 3.9e-11
+    (["--family", "ou", "--a", "1e-12", "--grid-size", "8"],
+     "3.9e-11 of the prior mass below its smallest distance and 1 above"),
+    # the upper tail clamps: 99 % of the mass lay past the last row
+    (["--family", "ar1", "--a", "0.001"],
+     "0.0001 of the prior mass below its smallest distance and 0.989 above"),
+])
+def test_prior_refuses_a_grid_that_leaves_the_mass_outside(tmp_path, capsys,
+                                                          flags, outside):
+    code = main(["prior", "--n", "6", "--m", "50", "--u", "0.5", *flags,
+                 "--out", str(tmp_path / "pg.csv")])
+    assert code == 4
+    assert outside in capsys.readouterr().err
+    assert not (tmp_path / "pg.csv").exists()
+
+
 def test_prior_byte_identical_reruns(tmp_path, capsys):
     argv = ["prior", "--family", "exch", "--n", "6", "--m", "50",
             "--median-icc", "0.5", "--out", str(tmp_path / "pg.csv")]

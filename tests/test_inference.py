@@ -1105,6 +1105,88 @@ def test_no_returned_array_aliases_the_workspace(family):
         assert not any(np.shares_memory(out, buf) for buf in buffers)
 
 
+def _fit_recording_bands(monkeypatch, *args, **kwargs):
+    """(fit, each `_woodbury` call's arguments) of one evidence fit."""
+    calls = []
+    real = inference._woodbury
+
+    def recording(*call):
+        calls.append(call)
+        return real(*call)
+    with monkeypatch.context() as patch:
+        patch.setattr(inference, "_woodbury", recording)
+        fit = log_marginal_likelihood(*args, **kwargs)
+    return fit, calls
+
+
+def _fit_bytes(*args, **kwargs):
+    """A fit's JSON and log_mlik bits, or its refusal."""
+    try:
+        fit = log_marginal_likelihood(*args, **kwargs)
+    except (DataError, NumericError) as exc:
+        return repr(exc)
+    return json.dumps(fit.to_json_dict()), fit.log_mlik.hex()
+
+
+BAND_GRIDS = (GridConfig(n_tau=41, n_corr=41),
+              GridConfig(n_tau=201, n_corr=21, tau_bounds=(-800.0, 12.0)),
+              GridConfig(n_tau=801, n_corr=21, tau_bounds=(-800.0, 12.0)),
+              GridConfig(n_tau=61, n_corr=31, tau_bounds=(-30.0, 30.0),
+                         corr_bounds=(-20.0, 20.0)))
+
+
+@settings(max_examples=property_examples(40))
+@given(ds=ragged_datasets(), model=st.sampled_from([EXCH, AR1, OU]))
+def test_band_fit_equals_the_whole_plane_bit_for_bit(ds, model):
+    # every cell the band leaves out is one the whole plane writes +0.0,
+    # so the outputs and every refusal are the same bytes
+    assume(max(ds.design.group_sizes) > 1)
+    prior = PCPrior.from_quantile(model, ds.design,
+                                  icc_to_param(model, 0.5), 0.5)
+    hyper = HyperPriors(corr_prior=prior, psi=solve_psi(1 / 0.31, 0.01))
+    for grid in BAND_GRIDS:
+        band = _fit_bytes(ds, model, hyper, grid=grid)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference._TauBand, "guess",
+                          inference._TauBand._all_rows)
+            whole = _fit_bytes(ds, model, hyper, grid=grid)
+        assert band == whole
+
+
+@pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])
+def test_cells_outside_the_band_underflow_on_the_whole_plane(family,
+                                                             monkeypatch):
+    data, model, hyper = _study_fit(family, 1)
+    for grid in (GridConfig(), BAND_GRIDS[2],
+                 GridConfig(n_tau=8121, n_corr=41,
+                            tau_bounds=(-800.0, 12.0))):
+        _, calls = _fit_recording_bands(monkeypatch, data, model, hyper,
+                                        grid=grid)
+        # the first guess holds, and it is a band, not the whole axis
+        assert len(calls) == 1
+        args = calls[0]
+        rows = args[7]
+        assert len(rows) < grid.n_tau / 3
+        whole, _, _ = inference._woodbury(*args[:7], None, args[8])
+        inside = np.zeros(whole.shape, bool)
+        inside[rows, np.arange(grid.n_corr)] = True
+        top = whole.max()
+        assert whole[inside].max() == top
+        assert np.all(whole[~inside] < top + inference._EXP_UNDERFLOW)
+
+
+@pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])
+def test_a_one_row_guess_widens_to_the_same_bits(family, monkeypatch):
+    data, model, hyper = _study_fit(family, 2)
+    want = _fit_bytes(data, model, hyper)
+    n_t = GridConfig().n_tau
+    monkeypatch.setattr(inference._TauBand, "guess",
+                        lambda band: np.full((1, 201), n_t // 2))
+    _, calls = _fit_recording_bands(monkeypatch, data, model, hyper)
+    assert [len(call[7]) for call in calls] == [1, n_t]
+    assert _fit_bytes(data, model, hyper) == want
+
+
 def test_to_json_dict_has_exactly_documented_keys():
     ds = toy_dataset()
     fit = log_marginal_likelihood(

@@ -904,6 +904,17 @@ def test_density_grid_tail_ends_lie_inside_the_distance_bracket(model):
     assert clamped > 0
 
 
+def test_density_grid_keeps_what_the_ulp_cap_leaves_above():
+    # the cap near rho = 1 leaves 15 % of a median-0.99 exchangeable prior
+    # above the last row, within the mass an end may leave outside
+    prior = PCPrior.from_quantile(EXCH, balanced_design(6, 50), 0.99, 0.5)
+    grid = density_grid(prior, 1024)
+    assert 0.1 < 1.0 - grid.cdf[-1] <= pcprior._GRID_SPILL
+    with pytest.raises(NumericError, match="0.463 above its largest"):
+        density_grid(PCPrior.from_quantile(EXCH, balanced_design(6, 50),
+                                           0.5, 0.1), 1024)
+
+
 def test_density_grid_ou_decreasing_parameter_order():
     design = balanced_design(4, 6, unit_positions=True)
     prior = PCPrior.from_quantile(OU, design, icc_to_param(OU, 0.5), 0.5)
