@@ -900,20 +900,55 @@ def test_curvature_constants_bound_the_drawn_mixtures():
         assert np.max(np.abs(third)) <= inference._INV_SQRT_2PI / m ** 3
 
 
-@pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])
-def test_default_fit_takes_two_cdf_passes(family, monkeypatch):
-    # the fixture of tests/test_pinned.py: each beta quantile starts at its
-    # mixture's normal quantile, one Halley step from the root, and the
-    # second pass meets it
+def _pinned_fit_args(family):
+    """(dataset, model, hyper) of the tests/test_pinned.py fixture's fit."""
     from test_pinned import _design, _prior
     design = _design()
     data = simulate_dataset(SimConfig(design, OU, param=0.5,
                                       beta=(1.0, 0.5), seed=11))
     model, prior = _prior(family, design)
-    hyper = HyperPriors(prior, solve_psi(1.0 / 0.31, 0.01))
+    return data, model, HyperPriors(prior, solve_psi(1.0 / 0.31, 0.01))
+
+
+def test_approximate_cdf_of_the_start_step_is_within_its_stated_error():
+    z = np.linspace(-40.0, 40.0, 160_001)
+    assert np.max(np.abs(inference._approx_ndtr(z) - stats.norm.cdf(z))) < 7.5e-8
+
+
+@pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])
+def test_default_fit_takes_one_cdf_pass(family, monkeypatch):
+    # each beta quantile starts one Halley step on the approximate CDF
+    # past its mixture's normal quantile, and the first exact pass meets it
+    args = _pinned_fit_args(family)
     evals = _counting_ndtr(monkeypatch)
-    log_marginal_likelihood(data, model, hyper)
-    assert len(evals) <= 2
+    log_marginal_likelihood(*args)
+    assert len(evals) == 1
+
+
+@pytest.mark.parametrize("mu, sd, w, start", [
+    # every component's density underflows at the mean, 40: F' = F'' = 0,
+    # so the step f / 0 is not finite and the mean is kept
+    ((-100.0, 100.0), (1.0, 1.0), (0.3, 0.7), "mean"),
+    # at the mean the narrow component's density underflows and the wide
+    # one's Halley denominator nearly cancels: the step leaves the bracket
+    # [-27, 21] and is clipped to its lower or upper end
+    ((-3.0, 3.0), (3.0, 0.05), (0.4, 0.6), -27.0),
+    ((-3.0, 3.0), (3.0, 0.05), (0.42, 0.58), 21.0),
+])
+def test_mixture_quantile_start_step_falls_back_or_is_clipped(
+        mu, sd, w, start, monkeypatch):
+    mu_, sd_, w_ = np.array(mu), np.array(sd), np.array(w)
+    starts = []
+    real = inference.safeguarded_newton
+    monkeypatch.setattr(inference, "safeguarded_newton",
+                        lambda f, x, *a: starts.append(x) or real(f, x, *a))
+    got = _quantile(mu_, sd_, w_, 0.5)
+    # the Tukey start at level 0.5 is the mixture mean
+    assert starts[0][0] == (w_ @ mu_ if start == "mean" else start)
+    want, cdf_over_pdf = _mpmath_quantile(mu, sd, w, 0.5, got)
+    bound = ((3 + mu_.size / 2) * np.finfo(float).eps * cdf_over_pdf
+             + 4e-16 * max(abs(want), sd_.min()))
+    assert abs(got - want) <= bound
 
 
 def test_mixture_quantiles_of_stacked_mixtures_in_one_solve(monkeypatch):
@@ -1185,6 +1220,40 @@ def test_a_one_row_guess_widens_to_the_same_bits(family, monkeypatch):
     _, calls = _fit_recording_bands(monkeypatch, data, model, hyper)
     assert [len(call[7]) for call in calls] == [1, n_t]
     assert _fit_bytes(data, model, hyper) == want
+
+
+@pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])
+def test_pruned_beta_mass_and_its_quantile_bound(family, monkeypatch):
+    # the beta mixture keeps the cells above 1e-15 of the total mass; the
+    # dropped share D stays below the 1e-13 stated in README for the
+    # pinned fits, and each quantile lies within max(prob, 1 - prob) D / f
+    # of the whole grid's, as the fit's docstring states, plus both
+    # quantiles' accuracy contracts
+    fit, calls = _fit_recording_bands(monkeypatch,
+                                      *_pinned_fit_args(family))
+    args = calls[-1]
+    plane, lam, (V, c) = inference._woodbury(*args[:7], None, args[8])
+    mass = np.exp(plane - plane.max()).ravel()
+    total = mass.sum()
+    kept = mass > 1e-15 * total
+    dropped = mass[~kept].sum() / total
+    assert 0.0 < dropped <= 1e-13
+    cells = np.flatnonzero(mass)
+    t_idx, k_idx = np.divmod(cells, plane.shape[1])
+    mean, var = _beta_moments(V[k_idx], lam[k_idx], c[k_idx],
+                              np.exp(args[2][t_idx]), args[3])
+    sd = np.sqrt(var)
+    w = mass[cells] / mass[cells].sum()
+    whole = _mixture_quantiles(mean.T, sd.T, w, (0.025, 0.975))
+    eps = np.finfo(float).eps
+    for coef, (i, row) in zip(fit.beta, enumerate(whole)):
+        for got, q, prob in zip((coef["q025"], coef["q975"]), row,
+                                (0.025, 0.975)):
+            f = w @ (stats.norm.pdf((q - mean[:, i]) / sd[:, i]) / sd[:, i])
+            contracts = sum((3 + n / 2) * eps * prob / f
+                            + 4e-16 * max(abs(q), sd[:, i].min())
+                            for n in (kept.sum(), cells.size))
+            assert abs(got - q) <= max(prob, 1 - prob) * dropped / f + contracts
 
 
 def test_to_json_dict_has_exactly_documented_keys():
