@@ -284,8 +284,8 @@ class _TauBand:
     Every cell more than -`_EXP_UNDERFLOW` nats below the grid's largest
     is written +0.0, so the fit evaluates a band of H consecutive rows
     per node (`guess`) and proves that every row outside it would have
-    been such a cell (`widen`); the fit's outputs are then the bits of the
-    whole plane's.
+    been such a cell (`certified`); the fit's outputs are then the bits of
+    the whole plane's.
 
     The bound.  If every lam > 0 at a node and R = W_yy - sum(c^2 / lam)
     is positive there, each cell at t = log tau is at most
@@ -312,7 +312,7 @@ class _TauBand:
     <= 2 eps W_yy, an input is not finite, or a term of its cells could
     overflow (tau^2, tau W_yy or sum(c^2) / beta_prec above 1e300); its
     cells elsewhere are then not known to be finite.  A failed edge
-    widens the band to every row.
+    sends the fit through every row once more.
     """
 
     def __init__(self, dataset: Dataset, W: NDArray, lam: NDArray,
@@ -356,10 +356,10 @@ class _TauBand:
 
         The band spans the profile's drop of D = `_BAND_DROP` nats plus a
         bound on U's excess over a cell at the mode, p log(1 + tau lam /
-        beta_prec) / 2 with the largest lam / R of any node: Delta +
-        e^-Delta - 1 = 2 D / n below the mode and e^Delta - 1 - Delta =
-        2 D / n above, each side taking ceil(Delta / h) + 1 rows.  An
-        uncertifiable node or n <= 0 takes every row.
+        beta_prec) / 2 with the largest lam / R of any node: with x = 2 D /
+        n, each side takes ceil(width / h) + 1 rows of `_widths`' bound on
+        its width, Delta below the mode and v above.  An uncertifiable
+        node or n <= 0 takes every row.
         """
         n_t = self.t.size
         if self.n <= 0 or np.isnan(self.r).any():
@@ -367,9 +367,9 @@ class _TauBand:
         with np.errstate(over="ignore"):
             ratio = float((self.lam_max / self.rss).max()) * self.n / self.beta
         excess = 0.5 * self.p * math.log1p(min(ratio, 1e300))
-        x = 2.0 * (_BAND_DROP + excess) / self.n
         h = self.t[1] - self.t[0]
-        n_below, n_above = (math.ceil(w / h) + 1 for w in _drop_widths(x))
+        n_below, n_above = (math.ceil(w / h) + 1 for w in
+                            self._widths(2.0 * (_BAND_DROP + excess) / self.n))
         height = n_below + n_above + 1
         if height >= n_t:
             return self._all_rows()
@@ -377,11 +377,26 @@ class _TauBand:
         lo = np.minimum(np.maximum(centre - n_below, 0), n_t - height)
         return lo.astype(np.intp) + np.arange(height)[:, None]
 
-    def widen(self, rows, top):
-        """None if ``rows`` is certified at ``top``, else every row."""
+    @staticmethod
+    def _widths(x: float):
+        """Upper bounds on the roots Delta, v > 0 of Delta + e^-Delta - 1 =
+        x = e^v - 1 - v, in closed form.
+
+        Delta + e^-Delta - 1 >= Delta^2 / (2 + Delta) and e^v - 1 - v >=
+        v^2 / 2 bound the roots by (x + sqrt(x (x + 8))) / 2 and sqrt(2 x).
+        Each root is a fixed point of an increasing map, Delta = x + 1 -
+        e^-Delta and v = log(1 + x + v), which keeps a bound above its root
+        and draws it closer: one step for Delta and two for v leave both
+        within 0.03 of the roots on x in [1e-8, 1e8].
+        """
+        return (x - math.expm1(-0.5 * (x + math.sqrt(x * (x + 8.0)))),
+                math.log1p(x + math.log1p(x + math.sqrt(2.0 * x))))
+
+    def certified(self, rows, top):
+        """Whether every row outside ``rows`` is certified at ``top``."""
         n_t, height = self.t.size, len(rows)
         if height == n_t:
-            return None
+            return True
         # U and its slope at the first row below (0) and above (1) the band
         eps, lo = _BAND_EPS, rows[0]
         i = lo + np.array([[-1], [height]])
@@ -391,24 +406,7 @@ class _TauBand:
                  < top + _EXP_UNDERFLOW - eps * abs(top))
         below = (under[0] & (g[0] > q[0] * (1.0 + eps))) | (lo == 0)
         above = (under[1] & (q[1] > g[1] * (1.0 + eps))) | (lo + height == n_t)
-        return None if (below & above).all() else self._all_rows()
-
-
-def _drop_widths(x: float):
-    """(-u, v) for the roots u < 0 < v of e^u - 1 - u = x > 0.
-
-    Newton's method from a start beyond each root: e^u - 1 - u is convex,
-    so the iterates approach the root monotonically.
-    """
-    widths = []
-    for u in (-1.0 - x, min(math.sqrt(2.0 * x), 1.0 + math.log1p(x))):
-        for _ in range(100):
-            step = (math.expm1(u) - u - x) / math.expm1(u)
-            u -= step
-            if abs(step) <= 1e-9 * abs(u):
-                break
-        widths.append(abs(u))
-    return widths
+        return bool((below & above).all())
 
 
 def _beta_moments(V: NDArray, lam: NDArray, c: NDArray, tau: NDArray,
@@ -722,25 +720,22 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     eig = _eigen(W)
     band = _TauBand(dataset, W, eig[0], eig[2], log_s - 0.5 * kernel[0],
                     grid, hyper)
-    rows = band.guess()
-    while True:
+    for rows in (band.guess(), band._all_rows()):
         log_cells, lam, (V, c) = _woodbury(
             dataset, W, t_nodes, hyper.beta_prec, kernel[0], log_t, log_s,
             rows, eig)
         top = log_cells.max()
-        wider = band.widen(rows, top)
-        if wider is None:
+        if band.certified(rows, top):
             break
-        rows = wider
 
     # one exponentiation relative to the largest cell, in the likelihood's
     # buffer; a NaN or +inf cell makes the maximum non-finite, and so does
     # a grid with no mass (a band whose largest cell is NaN or -inf
-    # certifies nothing and widens to the whole grid first).  Cells below _EXP_UNDERFLOW would take numpy's
-    # slow underflow path to +0.0, so they are written +0.0 directly.  The
-    # band is scattered into a zeroed plane of the whole grid, so every
-    # sum below adds the plane's cells in the same order.  Only the
-    # marginals are normalised.
+    # certifies nothing, so the whole grid is evaluated).  Cells below
+    # _EXP_UNDERFLOW would take numpy's slow underflow path to +0.0, so
+    # they are written +0.0 directly.  The band is scattered into a zeroed
+    # plane of the whole grid, so every sum below adds the plane's cells
+    # in the same order.  Only the marginals are normalised.
     if not np.isfinite(top):
         raise NumericError("non-finite evidence integrand")
     log_cells -= top

@@ -64,9 +64,10 @@ _TABLE_NODES = 641
 _GAUSS_NODES = 64
 #: distance tail probability left outside each end of `density_grid`
 _GRID_TAIL = 1e-4
-#: most prior mass an end of `density_grid` may leave outside: the ulp cap
-#: near rho = 1 leaves up to 15 % above exchangeable priors with a median
-#: up to 0.99, while a tail past the floating-point range leaves most of it
+#: most prior mass an end of `density_grid` may leave outside: the cap
+#: near rho = 1 leaves up to 18 % above exchangeable priors with a median
+#: up to 0.99 (at 65,536 rows), while a tail past the floating-point range
+#: leaves most of it
 _GRID_SPILL = 0.25
 
 
@@ -490,7 +491,7 @@ def density_grid(prior: PCPrior, grid_size: int) -> PriorGrid:
     The grid is uniform on the internal scale between the `_GRID_TAIL`
     and ``1 - _GRID_TAIL`` distance quantiles, whose ends `invert_internal`
     keeps inside the distance's bracket (a tail beyond floating point
-    clamps to its end).  Only the ulp cap near rho = 1 is applied on top.
+    clamps to its end).  Only the cap near rho = 1 is applied on top.
     A grid that leaves more than `_GRID_SPILL` of the prior mass beyond
     either end, as a clamped or capped tail can, raises `NumericError`
     naming the mass outside.
@@ -503,18 +504,13 @@ def density_grid(prior: PCPrior, grid_size: int) -> PriorGrid:
         np.array([-np.log1p(-_GRID_TAIL), -np.log(_GRID_TAIL)]) / lam)
     t_lo, t_hi = min(t_ends), max(t_ends)
     if prior.model.family is not Family.OU:
-        # keep consecutive rows at least one double apart near rho = 1:
-        # the logistic map moves by about step * exp(-t) per node there.
-        # Ends that meet or cross are left to the mass check below
-        ulp = np.finfo(float).eps / 2
-        for _ in range(4):
-            step = (t_hi - t_lo) / (grid_size - 1)
-            if not step > 0:
-                break
-            cap = np.log(step / ulp)
-            if t_hi <= cap:
-                break
-            t_hi = cap
+        # keep adjacent rows distinct near rho = 1: with u = t_hi - t_lo
+        # and rows h = u / (n - 1) apart, 1 + e^-t of adjacent rows differ
+        # by at least e^-t_hi h, which is two doubles (2 eps) while u -
+        # log u <= y; u = y + log y meets that for y >= 1, and for y < 1
+        # the cap is t_lo, which the mass check below refuses
+        y = -np.log(2.0 * np.finfo(float).eps * (grid_size - 1)) - t_lo
+        t_hi = min(t_hi, t_lo + y + np.log(y) if y >= 1.0 else t_lo)
     t = np.linspace(t_lo, t_hi, grid_size)
     param = corr.internal_to_param(prior.model, t)
     dist, dlogdet = prior.distance._param_scale(param)

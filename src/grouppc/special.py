@@ -86,7 +86,7 @@ def safeguarded_newton(f_slope, x, lo, hi, rising):
         if todo.size == 0:
             return out
         f, slope, met = f_slope(todo, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = f / slope
             x_newton = x - step
         above = f < 0 if rising else f > 0      # the root lies above x

@@ -207,7 +207,7 @@ def test_prior_usage_errors(tmp_path, capsys, flags, message):
      "3.9e-11 of the prior mass below its smallest distance and 1 above"),
     # the upper tail clamps: 99 % of the mass lay past the last row
     (["--family", "ar1", "--a", "0.001"],
-     "0.0001 of the prior mass below its smallest distance and 0.989 above"),
+     "0.0001 of the prior mass below its smallest distance and 0.99 above"),
 ])
 def test_prior_refuses_a_grid_that_leaves_the_mass_outside(tmp_path, capsys,
                                                           flags, outside):

@@ -951,6 +951,19 @@ def test_mixture_quantile_start_step_falls_back_or_is_clipped(
     assert abs(got - want) <= bound
 
 
+def test_mixture_quantiles_with_a_subnormal_slope_raise_no_warning():
+    # between two narrow components far apart the slope underflows to a
+    # subnormal, so f / slope overflows; the iterate bisects instead
+    mu, sd, w = np.array([10.0, 60.0]), np.array([0.3, 0.3]), np.array(
+        [0.38, 0.62])
+    got = _mixture_quantiles(mu[None], sd[None], w, (0.025, 0.975))[0]
+    for prob, q in zip((0.025, 0.975), got):
+        want, cdf_over_pdf = _mpmath_quantile(mu, sd, w, prob, q)
+        bound = ((3 + mu.size / 2) * np.finfo(float).eps * cdf_over_pdf
+                 + 4e-16 * max(abs(want), sd.min()))
+        assert abs(q - want) <= bound, prob
+
+
 def test_mixture_quantiles_of_stacked_mixtures_in_one_solve(monkeypatch):
     # every mixture padded to 30 components by zero-weight copies of its
     # first, which leave its CDF, slope, bracket and min sd unchanged
@@ -1208,6 +1221,20 @@ def test_cells_outside_the_band_underflow_on_the_whole_plane(family,
         top = whole.max()
         assert whole[inside].max() == top
         assert np.all(whole[~inside] < top + inference._EXP_UNDERFLOW)
+
+
+def test_band_widths_bound_their_roots_from_above():
+    # each closed-form width is at least its root and at most 0.03 above it
+    with mpmath.workdps(30):
+        for x in np.logspace(-8.0, 8.0, 161):
+            below, above = inference._TauBand._widths(float(x))
+            xm = mpmath.mpf(float(x))
+            roots = (mpmath.findroot(lambda u: u + mpmath.exp(-u) - 1 - xm,
+                                     below),
+                     mpmath.findroot(lambda v: mpmath.expm1(v) - v - xm,
+                                     above))
+            for bound, root in zip((below, above), roots):
+                assert 0 < root <= bound <= root + 0.03, (x, bound, root)
 
 
 @pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])

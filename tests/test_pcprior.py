@@ -905,14 +905,43 @@ def test_density_grid_tail_ends_lie_inside_the_distance_bracket(model):
 
 
 def test_density_grid_keeps_what_the_ulp_cap_leaves_above():
-    # the cap near rho = 1 leaves 15 % of a median-0.99 exchangeable prior
+    # the cap near rho = 1 leaves 16 % of a median-0.99 exchangeable prior
     # above the last row, within the mass an end may leave outside
     prior = PCPrior.from_quantile(EXCH, balanced_design(6, 50), 0.99, 0.5)
     grid = density_grid(prior, 1024)
     assert 0.1 < 1.0 - grid.cdf[-1] <= pcprior._GRID_SPILL
-    with pytest.raises(NumericError, match="0.463 above its largest"):
+    with pytest.raises(NumericError, match="0.471 above its largest"):
         density_grid(PCPrior.from_quantile(EXCH, balanced_design(6, 50),
                                            0.5, 0.1), 1024)
+
+
+@pytest.mark.parametrize("model", [EXCH, AR1], ids=["exch", "ar1"])
+@pytest.mark.parametrize("design", [balanced_design(6, 50),
+                                    field_transect_design()],
+                         ids=["balanced", "transect"])
+def test_density_grid_rows_stay_distinct_near_rho_one(model, design):
+    # the cap keeps 1 + e^-t of adjacent rows two doubles apart, so every
+    # row is a distinct double, and it leaves at most _GRID_SPILL above
+    for median in (0.5, 0.9, 0.99):
+        prior = PCPrior.from_quantile(model, design, median, 0.5)
+        for rows in (64, 512, 1024, 4096, 65536):
+            grid = density_grid(prior, rows)
+            assert np.all(np.diff(grid.param) > 0), (median, rows)
+            assert 1.0 - grid.cdf[-1] <= pcprior._GRID_SPILL, (median, rows)
+
+
+def test_density_grid_caps_at_the_lower_end_when_no_row_fits_above():
+    # the lower tail end lies so near rho = 1 that y = -log(2 eps (n - 1))
+    # - t_lo < 1: no second row stays two doubles above the first, so the
+    # grid collapses onto t_lo and the mass check refuses it
+    prior = PCPrior.from_quantile(AR1, balanced_design(6, 50), 0.5, 1e-5)
+    tails = np.array([-np.log1p(-pcprior._GRID_TAIL),
+                      -np.log(pcprior._GRID_TAIL)])
+    t_lo, t_hi = prior.distance.invert_internal(tails / prior.lam)
+    assert t_lo < t_hi
+    assert -np.log(2.0 * np.finfo(float).eps * 1023) - t_lo < 1.0
+    with pytest.raises(NumericError, match="and 1 above its largest"):
+        density_grid(prior, 1024)
 
 
 def test_density_grid_ou_decreasing_parameter_order():
