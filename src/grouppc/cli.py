@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -62,14 +63,17 @@ def _grid_config(text):
 
 
 def _model_spec(text):
-    """Parse FAMILY[@GROUPCOL[:POSCOL]] for the compare subcommand."""
-    name, _, columns = text.partition("@")
+    """Parse FAMILY[@GROUPCOL[:POSCOL]] for the compare subcommand.
+
+    An ``@`` or ``:`` must be followed by a column name.
+    """
+    name, at, columns = text.partition("@")
     family = parse_family(name)
-    group_col = pos_col = None
-    if columns:
-        group_col, _, pos = columns.partition(":")
-        pos_col = pos or None
-    return text, family, group_col, pos_col
+    group_col, colon, pos_col = columns.partition(":")
+    if (at and not group_col) or (colon and not pos_col):
+        raise argparse.ArgumentTypeError(
+            f"empty column name in model spec {text!r}")
+    return text, family, group_col or None, pos_col or None
 
 
 def _quantile_statement(args, model):
@@ -257,22 +261,22 @@ def cmd_simulate(args):
             raise DomainError("--phi only applies to OU; use --rho")
         param = args.rho
 
-    if not 0 <= args.pos_jitter < 1:
+    jitter = args.pos_jitter
+    if not 0 <= jitter < 1:
         raise DomainError("--pos-jitter must lie in [0, 1)")
-    if args.pos_jitter > 0:
-        rng = np.random.default_rng([args.seed, 1])
-        gaps = rng.uniform(1 - args.pos_jitter, 1 + args.pos_jitter,
-                           size=(args.n, args.m - 1))
-        positions = np.cumsum(np.insert(gaps, 0, 0.0, axis=1), axis=1)
-        design = GroupedDesign(group_sizes=(args.m,) * args.n,
-                               positions=tuple(positions))
-    else:
-        design = balanced_design(args.n, args.m,
-                                 unit_positions=family is Family.OU)
-
+    # the design checks the sizes, and the config the seed, before the
+    # jitter draws the positions
+    design = balanced_design(args.n, args.m,
+                             unit_positions=family is Family.OU and not jitter)
     config = SimConfig(design=design, model=GroupModel(family), param=param,
                        beta=tuple(args.beta), sigma2=args.sigma2,
                        seed=args.seed)
+    if jitter > 0:
+        rng = np.random.default_rng([args.seed, 1])
+        gaps = rng.uniform(1 - jitter, 1 + jitter, size=(args.n, args.m - 1))
+        positions = np.cumsum(np.insert(gaps, 0, 0.0, axis=1), axis=1)
+        config = replace(config, design=GroupedDesign(
+            group_sizes=design.group_sizes, positions=tuple(positions)))
     dataset = simulate_dataset(config)
     io.write_dataset(dataset, args.out)
     print(f"wrote {args.out} ({design.total_size} rows)")

@@ -211,55 +211,43 @@ def _eigen(W: NDArray):
     return lam, V, np.einsum("kji,kj->ki", V, W[:, 1:, 0])
 
 
-def _woodbury(dataset: Dataset, W: NDArray, log_tau: NDArray,
-              beta_prec: float, logdetC: NDArray, log_t=0.0, log_s=0.0,
-              rows=None, eig=None):
-    """Likelihood on the (log tau, internal correlation) tensor grid.
+def _woodbury(dataset: Dataset, eig, w_yy: NDArray, log_tau: NDArray,
+              rows: NDArray, beta_prec: float, cols, log_t):
+    """Likelihood at the cells ``rows`` of the (log tau, correlation) grid.
 
-    Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') + log_t + log_s
-    indexed [log tau, s] (the optional per-tau and per-node log factors
-    are the evidence's priors and quadrature weights), and per node the
-    eigenvalues lam, eigenvectors V and c = V'X'Qy of X'QX.  With the
-    statistics W = Z'QZ at the nodes (from `corr._kernel_and_stats`),
-    one `eigh` per node (`_eigen`, or ``eig`` if the caller made it)
-    gives X'QX = V diag(lam) V', so the capacitance B = beta_prec I +
-    tau X'QX is V diag(d) V' with d = beta_prec + tau lam.  The
-    determinant lemma and the Woodbury identity then need only sum(log d),
-    b'B^-1 b = tau^2 sum(c^2 / d) and log|C| at the nodes (``logdetC``,
-    from the caller's closed-form pass).  Both sums take p passes over
-    (log tau, s) planes, one per coefficient k with its plane d_k, so no
-    array grows with the grid size times p; every term that depends on
-    tau alone or on the node alone is folded into one row or column
-    vector and added to the plane once; the other planes are `corr._work`
-    arrays.  A d_k that is not positive and finite raises `NumericError`:
-    d_k is monotone in tau at every node, so the smallest and largest tau
-    of ``log_tau`` give its extremes.
-
-    ``rows`` (H x n_s indices into ``log_tau``, column j holding node j's
-    rows) evaluates only those cells, returned as an H x n_s plane; None
-    takes every row.  tau, tau^2 and the row vector are formed once on
-    ``log_tau`` and gathered, so a cell's operations, and its bits, do not
-    depend on which other cells are evaluated with it.
+    Returns log N(y; 0, tau^-1 C + beta_prec^-1 X X') + log_t + cols as an
+    H x n_s plane, ``rows`` (H x n_s indices into ``log_tau``) holding node
+    j's rows in column j.  ``log_t`` is the per-tau and ``cols`` the
+    per-node log term (the evidence's priors and quadrature weights, with
+    -log|C| / 2 in ``cols``).  With the statistics W = Z'QZ at the nodes
+    (from `corr._kernel_and_stats`), ``eig`` is `_eigen(W)`: lam, V and c
+    with X'QX = V diag(lam) V', so the capacitance B = beta_prec I + tau
+    X'QX is V diag(d) V' with d = beta_prec + tau lam, and ``w_yy`` is
+    W[:, 0, 0].  The determinant lemma and the Woodbury identity then need
+    only sum(log d) and b'B^-1 b = tau^2 sum(c^2 / d).  Both sums take p
+    passes over the plane, one per coefficient k with its plane d_k, so no
+    array grows with the grid size times p; every term in tau alone is
+    folded into one row vector, formed on ``log_tau`` and gathered, and
+    added to the plane once, as is ``cols``; the other planes are
+    `corr._work` arrays.  A cell's operations, and its bits, do not depend
+    on which other cells are evaluated with it.  A d_k that is not positive
+    and finite raises `NumericError`: d_k is monotone in tau at every node,
+    so the smallest and largest tau of ``log_tau`` give its extremes.
     """
     M, p = dataset.n_obs, dataset.n_coef
-    lam, V, c = _eigen(W) if eig is None else eig
+    lam, _, c = eig
     tau_axis = np.exp(log_tau)
     ends = tau_axis[[log_tau.argmin(), log_tau.argmax()], None, None]
     d_ends = ends * lam + beta_prec
     if not (d_ends.min() > 0 and d_ends.max() < np.inf):
         raise NumericError("capacitance is not positive definite")
     # -0.5 (M log 2pi + logdet + tau W_yy - tau^2 sum(c^2 / d)), logdet
-    # being -M log tau + log|C| - p log beta_prec + sum_log_d: the terms
-    # in tau alone go to one row vector, those in the node alone to one
-    # column vector
+    # being -M log tau + log|C| - p log beta_prec + sum_log_d
     row_terms = (0.5 * (M * log_tau - M * _LOG_2PI + p * np.log(beta_prec))
                  + log_t)
-    cols = log_s - 0.5 * logdetC
-    if rows is None:
-        rows = (slice(None), None)
     tau, tau2 = tau_axis[rows], (tau_axis * tau_axis)[rows]
     row_terms = row_terms[rows]
-    shape = (len(tau), len(W))
+    shape = (len(tau), len(w_yy))
     d, term, sum_log_d = (corr._work(name, shape)
                           for name in ("d", "term", "sum_log_d"))
     sum_log_d.fill(0.0)
@@ -270,12 +258,12 @@ def _woodbury(dataset: Dataset, W: NDArray, log_tau: NDArray,
         quad += np.divide(c[:, k] * c[:, k], d, out=term)
         sum_log_d += np.log(d, out=d)
     quad *= tau2
-    quad -= np.multiply(tau, W[:, 0, 0], out=d)
+    quad -= np.multiply(tau, w_yy, out=d)
     quad -= sum_log_d
     quad *= 0.5
     quad += row_terms
     quad += cols
-    return quad, lam, (V, c)
+    return quad
 
 
 class _TauBand:
@@ -315,9 +303,8 @@ class _TauBand:
     sends the fit through every row once more.
     """
 
-    def __init__(self, dataset: Dataset, W: NDArray, lam: NDArray,
-                 c: NDArray, cols: NDArray, grid: GridConfig,
-                 hyper: HyperPriors):
+    def __init__(self, dataset: Dataset, eig, w_yy: NDArray, cols: NDArray,
+                 grid: GridConfig, hyper: HyperPriors):
         M, self.p = dataset.n_obs, dataset.n_coef
         beta, psi, eps = hyper.beta_prec, hyper.psi, _BAND_EPS
         self.t = t = grid.axis("tau")
@@ -332,7 +319,8 @@ class _TauBand:
         tau_max = 2.0 * self.half_tau[-1]
         # eigh orders each node's lam ascending; sums over the p
         # coefficients are products with ones, faster on short rows
-        w_yy, cc, ones = W[:, 0, 0], c * c, np.ones(self.p)
+        lam, _, c = eig
+        cc, ones = c * c, np.ones(self.p)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self.rss = w_yy - (cc / lam) @ ones
             self.r = self.rss - 2.0 * eps * w_yy
@@ -413,7 +401,7 @@ def _beta_moments(V: NDArray, lam: NDArray, c: NDArray, tau: NDArray,
                   beta_prec: float):
     """Mean V (b / d) and variance (V o V)(1 / d) of beta given y, per cell.
 
-    ``V``, ``lam`` and ``c`` are `_woodbury`'s per-node eigenvectors,
+    ``V``, ``lam`` and ``c`` are `_eigen`'s per-node eigenvectors,
     eigenvalues and rotated vector at the selected cells, stacked along
     the first axis with the cells' precisions ``tau``; the capacitance's
     eigenvalues there are d = beta_prec + tau lam, b = tau c, and
@@ -463,7 +451,9 @@ def gaussian_loglik(dataset: Dataset, model: GroupModel, param: float,
     p = corr._check_param(model, param, allow_degenerate=False)
     s = np.atleast_1d(corr.param_to_internal(model, p))
     (logdetC, _), W = corr._kernel_and_stats(dataset, model, s)
-    loglik, _, _ = _woodbury(dataset, W, np.log([tau]), beta_prec, logdetC)
+    loglik = _woodbury(dataset, _eigen(W), W[:, 0, 0], np.log([tau]),
+                       np.zeros((1, 1), np.intp), beta_prec,
+                       0.0 - 0.5 * logdetC, 0.0)
     return float(loglik[0, 0])
 
 
@@ -717,13 +707,11 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     # the cells of each node's certified tau band, the only ones above
     # _EXP_UNDERFLOW relative to the largest (`_TauBand`)
     n_t, n_s = t_nodes.size, s_nodes.size
-    eig = _eigen(W)
-    band = _TauBand(dataset, W, eig[0], eig[2], log_s - 0.5 * kernel[0],
-                    grid, hyper)
+    eig, w_yy, cols = _eigen(W), W[:, 0, 0], log_s - 0.5 * kernel[0]
+    band = _TauBand(dataset, eig, w_yy, cols, grid, hyper)
     for rows in (band.guess(), band._all_rows()):
-        log_cells, lam, (V, c) = _woodbury(
-            dataset, W, t_nodes, hyper.beta_prec, kernel[0], log_t, log_s,
-            rows, eig)
+        log_cells = _woodbury(dataset, eig, w_yy, t_nodes, rows,
+                              hyper.beta_prec, cols, log_t)
         top = log_cells.max()
         if band.certified(rows, top):
             break
@@ -773,6 +761,7 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     flat_w = mass.ravel()
     active = np.flatnonzero(flat_w > 1e-15 * total)
     t_idx, k_idx = np.divmod(active, n_s)
+    lam, V, c = eig
     beta_mean, beta_var = _beta_moments(V[k_idx], lam[k_idx], c[k_idx],
                                         np.exp(t_nodes[t_idx]),
                                         hyper.beta_prec)

@@ -26,7 +26,6 @@ __all__ = [
     "read_table",
     "table_design",
     "table_numbers",
-    "table_dataset",
     "read_dataset",
     "write_dataset",
     "write_fit",
@@ -159,19 +158,6 @@ def table_numbers(table, covariate_names=()):
     return np.array(y), np.column_stack([np.ones(len(y)), *covs])
 
 
-def table_dataset(table, covariate_names=(), group_column="group",
-                  pos_column=None):
-    """Build a `Dataset` from a parsed table; see `read_dataset`.
-
-    The design comes first, so its errors precede those of the numbers.
-    """
-    covariate_names = tuple(covariate_names)
-    design, order = table_design(table, group_column, pos_column)
-    y, X = table_numbers(table, covariate_names)
-    return Dataset(y=y[order], X=X[order], design=design,
-                   column_names=("intercept",) + covariate_names)
-
-
 def read_dataset(path, covariate_names=(), group_column="group",
                  pos_column=None):
     """Read a dataset CSV into a `Dataset`.
@@ -196,9 +182,14 @@ def read_dataset(path, covariate_names=(), group_column="group",
     Dataset
         Rows ordered by (group first appearance, position or file
         order), with an intercept column prepended to the covariates.
+        The design is built first, so its errors precede those of the
+        numbers.
     """
-    return table_dataset(read_table(path), covariate_names, group_column,
-                         pos_column)
+    table, covariate_names = read_table(path), tuple(covariate_names)
+    design, order = table_design(table, group_column, pos_column)
+    y, X = table_numbers(table, covariate_names)
+    return Dataset(y=y[order], X=X[order], design=design,
+                   column_names=("intercept",) + covariate_names)
 
 
 def write_dataset(dataset, path, group_labels=None):

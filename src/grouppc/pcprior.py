@@ -408,6 +408,8 @@ class PCPrior:
         """Draw ``count`` parameter values by inverting exponential distances."""
         if seed is None:
             raise DomainError("a seed is required; sampling is deterministic")
+        if _whole(seed, DomainError, "the seed") < 0:
+            raise DomainError("the seed must be nonnegative")
         count = _whole(count, DomainError, "the sample count")
         if count < 0:
             raise DomainError("the sample count must be nonnegative")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corr
-from .design import Dataset, GroupModel, GroupedDesign
+from .design import Dataset, GroupModel, GroupedDesign, _whole
 from .errors import DomainError
 
 __all__ = ["SimConfig", "simulate_dataset"]
@@ -24,8 +24,8 @@ class SimConfig:
     """Everything `simulate_dataset` needs.
 
     ``beta`` lists the intercept first; covariates are generated for the
-    remaining coefficients.  The seed is mandatory: unseeded simulation
-    is not reproducible and therefore not supported.
+    remaining coefficients.  The seed, an integer >= 0, is mandatory:
+    unseeded simulation is not reproducible and therefore not supported.
     """
 
     design: GroupedDesign
@@ -38,6 +38,8 @@ class SimConfig:
     def __post_init__(self):
         if self.seed is None:
             raise DomainError("a seed is required")
+        if _whole(self.seed, DomainError, "the seed") < 0:
+            raise DomainError("the seed must be nonnegative")
         if not 0.0 < self.sigma2 < np.inf:
             raise DomainError("sigma2 must be positive and finite")
         if len(self.beta) < 1:

@@ -306,6 +306,32 @@ def test_simulate_refuses_flags_that_do_not_fit_the_family(tmp_path, capsys,
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("jitter", [(), ("--pos-jitter", "0.3")])
+def test_simulate_negative_seed_is_usage_error(tmp_path, capsys, jitter):
+    code = main(["simulate", "--family", "ar1", "--rho", "0.5", "--n", "5",
+                 "--m", "4", "--seed", "-1", *jitter,
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: the seed must be nonnegative\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("sizes", [("--n", "5", "--m", "0"),
+                                   ("--n", "-2", "--m", "4")])
+def test_simulate_jitter_checks_the_sizes_first(tmp_path, capsys, sizes):
+    # the jittered run refuses bad sizes as the plain run does, before it
+    # draws any gap
+    errs = []
+    for jitter in ((), ("--pos-jitter", "0.3")):
+        code = main(["simulate", "--family", "ar1", "--rho", "0.5", *sizes,
+                     *jitter, "--seed", "1", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: ")
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0"])
 def test_simulate_non_finite_sigma2_is_domain_error(tmp_path, capsys, value):
     code, _ = run(capsys, ["simulate", "--family", "exchangeable",
@@ -770,6 +796,18 @@ def test_compare_number_error_names_the_first_model(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "model 'exchangeable'" in err and "'oops'" in err
+
+
+@pytest.mark.parametrize("spec", ["ou@", "ou@:pos", "ou@group:"])
+def test_compare_refuses_an_empty_column_in_a_model_spec(tmp_path, capsys,
+                                                         spec):
+    data = simulate_csv(tmp_path, n=6, m=5, extra=("--pos-jitter", "0.2"))
+    with pytest.raises(SystemExit) as err:
+        main(["compare", "--data", data, "--model", spec,
+              "--out-dir", str(tmp_path / "cmp")])
+    assert err.value.code == 2
+    assert f"empty column name in model spec {spec!r}" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_compare_table_sorted_by_evidence(tmp_path, capsys):

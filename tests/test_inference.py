@@ -49,15 +49,24 @@ from grouppc import (
 )
 from grouppc import corr, design, inference
 from grouppc.corr import _kernel_and_stats
-from grouppc.inference import (
-    _beta_moments,
-    _mixture_quantiles,
-    _woodbury,
-)
+from grouppc.inference import _beta_moments, _mixture_quantiles
 
 EXCH = GroupModel(Family.EXCHANGEABLE)
 AR1 = GroupModel(Family.AR1)
 OU = GroupModel(Family.OU)
+
+
+def _woodbury(ds, W, log_tau, beta_prec, logdetC):
+    """`inference._woodbury` on every row of ``log_tau`` at the nodes of W.
+
+    Returns the plane and the eigen triple it was computed from, as
+    (plane, lam, (V, c)).
+    """
+    lam, V, c = eig = inference._eigen(W)
+    plane = inference._woodbury(ds, eig, W[:, 0, 0], log_tau,
+                                np.arange(len(log_tau))[:, None], beta_prec,
+                                0.0 - 0.5 * logdetC, 0.0)
+    return plane, lam, (V, c)
 
 
 def reference_dataset():
@@ -398,9 +407,9 @@ def test_fit_refuses_non_finite_cells(monkeypatch):
     for cells, value in ((np.s_[0, 0], -np.inf), (np.s_[3, 5], np.nan),
                          (np.s_[3, 5], np.inf), (np.s_[:], -np.inf)):
         def patched(*args, _cells=cells, _value=value):
-            loglik, d, eig = real(*args)
+            loglik = real(*args)
             loglik[_cells] = _value
-            return loglik, d, eig
+            return loglik
         monkeypatch.setattr(inference, "_woodbury", patched)
         if cells == np.s_[0, 0]:
             got = log_marginal_likelihood(ds, AR1, hyper, grid=grid)
@@ -1213,9 +1222,10 @@ def test_cells_outside_the_band_underflow_on_the_whole_plane(family,
         # the first guess holds, and it is a band, not the whole axis
         assert len(calls) == 1
         args = calls[0]
-        rows = args[7]
+        rows = args[4]
         assert len(rows) < grid.n_tau / 3
-        whole, _, _ = inference._woodbury(*args[:7], None, args[8])
+        whole = inference._woodbury(*args[:4], np.arange(grid.n_tau)[:, None],
+                                    *args[5:])
         inside = np.zeros(whole.shape, bool)
         inside[rows, np.arange(grid.n_corr)] = True
         top = whole.max()
@@ -1245,7 +1255,7 @@ def test_a_one_row_guess_widens_to_the_same_bits(family, monkeypatch):
     monkeypatch.setattr(inference._TauBand, "guess",
                         lambda band: np.full((1, 201), n_t // 2))
     _, calls = _fit_recording_bands(monkeypatch, data, model, hyper)
-    assert [len(call[7]) for call in calls] == [1, n_t]
+    assert [len(call[4]) for call in calls] == [1, n_t]
     assert _fit_bytes(data, model, hyper) == want
 
 
@@ -1259,7 +1269,9 @@ def test_pruned_beta_mass_and_its_quantile_bound(family, monkeypatch):
     fit, calls = _fit_recording_bands(monkeypatch,
                                       *_pinned_fit_args(family))
     args = calls[-1]
-    plane, lam, (V, c) = inference._woodbury(*args[:7], None, args[8])
+    plane = inference._woodbury(*args[:4], np.arange(len(args[3]))[:, None],
+                                *args[5:])
+    lam, V, c = args[1]
     mass = np.exp(plane - plane.max()).ravel()
     total = mass.sum()
     kept = mass > 1e-15 * total
@@ -1268,7 +1280,7 @@ def test_pruned_beta_mass_and_its_quantile_bound(family, monkeypatch):
     cells = np.flatnonzero(mass)
     t_idx, k_idx = np.divmod(cells, plane.shape[1])
     mean, var = _beta_moments(V[k_idx], lam[k_idx], c[k_idx],
-                              np.exp(args[2][t_idx]), args[3])
+                              np.exp(args[3][t_idx]), args[5])
     sd = np.sqrt(var)
     w = mass[cells] / mass[cells].sum()
     whole = _mixture_quantiles(mean.T, sd.T, w, (0.025, 0.975))

@@ -846,6 +846,18 @@ def test_sample_requires_seed():
         prior.sample(10, seed=None)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (-1, "the seed must be nonnegative"),
+    (1.5, "the seed must be an integer"),
+    (np.float64(2.0), "the seed must be an integer"),
+])
+def test_sample_refuses_a_seed_that_is_not_a_nonnegative_integer(seed,
+                                                                 message):
+    prior = PCPrior.from_quantile(EXCH, balanced_design(2, 3), 0.5, 0.5)
+    with pytest.raises(DomainError, match=message):
+        prior.sample(10, seed=seed)
+
+
 def test_sample_refuses_a_negative_count():
     prior = PCPrior.from_quantile(EXCH, balanced_design(2, 3), 0.5, 0.5)
     with pytest.raises(DomainError, match="nonnegative"):

@@ -156,6 +156,18 @@ def test_overflowing_beta_is_domain_error():
         simulate_dataset(cfg)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (-1, "the seed must be nonnegative"),
+    (1.5, "the seed must be an integer"),
+    (np.float64(2.0), "the seed must be an integer"),
+])
+def test_config_refuses_a_seed_that_is_not_a_nonnegative_integer(seed,
+                                                                 message):
+    with pytest.raises(DomainError, match=message):
+        SimConfig(design=balanced_design(2, 3), model=EXCH, param=0.5,
+                  seed=seed)
+
+
 def test_config_validation():
     d = balanced_design(2, 3)
     with pytest.raises(DomainError, match="seed"):
