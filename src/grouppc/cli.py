@@ -68,7 +68,10 @@ def _model_spec(text):
     An ``@`` or ``:`` must be followed by a column name.
     """
     name, at, columns = text.partition("@")
-    family = parse_family(name)
+    try:
+        family = parse_family(name)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     group_col, colon, pos_col = columns.partition(":")
     if (at and not group_col) or (colon and not pos_col):
         raise argparse.ArgumentTypeError(

@@ -30,10 +30,10 @@ pass exponentiates them relative to the largest, in the likelihood's
 buffer, giving the evidence and the posterior weights alike, so results
 are deterministic for a given grid.  Each correlation node evaluates
 only a band of tau rows around the mode of its profile in tau: a bound
-on the cells that is concave in log tau certifies that every row
-outside the band lies more than 750 nats below the largest cell, where
-e^x is +0.0, so the band gives the whole plane's outputs bit for bit
-(`_TauBand`).
+on the cells that is concave in log tau, read at the first row outside
+each band edge as one number, certifies that every row outside the band
+lies more than 750 nats below the largest cell, where e^x is +0.0, so
+the band gives the whole plane's outputs bit for bit (`_tau_band`).
 """
 
 from __future__ import annotations
@@ -79,10 +79,10 @@ _AS_B = (1.330274429, -1.821255978, 1.781477937, -0.356563782, 0.319381530)
 #: subnormal)
 _EXP_UNDERFLOW = -750.0
 #: the drop of the tau profile that a node's first band guess spans, in
-#: nats: -_EXP_UNDERFLOW with room (`_TauBand.guess`)
+#: nats: -_EXP_UNDERFLOW with room (`_tau_band`)
 _BAND_DROP = 760.0
 #: relative rounding margin of the band's certificate, far above the few
-#: ulps that each of a cell's roundings can err by (`_TauBand`)
+#: ulps that each of a cell's roundings can err by (`_tau_band`)
 _BAND_EPS = 1e-9
 
 
@@ -266,14 +266,38 @@ def _woodbury(dataset: Dataset, eig, w_yy: NDArray, log_tau: NDArray,
     return quad
 
 
-class _TauBand:
-    """Each correlation node's band of tau rows, guessed and certified.
+def _band_widths(x: float):
+    """Upper bounds on the roots Delta, v > 0 of Delta + e^-Delta - 1 = x =
+    e^v - 1 - v, in closed form.
 
-    Every cell more than -`_EXP_UNDERFLOW` nats below the grid's largest
-    is written +0.0, so the fit evaluates a band of H consecutive rows
-    per node (`guess`) and proves that every row outside it would have
-    been such a cell (`certified`); the fit's outputs are then the bits of
-    the whole plane's.
+    Delta + e^-Delta - 1 >= Delta^2 / (2 + Delta) and e^v - 1 - v >= v^2 /
+    2 bound the roots by (x + sqrt(x (x + 8))) / 2 and sqrt(2 x).  Each
+    root is a fixed point of an increasing map, Delta = x + 1 - e^-Delta
+    and v = log(1 + x + v), which keeps a bound above its root and draws
+    it closer: one step for Delta and two for v leave both within 0.03 of
+    the roots on x in [1e-8, 1e8].
+    """
+    return (x - math.expm1(-0.5 * (x + math.sqrt(x * (x + 8.0)))),
+            math.log1p(x + math.log1p(x + math.sqrt(2.0 * x))))
+
+
+def _tau_band(dataset: Dataset, eig, w_yy: NDArray, cols: NDArray,
+              t: NDArray, log_h: float, hyper: HyperPriors):
+    """Each correlation node's band of tau rows, and the band's edge.
+
+    Returns (rows, edge): H consecutive rows of the tau axis ``t`` per
+    node, in `_woodbury`'s layout, and a number such that every row
+    outside the band lies more than -`_EXP_UNDERFLOW` nats below the
+    band's largest cell top, where the fit writes +0.0, if top is finite
+    and edge < top + `_EXP_UNDERFLOW` - `_BAND_EPS` |top|; the fit's
+    outputs are then the whole plane's bits.  ``log_h`` is log h.
+
+    The band.  H rows per node around the mode of n t / 2 - e^t R / 2, n
+    = M - p, spanning the profile's drop of D = `_BAND_DROP` nats plus a
+    bound on U's excess over a cell at the mode, p log(1 + tau lam /
+    beta_prec) / 2 with the largest lam / R of any node: with x = 2 D / n,
+    each side takes ceil(width / h) + 1 rows of `_band_widths`' bound on
+    its width, Delta below the mode and v above.
 
     The bound.  If every lam > 0 at a node and R = W_yy - sum(c^2 / lam)
     is positive there, each cell at t = log tau is at most
@@ -284,117 +308,65 @@ class _TauBand:
     cols being the node's column term and h the tau step: tau^2 c^2 / d <
     tau c^2 / lam and sum(log d) >= p log beta_prec, and the halved end
     weights only lower a cell.  V is concave in t.  The bound used, U,
-    shrinks psi and R by eps = 1e-9 (R by 2 eps W_yy) and adds 1 + eps K,
-    K = |top| + |cols| + (M + 1)(T + 2) + p(|log beta_prec| + 710) +
-    |log psi| + |log h| with T the largest |t| of the axis: each of a
+    shrinks psi and R by eps = `_BAND_EPS` (R by 2 eps W_yy) and adds 1 +
+    eps K, K = |top| + |cols| + (M + 1)(T + 2) + p(|log beta_prec| + 710)
+    + |log psi| + |log h| with T the largest |t| of the axis: each of a
     cell's ~2p + 12 roundings, and each of U's, errs by a few ulps of a
     term bounded by psi e^(-t/2), tau W_yy or a part of K (|log d| <= 710
     + |log beta_prec| for a finite d >= beta_prec), far below those eps
     margins.  So a computed cell is below the computed U, still concave.
 
-    The certificate.  A band edge is certified when U at the first row
-    outside it lies below top + `_EXP_UNDERFLOW` and U' there points away
-    from the band by more than eps relative, top being the band's
-    largest cell: by concavity U is below that level on every row beyond.
-    A node is uncertifiable, and takes every row, where some lam <= 0, R
-    <= 2 eps W_yy, an input is not finite, or a term of its cells could
-    overflow (tau^2, tau W_yy or sum(c^2) / beta_prec above 1e300); its
-    cells elsewhere are then not known to be finite.  A failed edge
-    sends the fit through every row once more.
+    The certificate.  edge is the largest U at the first row outside each
+    band edge that is not an end of the axis, or +inf if U' at such a row
+    does not point away from its band by more than eps relative; then by
+    concavity U stays below edge on every row beyond.  Every row, with
+    edge -inf, is taken where n <= 0, where the band would span the axis,
+    and where a node is uncertifiable: some lam <= 0, R <= 2 eps W_yy, an
+    input is not finite, or a term of its cells could overflow (tau^2,
+    tau W_yy or sum(c^2) / beta_prec above 1e300), so its cells are not
+    known to be finite.
     """
-
-    def __init__(self, dataset: Dataset, eig, w_yy: NDArray, cols: NDArray,
-                 grid: GridConfig, hyper: HyperPriors):
-        M, self.p = dataset.n_obs, dataset.n_coef
-        beta, psi, eps = hyper.beta_prec, hyper.psi, _BAND_EPS
-        self.t = t = grid.axis("tau")
-        self.n, self.beta = M - self.p, beta
-        log_h = grid.log_weights("tau").max()
-        # U = a(t) + b - e^t r / 2, U' = g(t) - e^t r / 2
-        decay = (1.0 - eps) * psi * np.exp(-0.5 * t)
-        self.a = (0.5 * (M - 1) * t - decay
-                  + (math.log(0.5 * psi) + log_h - 0.5 * M * _LOG_2PI))
-        self.g = 0.5 * (M - 1) + 0.5 * decay
-        self.half_tau = 0.5 * np.exp(t)
-        tau_max = 2.0 * self.half_tau[-1]
-        # eigh orders each node's lam ascending; sums over the p
-        # coefficients are products with ones, faster on short rows
-        lam, _, c = eig
-        cc, ones = c * c, np.ones(self.p)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.rss = w_yy - (cc / lam) @ ones
-            self.r = self.rss - 2.0 * eps * w_yy
-            fine = ((lam[:, 0] > 0) & (cols < np.inf) & (self.r > 0)
-                    & (tau_max * np.maximum(tau_max, w_yy) <= 1e300)
-                    & (cc @ ones <= 1e300 * beta))
-        self.r[~fine] = np.nan
-        self.lam_max = lam[:, -1]
-        # cols + eps |cols| + 1 + eps K, and -inf where the node's prior
-        # density is 0, as every cell of that node is
-        self.b = np.maximum((1.0 - eps) * cols, (1.0 + eps) * cols) + (
-            1.0 + eps * ((M + 1) * (np.abs(t).max() + 2.0)
-                         + self.p * (abs(math.log(beta)) + 710.0)
-                         + abs(math.log(psi)) + abs(log_h)))
-
-    def _all_rows(self):
-        return np.arange(self.t.size)[:, None]
-
-    def guess(self):
-        """H rows per node around the mode of n t / 2 - e^t R / 2, n = M - p.
-
-        The band spans the profile's drop of D = `_BAND_DROP` nats plus a
-        bound on U's excess over a cell at the mode, p log(1 + tau lam /
-        beta_prec) / 2 with the largest lam / R of any node: with x = 2 D /
-        n, each side takes ceil(width / h) + 1 rows of `_widths`' bound on
-        its width, Delta below the mode and v above.  An uncertifiable
-        node or n <= 0 takes every row.
-        """
-        n_t = self.t.size
-        if self.n <= 0 or np.isnan(self.r).any():
-            return self._all_rows()
-        with np.errstate(over="ignore"):
-            ratio = float((self.lam_max / self.rss).max()) * self.n / self.beta
-        excess = 0.5 * self.p * math.log1p(min(ratio, 1e300))
-        h = self.t[1] - self.t[0]
-        n_below, n_above = (math.ceil(w / h) + 1 for w in
-                            self._widths(2.0 * (_BAND_DROP + excess) / self.n))
-        height = n_below + n_above + 1
-        if height >= n_t:
-            return self._all_rows()
-        centre = np.rint((np.log(self.n / self.rss) - self.t[0]) / h)
-        lo = np.minimum(np.maximum(centre - n_below, 0), n_t - height)
-        return lo.astype(np.intp) + np.arange(height)[:, None]
-
-    @staticmethod
-    def _widths(x: float):
-        """Upper bounds on the roots Delta, v > 0 of Delta + e^-Delta - 1 =
-        x = e^v - 1 - v, in closed form.
-
-        Delta + e^-Delta - 1 >= Delta^2 / (2 + Delta) and e^v - 1 - v >=
-        v^2 / 2 bound the roots by (x + sqrt(x (x + 8))) / 2 and sqrt(2 x).
-        Each root is a fixed point of an increasing map, Delta = x + 1 -
-        e^-Delta and v = log(1 + x + v), which keeps a bound above its root
-        and draws it closer: one step for Delta and two for v leave both
-        within 0.03 of the roots on x in [1e-8, 1e8].
-        """
-        return (x - math.expm1(-0.5 * (x + math.sqrt(x * (x + 8.0)))),
-                math.log1p(x + math.log1p(x + math.sqrt(2.0 * x))))
-
-    def certified(self, rows, top):
-        """Whether every row outside ``rows`` is certified at ``top``."""
-        n_t, height = self.t.size, len(rows)
-        if height == n_t:
-            return True
-        # U and its slope at the first row below (0) and above (1) the band
-        eps, lo = _BAND_EPS, rows[0]
-        i = lo + np.array([[-1], [height]])
-        q = self.half_tau.take(i, mode="clip") * self.r
-        g = self.g.take(i, mode="clip")
-        under = (self.a.take(i, mode="clip") + self.b - q
-                 < top + _EXP_UNDERFLOW - eps * abs(top))
-        below = (under[0] & (g[0] > q[0] * (1.0 + eps))) | (lo == 0)
-        above = (under[1] & (q[1] > g[1] * (1.0 + eps))) | (lo + height == n_t)
-        return bool((below & above).all())
+    M, p = dataset.n_obs, dataset.n_coef
+    n, n_t = M - p, t.size
+    beta, psi, eps = hyper.beta_prec, hyper.psi, _BAND_EPS
+    every = np.arange(n_t)[:, None], -np.inf
+    # eigh orders each node's lam ascending; sums over the p coefficients
+    # are products with ones, faster on short rows
+    lam, _, c = eig
+    cc, ones, tau_max = c * c, np.ones(p), np.exp(t[-1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rss = w_yy - (cc / lam) @ ones
+        r = rss - 2.0 * eps * w_yy
+        fine = ((lam[:, 0] > 0) & (cols < np.inf) & (r > 0)
+                & (tau_max * np.maximum(tau_max, w_yy) <= 1e300)
+                & (cc @ ones <= 1e300 * beta))
+        ratio = float((lam[:, -1] / rss).max()) * n / beta
+    if n <= 0 or not fine.all():
+        return every
+    excess, h = 0.5 * p * math.log1p(min(ratio, 1e300)), t[1] - t[0]
+    n_below, n_above = (math.ceil(w / h) + 1 for w in
+                        _band_widths(2.0 * (_BAND_DROP + excess) / n))
+    height = n_below + n_above + 1
+    if height >= n_t:
+        return every
+    centre = np.rint((np.log(n / rss) - t[0]) / h)
+    lo = np.clip(centre - n_below, 0, n_t - height).astype(np.intp)
+    # U = a(t) + b - e^t r / 2 and U' = g(t) - e^t r / 2 at the first row
+    # below (0) and above (1) each band; b is cols + eps |cols| + 1 + eps K
+    # less eps |top|, -inf at a node of zero prior density, as its cells are
+    t_out = t.take(lo + np.array([[-1], [height]]), mode="clip")
+    decay = (1.0 - eps) * psi * np.exp(-0.5 * t_out)
+    q = 0.5 * np.exp(t_out) * r
+    g = 0.5 * (M - 1) + 0.5 * decay
+    b = np.maximum((1.0 - eps) * cols, (1.0 + eps) * cols) + (
+        1.0 + eps * ((M + 1) * (np.abs(t).max() + 2.0)
+                     + p * (abs(math.log(beta)) + 710.0)
+                     + abs(math.log(psi)) + abs(log_h)))
+    u = (0.5 * (M - 1) * t_out - decay
+         + (math.log(0.5 * psi) + log_h - 0.5 * M * _LOG_2PI)) + b - q
+    away = np.array([g[0] > q[0] * (1.0 + eps), q[1] > g[1] * (1.0 + eps)])
+    edge = np.where(away, u, np.inf)[[lo > 0, lo + height < n_t]].max()
+    return lo + np.arange(height)[:, None], float(edge)
 
 
 def _beta_moments(V: NDArray, lam: NDArray, c: NDArray, tau: NDArray,
@@ -658,8 +630,9 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     marginals by interpolating the weighted CDF, the fixed effects from
     the analytic conditional Gaussians mixed over the cells that hold
     more than 1e-15 of the total mass.  The likelihood is evaluated on
-    each node's certified band of tau rows (`_TauBand`), whose outputs
-    are those of the whole grid bit for bit.
+    each node's band of tau rows (`_tau_band`), and once more on every
+    row if the band's edge is not certified below its largest cell, so
+    the outputs are the whole grid's bit for bit.
 
     The cells left out of the fixed effects' mixture hold a share D of
     the mass, at most 1e-15 each (D is 5e-15 to 1.3e-14 on the 30 x 20
@@ -704,21 +677,25 @@ def log_marginal_likelihood(dataset: Dataset, model: GroupModel,
     log_s = (prior._log_density(*prior.distance._from_kernel(kernel), 0.0)
              + grid.log_weights("corr"))
 
-    # the cells of each node's certified tau band, the only ones above
-    # _EXP_UNDERFLOW relative to the largest (`_TauBand`)
+    # the cells of each node's tau band, and of every row unless the
+    # band's edge lies below _EXP_UNDERFLOW relative to its largest cell
     n_t, n_s = t_nodes.size, s_nodes.size
     eig, w_yy, cols = _eigen(W), W[:, 0, 0], log_s - 0.5 * kernel[0]
-    band = _TauBand(dataset, eig, w_yy, cols, grid, hyper)
-    for rows in (band.guess(), band._all_rows()):
+    rows, edge = _tau_band(dataset, eig, w_yy, cols, t_nodes,
+                           grid.log_weights("tau").max(), hyper)
+    log_cells = _woodbury(dataset, eig, w_yy, t_nodes, rows,
+                          hyper.beta_prec, cols, log_t)
+    top = log_cells.max()
+    if len(rows) < n_t and not (np.isfinite(top) and edge < top
+                                + _EXP_UNDERFLOW - _BAND_EPS * abs(top)):
+        rows = np.arange(n_t)[:, None]
         log_cells = _woodbury(dataset, eig, w_yy, t_nodes, rows,
                               hyper.beta_prec, cols, log_t)
         top = log_cells.max()
-        if band.certified(rows, top):
-            break
 
     # one exponentiation relative to the largest cell, in the likelihood's
     # buffer; a NaN or +inf cell makes the maximum non-finite, and so does
-    # a grid with no mass (a band whose largest cell is NaN or -inf
+    # a grid with no mass (a band whose largest cell is not finite
     # certifies nothing, so the whole grid is evaluated).  Cells below
     # _EXP_UNDERFLOW would take numpy's slow underflow path to +0.0, so
     # they are written +0.0 directly.  The band is scattered into a zeroed

@@ -810,6 +810,18 @@ def test_compare_refuses_an_empty_column_in_a_model_spec(tmp_path, capsys,
     assert not (tmp_path / "cmp").exists()
 
 
+def test_compare_refuses_an_unknown_family_in_a_model_spec(tmp_path, capsys):
+    # the family's own message reaches stderr, not argparse's "invalid
+    # _model_spec value"
+    data = simulate_csv(tmp_path, n=6, m=5)
+    with pytest.raises(SystemExit) as err:
+        main(["compare", "--data", data, "--model", "bogus@transect",
+              "--out-dir", str(tmp_path / "cmp")])
+    assert err.value.code == 2
+    assert "unknown correlation family 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_compare_table_sorted_by_evidence(tmp_path, capsys):
     data = simulate_csv(tmp_path, rho=0.6, seed=3)
     code, out = run(capsys, ["compare", "--data", data,

@@ -1185,6 +1185,12 @@ def _fit_bytes(*args, **kwargs):
     return json.dumps(fit.to_json_dict()), fit.log_mlik.hex()
 
 
+def _force_the_whole_plane(patch):
+    """Make `_tau_band` take every row, with no edge to certify."""
+    patch.setattr(inference, "_tau_band", lambda dataset, eig, w_yy, cols, t,
+                  *rest: (np.arange(t.size)[:, None], -np.inf))
+
+
 BAND_GRIDS = (GridConfig(n_tau=41, n_corr=41),
               GridConfig(n_tau=201, n_corr=21, tau_bounds=(-800.0, 12.0)),
               GridConfig(n_tau=801, n_corr=21, tau_bounds=(-800.0, 12.0)),
@@ -1204,8 +1210,7 @@ def test_band_fit_equals_the_whole_plane_bit_for_bit(ds, model):
     for grid in BAND_GRIDS:
         band = _fit_bytes(ds, model, hyper, grid=grid)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(inference._TauBand, "guess",
-                          inference._TauBand._all_rows)
+            _force_the_whole_plane(patch)
             whole = _fit_bytes(ds, model, hyper, grid=grid)
         assert band == whole
 
@@ -1237,7 +1242,7 @@ def test_band_widths_bound_their_roots_from_above():
     # each closed-form width is at least its root and at most 0.03 above it
     with mpmath.workdps(30):
         for x in np.logspace(-8.0, 8.0, 161):
-            below, above = inference._TauBand._widths(float(x))
+            below, above = inference._band_widths(float(x))
             xm = mpmath.mpf(float(x))
             roots = (mpmath.findroot(lambda u: u + mpmath.exp(-u) - 1 - xm,
                                      below),
@@ -1252,11 +1257,81 @@ def test_a_one_row_guess_widens_to_the_same_bits(family, monkeypatch):
     data, model, hyper = _study_fit(family, 2)
     want = _fit_bytes(data, model, hyper)
     n_t = GridConfig().n_tau
-    monkeypatch.setattr(inference._TauBand, "guess",
-                        lambda band: np.full((1, 201), n_t // 2))
+    # a one-row band whose edge is never certified
+    monkeypatch.setattr(inference, "_tau_band", lambda *args: (
+        np.full((1, 201), n_t // 2), np.inf))
     _, calls = _fit_recording_bands(monkeypatch, data, model, hyper)
     assert [len(call[4]) for call in calls] == [1, n_t]
     assert _fit_bytes(data, model, hyper) == want
+
+
+@pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])
+def test_a_band_that_fails_on_a_wide_grid_widens_to_the_same_bits(
+        family, monkeypatch):
+    # over +-36 the correlation nodes next to 1 have R above 1e10, so their
+    # band sits about t = log(n / R) < -16, where the precision prior's
+    # psi e^(-t/2) keeps U rising past the band's upper edge: its edge is
+    # +inf, and the fit evaluates every row once more
+    data, model, hyper = _study_fit(family, 1)
+    grid = GridConfig(n_tau=801, n_corr=81, tau_bounds=(-36.0, 36.0),
+                      corr_bounds=(-36.0, 36.0))
+    _, calls = _fit_recording_bands(monkeypatch, data, model, hyper,
+                                    grid=grid)
+    assert [len(call[4]) for call in calls] == [62, 801]
+    got = _fit_bytes(data, model, hyper, grid=grid)
+    with monkeypatch.context() as patch:
+        _force_the_whole_plane(patch)
+        assert _fit_bytes(data, model, hyper, grid=grid) == got
+
+
+def _first_band(monkeypatch, *args, **kwargs):
+    """The first `_tau_band` result of one evidence fit, refused or not."""
+    bands = []
+    real = inference._tau_band
+    with monkeypatch.context() as patch:
+        patch.setattr(inference, "_tau_band",
+                      lambda *call: bands.append(real(*call)) or bands[-1])
+        try:
+            log_marginal_likelihood(*args, **kwargs)
+        except NumericError:
+            pass
+    return bands[0]
+
+
+def test_tau_band_takes_every_row_where_it_cannot_certify(monkeypatch):
+    n_t = GridConfig().n_tau
+    # as many coefficients as observations: no residual degrees of freedom
+    rng = np.random.default_rng(0)
+    X = np.column_stack([np.ones(3), rng.standard_normal((3, 2))])
+    ds = Dataset(y=rng.standard_normal(3), X=X, design=balanced_design(1, 3),
+                 column_names=("intercept", "x1", "x2"))
+    rows, edge = _first_band(monkeypatch, ds, EXCH, toy_hyper(ds))
+    assert_array_equal(rows, np.arange(n_t)[:, None])
+    assert edge == -np.inf
+    # a lam <= 0 at every node, injected as in
+    # test_fit_refuses_indefinite_capacitance
+    ds = reference_dataset()
+    real = corr._kernel_and_stats
+
+    def flipped(*args):
+        kernel, W = real(*args)
+        W[:, -1, -1] *= -1.0
+        return kernel, W
+    monkeypatch.setattr(corr, "_kernel_and_stats", flipped)
+    rows, edge = _first_band(monkeypatch, ds, EXCH, toy_hyper(ds))
+    assert_array_equal(rows, np.arange(n_t)[:, None])
+    assert edge == -np.inf
+
+
+@pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])
+def test_tau_band_is_consecutive_rows_inside_the_axis(family, monkeypatch):
+    grid = GridConfig()
+    rows, edge = _first_band(monkeypatch, *_study_fit(family, 1))
+    height = len(rows)
+    assert rows.shape == (height, grid.n_corr) and height < grid.n_tau
+    assert_array_equal(rows, rows[0] + np.arange(height)[:, None])
+    assert rows.min() >= 0 and rows.max() < grid.n_tau
+    assert -np.inf < edge < np.inf
 
 
 @pytest.mark.parametrize("family", ["exchangeable", "ar1", "ou"])
